@@ -49,9 +49,8 @@ int main(int argc, char** argv) {
     params.program_weights = weights;
     const auto trace = vrc::workload::generate_trace(params);
 
-    const auto c = vrc::core::compare_policies(vrc::core::PolicyKind::kGLoadSharing,
-                                               vrc::core::PolicyKind::kVReconfiguration, trace,
-                                               config);
+    const auto c = *vrc::core::compare_policies(vrc::core::PolicySpec("g-loadsharing"),
+                                                vrc::core::PolicySpec("v-reconf"), trace, config);
     table.add_row({Table::pct(big_share, 0), Table::fmt(c.baseline.total_execution, 0),
                    Table::fmt(c.ours.total_execution, 0), Table::pct(c.execution_reduction()),
                    Table::pct(c.queue_reduction()), Table::pct(c.slowdown_reduction())});

@@ -18,8 +18,9 @@ int main(int argc, char** argv) {
 
   // Both policy runs execute concurrently on the sweep runner.
   vrc::runner::SweepGrid grid;
-  grid.traces = {vrc::workload::standard_trace(group, trace_index,
-                                               static_cast<std::uint32_t>(options.nodes))};
+  grid.traces = {vrc::runner::SweepTrace::from_spec(
+      vrc::workload::TraceSpec::standard(group, trace_index),
+      static_cast<std::uint32_t>(options.nodes))};
   grid.configs = {
       vrc::core::paper_cluster_for(group, static_cast<std::size_t>(options.nodes))};
   // Multi-interval collection is a per-run collector option the scenario

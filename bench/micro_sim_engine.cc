@@ -181,8 +181,9 @@ void BM_EndToEndSmallRun(benchmark::State& state) {
   const auto trace = workload::generate_trace(params);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   for (auto _ : state) {
-    auto report = core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
-    benchmark::DoNotOptimize(report.total_execution);
+    workload::MaterializedTraceSource source(trace);
+    auto report = core::run_policy_on_source(core::PolicySpec("v-reconf"), source, config);
+    benchmark::DoNotOptimize(report->total_execution);
   }
 }
 BENCHMARK(BM_EndToEndSmallRun)->Unit(benchmark::kMillisecond);
@@ -208,9 +209,10 @@ void BM_EndToEndFaultedRun(benchmark::State& state) {
   options.fault_entries = {{1, 50.0, 20.0}};
   options.max_sim_time = 50000.0;
   for (auto _ : state) {
+    workload::MaterializedTraceSource source(trace);
     auto report =
-        core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config, options);
-    benchmark::DoNotOptimize(report.total_execution);
+        core::run_policy_on_source(core::PolicySpec("v-reconf"), source, config, options);
+    benchmark::DoNotOptimize(report->total_execution);
   }
 }
 BENCHMARK(BM_EndToEndFaultedRun)->Unit(benchmark::kMillisecond);
@@ -251,12 +253,13 @@ void BM_EndToEndLargeRun(benchmark::State& state) {
   config.load_exchange_period = 5.0; // a 10k-node board refresh is O(n log n)
 
   for (auto _ : state) {
-    auto report = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
-    if (report.jobs_completed != jobs) {
+    workload::MaterializedTraceSource source(trace);
+    auto report = core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source, config);
+    if (report->jobs_completed != jobs) {
       state.SkipWithError("large run did not drain");
       break;
     }
-    benchmark::DoNotOptimize(report.total_execution);
+    benchmark::DoNotOptimize(report->total_execution);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs));
 }
@@ -411,7 +414,8 @@ void BM_MalleableEndToEnd(benchmark::State& state) {
 
   std::uint64_t jobs_done = 0;
   for (auto _ : state) {
-    auto report = core::run_policy_on_trace(policy, trace, config);
+    workload::MaterializedTraceSource source(trace);
+    auto report = core::run_policy_on_source(policy, source, config);
     if (!report || report->jobs_completed != report->jobs_submitted) {
       state.SkipWithError("run did not drain");
       break;
@@ -426,30 +430,30 @@ BENCHMARK(BM_MalleableEndToEnd)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Streamed end-to-end run: the standard trace-3 shape (578 SPEC jobs,
-// ~3581 s, 32 nodes) driven through Cluster::submit_source with a
-// GeneratedStreamSource instead of a materialized Trace. Arg(0) runs the
-// materialized baseline on the identical shape, Arg(1) the streamed pump;
-// the delta between the two rows is the pump's per-job overhead (one
-// lookahead event plus free-list recycling) — it should be noise-level,
-// while peak live JobSpec storage drops from O(total jobs) to
-// O(concurrent jobs).
+// Arrival-pump end-to-end run: the standard trace-3 shape (578 SPEC jobs,
+// ~3581 s, 32 nodes) under G-Loadsharing. Both rows go through
+// Cluster::submit_source and run the identical simulation: Arg(0) pumps a
+// MaterializedTraceSource copy of the pre-built trace, Arg(1) a
+// GeneratedStreamSource that draws each job as it is pulled. The delta
+// between the rows is lazy generation against copying a pre-built trace;
+// either way peak live JobSpec storage is O(concurrent jobs).
 void BM_StreamingArrivals(benchmark::State& state) {
   using namespace vrc;
-  const bool streamed = state.range(0) != 0;
+  const bool generated = state.range(0) != 0;
   const workload::TraceSpec spec = workload::TraceSpec::standard(workload::WorkloadGroup::kSpec, 3);
   const workload::TraceParams params = spec.to_params(32);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 32);
-  const workload::Trace trace = streamed ? workload::Trace{} : spec.build(32);
+  const workload::Trace trace = generated ? workload::Trace{} : spec.build(32);
 
   std::uint64_t jobs_done = 0;
   for (auto _ : state) {
     std::optional<metrics::RunReport> report;
-    if (streamed) {
+    if (generated) {
       workload::GeneratedStreamSource source(params);
       report = core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source, config);
     } else {
-      report = core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config);
+      workload::MaterializedTraceSource source(trace);
+      report = core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source, config);
     }
     if (!report || report->jobs_completed != params.num_jobs) {
       state.SkipWithError("run did not drain");

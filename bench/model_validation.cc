@@ -24,11 +24,10 @@ int main(int argc, char** argv) {
   Table table({"trace", "gain T_exe-T̂_exe (s)", "ΔT_page (s)", "ΔT_que (s)", "ΔT_cpu (s)",
                "ΔT_mig (s)", "model approx error"});
   for (int index = options.trace_from; index <= options.trace_to; ++index) {
-    const auto trace = vrc::workload::standard_trace(group, index,
-                                                     static_cast<std::uint32_t>(options.nodes));
-    const auto c = vrc::core::compare_policies(vrc::core::PolicyKind::kGLoadSharing,
-                                               vrc::core::PolicyKind::kVReconfiguration, trace,
-                                               config);
+    const auto trace = vrc::workload::TraceSpec::standard(group, index)
+                           .build(static_cast<std::uint32_t>(options.nodes));
+    const auto c = *vrc::core::compare_policies(vrc::core::PolicySpec("g-loadsharing"),
+                                                vrc::core::PolicySpec("v-reconf"), trace, config);
     const auto delta = vrc::analysis::compare_runs(c.baseline, c.ours);
     table.add_row({trace.name(), Table::fmt(delta.gain(), 0), Table::fmt(delta.d_page, 0),
                    Table::fmt(delta.d_queue, 0), Table::fmt(delta.d_cpu, 0),

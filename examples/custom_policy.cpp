@@ -108,8 +108,9 @@ int main(int argc, char** argv) {
   for (const char* text : {"random-fit:seed=7", "g-loadsharing", "v-reconf"}) {
     std::string error;
     const auto spec = core::PolicySpec::parse(text, &error);
+    workload::MaterializedTraceSource source(trace);
     const auto report =
-        spec ? core::run_policy_on_trace(*spec, trace, config, {}, &error) : std::nullopt;
+        spec ? core::run_policy_on_source(*spec, source, config, {}, &error) : std::nullopt;
     if (!report) {
       std::fprintf(stderr, "custom_policy: %s\n", error.c_str());
       return 1;

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   trace_spec.duration = 1800.0;
   trace_spec.seed = 11;
   trace_spec.name = "hetero";
-  const auto trace = trace_spec.build(32);
 
   // Track where reserved service happens.
   class InstrumentedVRecon : public core::VReconfiguration {
@@ -64,8 +63,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   InstrumentedVRecon vrecon;
-  const auto base = core::run_experiment(trace, config, *baseline);
-  const auto ours = core::run_experiment(trace, config, vrecon);
+  const auto base = core::run_experiment(*trace_spec.make_source(32), config, *baseline);
+  const auto ours = core::run_experiment(*trace_spec.make_source(32), config, vrecon);
 
   using util::Table;
   Table table({"metric", "G-Loadsharing", "V-Reconfiguration", "reduction"});

@@ -10,7 +10,7 @@
 #include "util/flags.h"
 #include "util/log.h"
 #include "util/table.h"
-#include "workload/trace_generator.h"
+#include "workload/trace_spec.h"
 
 int main(int argc, char** argv) {
   int trace_index = 3;
@@ -32,17 +32,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const vrc::workload::Trace trace =
-      vrc::workload::standard_trace(group, trace_index, static_cast<std::uint32_t>(nodes));
+  const vrc::workload::Trace trace = vrc::workload::TraceSpec::standard(group, trace_index)
+                                         .build(static_cast<std::uint32_t>(nodes));
   const vrc::cluster::ClusterConfig config =
       vrc::core::paper_cluster_for(group, static_cast<std::size_t>(nodes));
 
   std::printf("Trace %s: %zu jobs over %.0f s on %d workstations\n", trace.name().c_str(),
               trace.size(), trace.duration(), nodes);
 
-  const vrc::core::Comparison cmp = vrc::core::compare_policies(
-      vrc::core::PolicyKind::kGLoadSharing, vrc::core::PolicyKind::kVReconfiguration, trace,
-      config);
+  const vrc::core::Comparison cmp =
+      *vrc::core::compare_policies(vrc::core::PolicySpec("g-loadsharing"),
+                                   vrc::core::PolicySpec("v-reconf"), trace, config);
 
   vrc::util::Table table({"metric", "G-Loadsharing", "V-Reconfiguration", "reduction"});
   using vrc::util::Table;

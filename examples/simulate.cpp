@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
 
   core::ExperimentOptions options;
   options.collector.sampling_intervals = {sampling};
-  const auto report = core::run_policy_on_trace(*policy, trace, config, options, &error);
+  workload::MaterializedTraceSource source(trace);
+  const auto report = core::run_policy_on_source(*policy, source, config, options, &error);
   if (!report) {
     std::fprintf(stderr, "simulate: %s\n", error.c_str());
     return 1;

@@ -9,7 +9,7 @@
 #include "core/experiment.h"
 #include "util/flags.h"
 #include "util/table.h"
-#include "workload/trace_generator.h"
+#include "workload/trace_spec.h"
 
 int main(int argc, char** argv) {
   int trace_index = 3;
@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
 
   vrc::workload::Trace trace =
       load_path.empty()
-          ? vrc::workload::standard_trace(vrc::workload::WorkloadGroup::kSpec, trace_index,
-                                          static_cast<std::uint32_t>(nodes))
+          ? vrc::workload::TraceSpec::standard(vrc::workload::WorkloadGroup::kSpec, trace_index)
+                .build(static_cast<std::uint32_t>(nodes))
           : vrc::workload::Trace::load_from_file(load_path);
   if (!save_path.empty()) {
     if (!trace.save_to_file(save_path)) {
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   using vrc::util::Table;
   Table table({"policy", "T_exe (s)", "T_cpu (s)", "T_page (s)", "T_que (s)", "T_mig (s)",
                "avg slowdown", "makespan (s)"});
-  for (auto kind :
-       {vrc::core::PolicyKind::kLocalOnly, vrc::core::PolicyKind::kGLoadSharing,
-        vrc::core::PolicyKind::kSuspension, vrc::core::PolicyKind::kVReconfiguration}) {
-    const auto report = vrc::core::run_policy_on_trace(kind, trace, config);
+  for (const char* policy : {"local-only", "g-loadsharing", "suspension", "v-reconf"}) {
+    vrc::workload::MaterializedTraceSource source(trace);
+    const auto report =
+        *vrc::core::run_policy_on_source(vrc::core::PolicySpec(policy), source, config);
     table.add_row({report.policy, Table::fmt(report.total_execution, 0),
                    Table::fmt(report.total_cpu, 0), Table::fmt(report.total_page, 0),
                    Table::fmt(report.total_queue, 0), Table::fmt(report.total_migration, 0),

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   double max_sim_time = 0.0;
   int jobs = 0;
   bool csv = false;
-  bool stream = false;
   bool malleable = false;
   bool perf_counters = false;
   bool list_policies = false;
@@ -81,9 +80,6 @@ int main(int argc, char** argv) {
                    "simulated-time safety cap in seconds (0: scenario default)");
   flags.add_int("jobs", &jobs, "parallel worker threads (0 = one per hardware thread)");
   flags.add_bool("csv", &csv, "emit CSV instead of an ASCII table");
-  flags.add_bool("stream", &stream,
-                 "pump workloads through a pull-based arrival source instead of materializing "
-                 "whole traces (same results for generated workloads, O(concurrent) memory)");
   flags.add_bool("malleable", &malleable,
                  "generate malleable jobs (width [1,2], fraction 1) in traces without their own "
                  "malleable= fraction, and print resize columns");
@@ -132,8 +128,6 @@ int main(int argc, char** argv) {
     std::printf(
         "  swf:file=PATH[,scale=S,max_jobs=J,min_runtime=R,group=spec|apps,nodes=N,name=X]\n");
     std::printf("  scenario-file form: trace swf file=PATH scale=S ...\n");
-    std::printf("\nadd --stream (or `stream on` in a scenario file) to pump arrivals through\n");
-    std::printf("a pull-based source with O(concurrent jobs) memory.\n");
     return 0;
   }
 
@@ -156,7 +150,6 @@ int main(int argc, char** argv) {
       apply_list(&spec, "policy", policies, &error) &&
       (overrides.empty() || spec.apply_line("set " + overrides, &error)) &&
       (cluster.empty() || spec.apply_line("cluster " + cluster, &error)) &&
-      (!stream || spec.apply_line("stream on", &error)) &&
       (!malleable || spec.apply_line("malleable on", &error)) &&
       (nodes == 0 || spec.apply_line("nodes " + std::to_string(nodes), &error)) &&
       (trials == 0 || spec.apply_line("trials " + std::to_string(trials), &error)) &&

@@ -1,4 +1,4 @@
-// Clean fixture for scripts/lint_determinism.py --self-test: zero findings
+// Clean fixture for scripts/vrc_lint.py --self-test: zero findings
 // expected. Exercises the false-positive guards — banned names inside
 // comments and string literals, the NOLINT-determinism escape hatch (same
 // line and preceding line), locally-named lookalikes, and members with

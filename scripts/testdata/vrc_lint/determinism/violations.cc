@@ -1,4 +1,4 @@
-// Seeded-violation fixture for scripts/lint_determinism.py --self-test.
+// Seeded-violation fixture for scripts/vrc_lint.py --self-test.
 //
 // Every line tagged `// SEED: <rule>` must be flagged with exactly that rule;
 // no other line may be flagged. This file is never compiled — it exists only

@@ -6,5 +6,5 @@
 #   publish-audit — board-visible writes must republish on every path out
 #   heap-order    — IndexedHeap comparators must match DESIGN.md §11's table
 #
-# Entry point: scripts/vrc_lint.py (scripts/lint_determinism.py is a
-# back-compat shim for the determinism analyzer alone).
+# Entry point: scripts/vrc_lint.py (`--analyzer determinism` runs one
+# analyzer alone).

@@ -339,8 +339,8 @@ class Analyzer:
 
 
 def registry():
-    """All analyzers in canonical run order. Imported lazily so the shim can
-    import core without dragging every analyzer in."""
+    """All analyzers in canonical run order. Imported lazily so the analyzer
+    modules can import core without a cycle."""
     from vrc_lint import determinism, heap_order, layering, publish_audit
     return [determinism.DeterminismAnalyzer(),
             layering.LayeringAnalyzer(),
@@ -354,18 +354,17 @@ def default_root():
         os.path.abspath(__file__))))
 
 
-def main(argv=None, only_analyzer=None):
+def main(argv=None):
     analyzers = registry()
     names = [analyzer.name for analyzer in analyzers]
     parser = argparse.ArgumentParser(
-        prog="vrc_lint.py" if only_analyzer is None else None,
+        prog="vrc_lint.py",
         description="static-analysis framework for the vrcluster repo "
                     "(DESIGN.md §13)")
-    if only_analyzer is None:
-        parser.add_argument("--analyzer", action="append", default=[],
-                            choices=names, metavar="NAME",
-                            help=f"run only this analyzer (repeatable); "
-                                 f"one of: {', '.join(names)}")
+    parser.add_argument("--analyzer", action="append", default=[],
+                        choices=names, metavar="NAME",
+                        help=f"run only this analyzer (repeatable); "
+                             f"one of: {', '.join(names)}")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to scan (analyzers "
                              "needing whole-program context — layering, "
@@ -381,8 +380,7 @@ def main(argv=None, only_analyzer=None):
     args = parser.parse_args(argv)
 
     root = args.root or default_root()
-    selected_names = ([only_analyzer] if only_analyzer
-                      else args.analyzer or names)
+    selected_names = args.analyzer or names
     selected = [analyzer for analyzer in analyzers
                 if analyzer.name in selected_names]
 

@@ -51,28 +51,34 @@ Cluster::~Cluster() {
   if (arrival_event_ != sim::kInvalidEventId) sim_.cancel(arrival_event_);
 }
 
-void Cluster::submit_trace(const workload::Trace& trace) {
-  for (const workload::JobSpec& spec : trace.jobs()) submit_job(spec);
+void Cluster::submit_job(const workload::JobSpec& spec) {
+  const workload::JobSpec& stored = store_spec(workload::JobSpec(spec));
+  owned_events_.push_back(
+      sim_.schedule_at(stored.submit_time, [this, &stored] { arrive(stored); }));
 }
 
-void Cluster::submit_job(const workload::JobSpec& spec) {
-  specs_.push_back(spec);
-  const workload::JobSpec& stored = specs_.back();
+workload::JobSpec& Cluster::store_spec(workload::JobSpec&& spec) {
+  workload::JobSpec* slot = nullptr;
+  if (!spec_free_list_.empty()) {
+    slot = spec_free_list_.back();
+    spec_free_list_.pop_back();
+    *slot = std::move(spec);
+    metrics::perf_add(&metrics::PerfCounters::spec_slots_recycled);
+  } else {
+    spec_slab_.push_back(std::move(spec));
+    slot = &spec_slab_.back();
+  }
   ++expected_jobs_;
   if (finished_ && completed_.size() < expected_jobs_) finished_ = false;
-  owned_events_.push_back(
-      sim_.schedule_at(stored.submit_time, [this, &stored] { on_arrival(stored); }));
+  peak_live_specs_ = std::max(peak_live_specs_, live_specs());
+  metrics::perf_max(&metrics::PerfCounters::peak_live_specs, peak_live_specs_);
+  return *slot;
 }
 
-void Cluster::on_arrival(const workload::JobSpec& spec) {
-  arrive(spec, /*stream_slot=*/nullptr);
-}
-
-void Cluster::arrive(const workload::JobSpec& spec, workload::JobSpec* stream_slot) {
+void Cluster::arrive(const workload::JobSpec& spec) {
   ensure_tasks_running();
   auto job = std::make_unique<RunningJob>();
   job->spec = &spec;
-  job->stream_slot = stream_slot;
   job->home_node = static_cast<NodeId>(spec.home_node % nodes_.size());
   job->phase = JobPhase::kPending;
   job->accounted_until = sim_.now();
@@ -94,7 +100,7 @@ void Cluster::schedule_next_arrival() {
   const std::optional<SimTime> when = source_->peek_time();
   if (!when) {
     // Drained: detach so maybe_finish can close the run once the last
-    // streamed jobs complete (expected_jobs_ is final from here on).
+    // jobs complete (expected_jobs_ is final from here on).
     source_ = nullptr;
     arrival_event_ = sim::kInvalidEventId;
     return;
@@ -108,25 +114,12 @@ void Cluster::schedule_next_arrival() {
 void Cluster::pump_arrival() {
   std::optional<workload::JobSpec> spec = source_->next();
   assert(spec && "pump_arrival: peek_time promised a job");
-  workload::JobSpec* slot = nullptr;
-  if (!spec_free_list_.empty()) {
-    slot = spec_free_list_.back();
-    spec_free_list_.pop_back();
-    *slot = std::move(*spec);
-    metrics::perf_add(&metrics::PerfCounters::spec_slots_recycled);
-  } else {
-    stream_specs_.push_back(std::move(*spec));
-    slot = &stream_specs_.back();
-  }
-  ++expected_jobs_;
-  if (finished_ && completed_.size() < expected_jobs_) finished_ = false;
-  peak_live_specs_ = std::max(peak_live_specs_, live_stream_specs());
+  const workload::JobSpec& stored = store_spec(std::move(*spec));
   metrics::perf_add(&metrics::PerfCounters::stream_arrivals);
-  metrics::perf_max(&metrics::PerfCounters::peak_live_specs, peak_live_specs_);
   // Schedule the successor before raising the arrival so the pump keeps
   // running even if the policy callback throws the run into a terminal state.
   schedule_next_arrival();
-  arrive(*slot, slot);
+  arrive(stored);
 }
 
 void Cluster::ensure_tasks_running() {
@@ -603,11 +596,12 @@ void Cluster::complete_job(std::unique_ptr<RunningJob> job, SimTime now) {
   record.final_node = job->node;
   record.working_set = job->spec->working_set();
   completed_.push_back(record);
-  // A streamed spec's storage is dead once the record above captured what
-  // metrics need; recycle the slot for a future arrival (the free-list keeps
-  // the slab at peak-concurrency size). Materialized specs (stream_slot ==
-  // nullptr) stay put: pre-scheduled arrival events still reference them.
-  if (job->stream_slot != nullptr) spec_free_list_.push_back(job->stream_slot);
+  // The spec's storage is dead once the record above captured what metrics
+  // need; recycle its slot for a future arrival (the free-list keeps the slab
+  // at peak-concurrency size). Every job's spec is a spec_slab_ slot this
+  // cluster owns (arrive() is the only RunningJob factory), so the const
+  // view can be dropped for reuse.
+  spec_free_list_.push_back(const_cast<workload::JobSpec*>(job->spec));
   policy_.on_job_completed(*this, completed_.back());
 }
 

@@ -19,7 +19,6 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "workload/arrival_source.h"
-#include "workload/trace.h"
 
 namespace vrc::cluster {
 
@@ -29,7 +28,8 @@ namespace vrc::cluster {
 ///   sim::Simulator sim;
 ///   GLoadSharing policy;
 ///   Cluster cluster(sim, ClusterConfig::paper_cluster1(), policy);
-///   cluster.submit_trace(trace);
+///   workload::MaterializedTraceSource source(trace);
+///   cluster.submit_source(source);
 ///   sim.run();
 ///   ... read cluster.completed() ...
 class Cluster {
@@ -40,18 +40,19 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   // --- workload submission ---
-  /// Schedules every job of the trace for arrival at its submit_time.
-  void submit_trace(const workload::Trace& trace);
-  /// Schedules a single job (specs are copied; arrival at spec.submit_time).
-  void submit_job(const workload::JobSpec& spec);
-  /// Attaches a pull-based arrival stream: exactly one pending arrival event
-  /// is scheduled at a time (the source's peek_time), and each fired arrival
-  /// pulls one spec and schedules the next. Completed streamed specs are
-  /// recycled through a free-list, so live JobSpec storage is O(concurrent
-  /// jobs), not O(total stream length) — see DESIGN.md §14. The source must
-  /// outlive the run (run_experiment owns it for the scenario paths). The
-  /// run finishes only after the source drains. One source at a time.
+  /// Attaches a pull-based arrival stream, the way every run receives its
+  /// jobs: exactly one pending arrival event is scheduled at a time (the
+  /// source's peek_time), and each fired arrival pulls one spec and
+  /// schedules the next. Completed specs are recycled through a free-list,
+  /// so live JobSpec storage is O(concurrent jobs), not O(total stream
+  /// length) — see DESIGN.md §14. The source must outlive the run. The run
+  /// finishes only after the source drains. One source at a time.
   void submit_source(workload::ArrivalSource& source);
+  /// Schedules a single hand-placed job for arrival at spec.submit_time (the
+  /// spec is copied into the same recycled slab the pump uses). Its arrival
+  /// event is scheduled now, so it wins a same-timestamp tie against any
+  /// event scheduled later (DESIGN.md §14.2).
+  void submit_job(const workload::JobSpec& spec);
 
   // --- operations for policies ---
   /// Places a pending job on `node` with no transfer cost (local submission
@@ -110,18 +111,16 @@ class Cluster {
   /// Completed-job records, in completion order.
   const std::vector<CompletedJob>& completed() const { return completed_; }
   /// Jobs submitted so far. With an attached ArrivalSource this grows as the
-  /// stream is pumped and is only final once streaming() is false.
+  /// stream is pumped and is only final once the source has drained.
   std::size_t submitted_count() const { return expected_jobs_; }
   bool finished() const { return finished_; }
   SimTime finish_time() const { return finish_time_; }
 
-  // --- streaming statistics ---
-  /// True while an attached ArrivalSource has arrivals left to pump.
-  bool streaming() const { return source_ != nullptr; }
-  /// Streamed specs currently alive (arrived, not yet completed+recycled).
-  std::size_t live_stream_specs() const { return stream_specs_.size() - spec_free_list_.size(); }
-  /// High-water mark of live_stream_specs() — the bounded-memory evidence
-  /// for long streams (O(concurrent), not O(total)).
+  // --- arrival statistics ---
+  /// Specs currently alive (submitted, not yet completed+recycled).
+  std::size_t live_specs() const { return spec_slab_.size() - spec_free_list_.size(); }
+  /// High-water mark of live_specs() — the bounded-memory evidence for long
+  /// streams (O(concurrent), not O(total)).
   std::size_t peak_live_specs() const { return peak_live_specs_; }
 
   /// Live (not board-snapshot) cluster-wide idle memory over non-failed
@@ -158,10 +157,12 @@ class Cluster {
   SimTime downtime_node_seconds(SimTime now) const;
 
  private:
-  void on_arrival(const workload::JobSpec& spec);
-  /// Shared arrival tail: builds the RunningJob (stream_slot non-null for
-  /// pump arrivals) and raises on_job_arrival.
-  void arrive(const workload::JobSpec& spec, workload::JobSpec* stream_slot);
+  /// Copies `spec` into a free slab slot (or a new one) and counts the job
+  /// as submitted.
+  workload::JobSpec& store_spec(workload::JobSpec&& spec);
+  /// Shared arrival tail: builds the RunningJob over its slab slot and raises
+  /// on_job_arrival.
+  void arrive(const workload::JobSpec& spec);
   /// Schedules the single pending pump arrival at source_->peek_time(), or
   /// detaches a drained source.
   void schedule_next_arrival();
@@ -191,11 +192,10 @@ class Cluster {
   sim::Rng rng_;
 
   std::vector<std::unique_ptr<Workstation>> nodes_;
-  std::deque<workload::JobSpec> specs_;  // stable storage for submitted specs
-  /// Streamed-spec slab: deque for pointer stability, recycled through
-  /// spec_free_list_ when a streamed job completes, so the slab's size tracks
-  /// peak concurrency instead of total stream length.
-  std::deque<workload::JobSpec> stream_specs_;
+  /// Spec slab: deque for pointer stability, recycled through
+  /// spec_free_list_ when a job completes, so the slab's size tracks peak
+  /// concurrency instead of total stream length.
+  std::deque<workload::JobSpec> spec_slab_;
   std::vector<workload::JobSpec*> spec_free_list_;
   workload::ArrivalSource* source_ = nullptr;  // non-null while pumping
   sim::EventId arrival_event_ = sim::kInvalidEventId;  // the one outstanding pump arrival

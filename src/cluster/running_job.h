@@ -26,10 +26,8 @@ enum class JobPhase {
 /// Mutable per-job simulation state. Owned by the Cluster (pending) or a
 /// Workstation (running).
 struct RunningJob {
+  /// For cluster jobs, a slot of the cluster's spec slab (recycled at completion).
   const workload::JobSpec* spec = nullptr;
-  /// Non-null when `spec` lives in the cluster's streamed-spec slab
-  /// (Cluster::submit_source): the slot is recycled at completion.
-  workload::JobSpec* stream_slot = nullptr;
   JobPhase phase = JobPhase::kPending;
   NodeId node = workload::kInvalidNode;  // current / destination workstation
   /// Home workstation, wrapped into this cluster's node range (a trace may

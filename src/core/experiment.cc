@@ -1,75 +1,14 @@
 #include "core/experiment.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "faults/injector.h"
 #include "metrics/perf_counters.h"
 
 namespace vrc::core {
 
-const char* to_string(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kGLoadSharing:
-      return "G-Loadsharing";
-    case PolicyKind::kVReconfiguration:
-      return "V-Reconfiguration";
-    case PolicyKind::kLocalOnly:
-      return "Local-Only";
-    case PolicyKind::kSuspension:
-      return "Job-Suspension";
-    case PolicyKind::kOracleDemands:
-      return "Oracle-Demands";
-  }
-  return "?";
-}
-
-std::optional<std::string> registry_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kGLoadSharing:
-      return "g-loadsharing";
-    case PolicyKind::kVReconfiguration:
-      return "v-reconf";
-    case PolicyKind::kLocalOnly:
-      return "local-only";
-    case PolicyKind::kSuspension:
-      return "suspension";
-    case PolicyKind::kOracleDemands:
-      return "oracle";
-  }
-  return std::nullopt;
-}
-
-PolicySpec to_spec(PolicyKind kind) {
-  const auto name = registry_name(kind);
-  return PolicySpec(name ? *name : "?");
-}
-
-std::unique_ptr<cluster::SchedulerPolicy> make_policy(PolicyKind kind, std::string* error) {
-  const auto name = registry_name(kind);
-  if (!name) {
-    if (error) {
-      std::string known;
-      for (const std::string& n : PolicyRegistry::instance().names()) {
-        known += (known.empty() ? "" : ", ") + n;
-      }
-      *error = "unknown PolicyKind value " + std::to_string(static_cast<int>(kind)) +
-               " (registered policies: " + known + ")";
-    }
-    return nullptr;
-  }
-  return make_policy(PolicySpec(*name), error);
-}
-
-namespace {
-
-/// Shared run body: `submit` attaches the workload (materialized trace or
-/// streaming source) to the freshly built cluster before the event loop.
-template <typename SubmitFn>
-metrics::RunReport run_experiment_impl(const std::string& workload_name,
-                                       const cluster::ClusterConfig& config,
-                                       cluster::SchedulerPolicy& policy,
-                                       const ExperimentOptions& options, SubmitFn&& submit) {
+metrics::RunReport run_experiment(workload::ArrivalSource& source,
+                                  const cluster::ClusterConfig& config,
+                                  cluster::SchedulerPolicy& policy,
+                                  const ExperimentOptions& options) {
   // Per-run perf capture (no-op unless `vrc_run --perf-counters` enabled the
   // global switch): binds thread-local counters for the whole run — including
   // sweep cells on ThreadPool workers — and merges them into the process
@@ -87,63 +26,16 @@ metrics::RunReport run_experiment_impl(const std::string& workload_name,
   if (!plan.empty()) {
     injector = std::make_unique<faults::FaultInjector>(sim, cluster, plan);
   }
-  submit(cluster);
+  cluster.submit_source(source);
   sim.run_until(options.max_sim_time);
   // Folded after the run so the event loop itself carries no counting cost.
   metrics::perf_add(&metrics::PerfCounters::events_executed, sim.executed_events());
   collector.stop();
-  metrics::RunReport report = collector.report(workload_name, policy.name());
+  metrics::RunReport report = collector.report(source.name(), policy.name());
+  report.streamed = true;
   report.peak_live_specs = cluster.peak_live_specs();
   report.policy_stats = policy.stats();
   return report;
-}
-
-}  // namespace
-
-metrics::RunReport run_experiment(const workload::Trace& trace,
-                                  const cluster::ClusterConfig& config,
-                                  cluster::SchedulerPolicy& policy,
-                                  const ExperimentOptions& options) {
-  return run_experiment_impl(trace.name(), config, policy, options,
-                             [&trace](cluster::Cluster& cluster) {
-                               cluster.submit_trace(trace);
-                             });
-}
-
-metrics::RunReport run_experiment(workload::ArrivalSource& source,
-                                  const cluster::ClusterConfig& config,
-                                  cluster::SchedulerPolicy& policy,
-                                  const ExperimentOptions& options) {
-  metrics::RunReport report = run_experiment_impl(source.name(), config, policy, options,
-                                                  [&source](cluster::Cluster& cluster) {
-                                                    cluster.submit_source(source);
-                                                  });
-  report.streamed = true;
-  return report;
-}
-
-metrics::RunReport run_policy_on_trace(PolicyKind kind, const workload::Trace& trace,
-                                       const cluster::ClusterConfig& config,
-                                       const ExperimentOptions& options) {
-  std::string error;
-  std::unique_ptr<cluster::SchedulerPolicy> policy = make_policy(kind, &error);
-  if (!policy) {
-    // Only reachable by casting an out-of-range integer to PolicyKind; the
-    // spec-based overload below reports such errors recoverably.
-    std::fprintf(stderr, "run_policy_on_trace: %s\n", error.c_str());
-    std::abort();
-  }
-  return run_experiment(trace, config, *policy, options);
-}
-
-std::optional<metrics::RunReport> run_policy_on_trace(const PolicySpec& spec,
-                                                      const workload::Trace& trace,
-                                                      const cluster::ClusterConfig& config,
-                                                      const ExperimentOptions& options,
-                                                      std::string* error) {
-  std::unique_ptr<cluster::SchedulerPolicy> policy = make_policy(spec, error);
-  if (!policy) return std::nullopt;
-  return run_experiment(trace, config, *policy, options);
 }
 
 std::optional<metrics::RunReport> run_policy_on_source(const PolicySpec& spec,
@@ -182,13 +74,20 @@ double Comparison::balance_skew_reduction() const {
   return metrics::reduction(baseline.avg_balance_skew, ours.avg_balance_skew);
 }
 
-Comparison compare_policies(PolicyKind baseline, PolicyKind ours, const workload::Trace& trace,
-                            const cluster::ClusterConfig& config,
-                            const ExperimentOptions& options) {
-  Comparison comparison;
-  comparison.baseline = run_policy_on_trace(baseline, trace, config, options);
-  comparison.ours = run_policy_on_trace(ours, trace, config, options);
-  return comparison;
+std::optional<Comparison> compare_policies(const PolicySpec& baseline, const PolicySpec& ours,
+                                           const workload::Trace& trace,
+                                           const cluster::ClusterConfig& config,
+                                           const ExperimentOptions& options,
+                                           std::string* error) {
+  std::unique_ptr<cluster::SchedulerPolicy> baseline_policy = make_policy(baseline, error);
+  if (!baseline_policy) return std::nullopt;
+  std::unique_ptr<cluster::SchedulerPolicy> ours_policy = make_policy(ours, error);
+  if (!ours_policy) return std::nullopt;
+  workload::MaterializedTraceSource baseline_source(trace);
+  workload::MaterializedTraceSource ours_source(trace);
+  // Braced initializers evaluate left to right: the baseline runs first.
+  return Comparison{run_experiment(baseline_source, config, *baseline_policy, options),
+                    run_experiment(ours_source, config, *ours_policy, options)};
 }
 
 }  // namespace vrc::core

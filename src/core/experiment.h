@@ -1,10 +1,14 @@
-// Experiment runner: one (trace, cluster, policy) simulation end to end.
+// Experiment runner: one (arrival source, cluster, policy) simulation end to
+// end.
 //
 // This is the public entry point the examples and every bench binary use:
 //
-//   auto trace = workload::standard_trace(WorkloadGroup::kSpec, 3);
-//   auto report = core::run_policy_on_trace(core::PolicySpec("v-reconf"),
-//                                           trace, ClusterConfig::paper_cluster1());
+//   auto source = workload::TraceSpec::standard(WorkloadGroup::kSpec, 3).make_source();
+//   auto report = core::run_policy_on_source(core::PolicySpec("v-reconf"), *source,
+//                                            ClusterConfig::paper_cluster1());
+//
+// A materialized Trace runs through the same pump wrapped in a
+// workload::MaterializedTraceSource.
 #pragma once
 
 #include <memory>
@@ -22,37 +26,6 @@
 
 namespace vrc::core {
 
-/// The policies shipped with the library.
-///
-/// DEPRECATED: PolicyKind is a thin compatibility shim over the string-keyed
-/// PolicyRegistry (policy_registry.h). New code should name policies as
-/// PolicySpecs ("v-reconf:early_release=0"), which reach every option knob;
-/// the enum only covers default-option instantiations and will be removed
-/// once the remaining callers migrate.
-enum class PolicyKind {
-  kGLoadSharing,      // baseline of [3]
-  kVReconfiguration,  // the paper's contribution
-  kLocalOnly,         // no load sharing
-  kSuspension,        // the brute-force alternative of §1
-  kOracleDemands,     // counterfactual: demands known in advance
-};
-
-const char* to_string(PolicyKind kind);
-
-/// Registry name of a kind ("g-loadsharing", "v-reconf", ...), usable as a
-/// PolicySpec name. Returns std::nullopt on an out-of-range kind.
-std::optional<std::string> registry_name(PolicyKind kind);
-
-/// The default-params PolicySpec equivalent of `kind`.
-PolicySpec to_spec(PolicyKind kind);
-
-/// Constructs a fresh policy instance of the given kind with default options
-/// by routing through the PolicyRegistry. On an out-of-range kind (a cast
-/// from a stale integer) returns nullptr and fills *error with the offending
-/// value and the registered policy names — it no longer aborts.
-std::unique_ptr<cluster::SchedulerPolicy> make_policy(PolicyKind kind,
-                                                      std::string* error = nullptr);
-
 /// Knobs for one experiment run.
 struct ExperimentOptions {
   metrics::CollectorOptions collector;
@@ -67,39 +40,18 @@ struct ExperimentOptions {
   std::vector<faults::FaultEntry> fault_entries;
 };
 
-/// Runs `trace` on a cluster built from `config` under `policy`.
-metrics::RunReport run_experiment(const workload::Trace& trace,
-                                  const cluster::ClusterConfig& config,
-                                  cluster::SchedulerPolicy& policy,
-                                  const ExperimentOptions& options = {});
-
-/// Streaming variant: pumps `source` through Cluster::submit_source instead
-/// of materializing a Trace, so live JobSpec storage is O(concurrent jobs)
-/// regardless of stream length (DESIGN.md §14). For a generated source this
-/// produces the fingerprint-identical report to the materialized overload on
-/// the same parameters. The report's `streamed` / `peak_live_specs` fields
-/// record the pump statistics. The source is consumed.
+/// Runs `source` (consumed) on a cluster built from `config` under
+/// `policy`. Cluster::submit_source pumps the arrivals, so live JobSpec
+/// storage is O(concurrent jobs) regardless of stream length (DESIGN.md §14);
+/// the report's `peak_live_specs` records the pump's high-water mark.
 metrics::RunReport run_experiment(workload::ArrivalSource& source,
                                   const cluster::ClusterConfig& config,
                                   cluster::SchedulerPolicy& policy,
                                   const ExperimentOptions& options = {});
 
-/// Convenience wrapper constructing the policy by kind.
-metrics::RunReport run_policy_on_trace(PolicyKind kind, const workload::Trace& trace,
-                                       const cluster::ClusterConfig& config,
-                                       const ExperimentOptions& options = {});
-
-/// Convenience wrapper constructing the policy from a registry spec. Returns
-/// std::nullopt and fills *error when the spec names an unknown policy or
-/// carries bad params.
-std::optional<metrics::RunReport> run_policy_on_trace(const PolicySpec& spec,
-                                                      const workload::Trace& trace,
-                                                      const cluster::ClusterConfig& config,
-                                                      const ExperimentOptions& options = {},
-                                                      std::string* error = nullptr);
-
-/// Streaming counterpart of the spec-based run_policy_on_trace: constructs
-/// the policy from the registry and pumps `source` (consumed) through it.
+/// Constructs the policy from a registry spec and runs `source` (consumed)
+/// through it. Returns std::nullopt and fills *error when the spec names an
+/// unknown policy or carries bad params.
 std::optional<metrics::RunReport> run_policy_on_source(const PolicySpec& spec,
                                                        workload::ArrivalSource& source,
                                                        const cluster::ClusterConfig& config,
@@ -123,9 +75,13 @@ struct Comparison {
   double balance_skew_reduction() const;
 };
 
-/// Runs the same trace under two policies and returns the comparison.
-Comparison compare_policies(PolicyKind baseline, PolicyKind ours, const workload::Trace& trace,
-                            const cluster::ClusterConfig& config,
-                            const ExperimentOptions& options = {});
+/// Replays `trace` under two policies (each run pumps its own
+/// MaterializedTraceSource copy) and returns the comparison. std::nullopt +
+/// *error when either spec fails to construct.
+std::optional<Comparison> compare_policies(const PolicySpec& baseline, const PolicySpec& ours,
+                                           const workload::Trace& trace,
+                                           const cluster::ClusterConfig& config,
+                                           const ExperimentOptions& options = {},
+                                           std::string* error = nullptr);
 
 }  // namespace vrc::core

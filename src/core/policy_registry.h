@@ -148,8 +148,7 @@ class PolicyRegistry {
 };
 
 /// Constructs a policy from a spec via the registry (nullptr + *error on
-/// unknown name or bad params). The string-keyed successor of
-/// make_policy(PolicyKind).
+/// unknown name or bad params).
 std::unique_ptr<cluster::SchedulerPolicy> make_policy(const PolicySpec& spec, std::string* error);
 
 }  // namespace vrc::core

@@ -32,9 +32,9 @@ class Collector {
   void stop();
 
   /// Builds the report. Valid any time; normally called once the simulator
-  /// drains. `trace_name` labels the report. On a streaming run
-  /// (Cluster::submit_source) the total job count is open-ended until the
-  /// source drains: jobs_submitted reflects the arrivals pumped so far, so a
+  /// drains. `trace_name` labels the report. While a source is being pumped
+  /// (Cluster::submit_source) the total job count is open-ended until it
+  /// drains: jobs_submitted reflects the arrivals pumped so far, so a
   /// mid-stream report is a consistent progress snapshot rather than a
   /// fraction of a known total.
   RunReport report(const std::string& trace_name, const std::string& policy_name) const;

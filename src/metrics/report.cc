@@ -36,9 +36,6 @@ std::string describe(const RunReport& report) {
        << " aborted=" << report.resizes_aborted
        << " width-time=" << report.width_time_product << " slot-s\n";
   }
-  if (report.streamed) {
-    os << "  streamed: peak live specs=" << report.peak_live_specs << '\n';
-  }
   if (!report.policy_stats.empty()) {
     os << "  policy:";
     for (const auto& [key, value] : report.policy_stats) os << ' ' << key << '=' << value;

@@ -89,11 +89,11 @@ struct RunReport {
   /// the gap is capacity malleability handed back to the cluster.
   double width_time_product = 0.0;
 
-  // Streaming-pump statistics (DESIGN.md §14): false/0 on materialized runs,
-  // so pre-streaming report renderings stay byte-identical.
+  // Arrival-pump statistics (DESIGN.md §14). Every run_experiment report
+  // comes through the pump, so `streamed` is true on all of them.
   bool streamed = false;
-  /// High-water mark of live streamed JobSpecs — the bounded-memory evidence
-  /// that a long stream ran in O(concurrent jobs) spec storage.
+  /// High-water mark of live JobSpecs — the bounded-memory evidence that a
+  /// long stream ran in O(concurrent jobs) spec storage.
   std::uint64_t peak_live_specs = 0;
 
   // Policy-specific counters (SchedulerPolicy::stats()), filled by the

@@ -48,7 +48,7 @@ bool parse_uint64(const std::string& value, std::uint64_t* out) {
 }
 
 constexpr const char* kKnownDirectives =
-    "trace, policy, cluster, nodes, set, fault, stream, malleable, trials, "
+    "trace, policy, cluster, nodes, set, fault, malleable, trials, "
     "base_seed, sampling_interval, max_sim_time";
 
 }  // namespace
@@ -111,8 +111,8 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
   }
   if (directive == "set") {
     // One or more comma-separated key=value config overrides; a later `set`
-    // of the same key wins. Values are validated by apply_overrides when the
-    // scenario is materialized.
+    // of the same key wins. Values are validated by apply_overrides when
+    // to_grid() builds the grid.
     std::size_t start = 0;
     while (start <= arg.size()) {
       std::size_t end = arg.find(',', start);
@@ -183,16 +183,6 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
                   "for=60)");
     }
     faults.push_back(entry);
-    return true;
-  }
-  if (directive == "stream") {
-    if (arg == "on") {
-      stream = true;
-    } else if (arg == "off") {
-      stream = false;
-    } else {
-      return fail(error, "stream '" + arg + "' unknown (expected on or off)");
-    }
     return true;
   }
   if (directive == "malleable") {
@@ -374,10 +364,11 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
   grid.experiment.max_sim_time = spec.max_sim_time;
   grid.experiment.fault_entries = spec.faults;
 
-  // SWF logs are read per cell (or materialized below); validate each one
-  // end to end here so an unreadable or malformed file surfaces as one clean
-  // error before any cell runs — a streamed source throwing mid-pump on a
-  // worker thread would otherwise tear down the whole sweep.
+  // Every cell builds its own source from its TraceSpec, so SWF logs are read
+  // per cell; validate each one end to end here so an unreadable or
+  // malformed file surfaces as one clean error before any cell runs — a
+  // source throwing mid-pump on a worker thread would otherwise tear down the
+  // whole sweep.
   for (const workload::TraceSpec& trace : spec.traces) {
     if (!trace.is_swf()) continue;
     try {
@@ -407,26 +398,9 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
         varied.malleable_fraction = 1.0;
       }
       if (trial > 0 && !varied.is_swf()) {
-        std::uint64_t effective = varied.seed;
-        if (effective == 0) {
-          effective = varied.standard_index > 0
-                          ? workload::standard_trace_seed(varied.group, varied.standard_index)
-                          : 1;
-        }
-        varied.seed = effective + static_cast<std::uint64_t>(trial);
+        varied.seed = varied.to_params(default_nodes).seed + static_cast<std::uint64_t>(trial);
       }
-      if (spec.stream) {
-        grid.traces.push_back(SweepTrace::streaming(std::move(varied), default_nodes));
-      } else {
-        try {
-          grid.traces.push_back(SweepTrace(varied.build(default_nodes)));
-        } catch (const std::exception& e) {
-          // A malformed SWF body (the open check above only covers
-          // readability) surfaces as a recoverable error, not a throw.
-          fail(error, "trace spec '" + varied.print() + "': " + e.what());
-          return std::nullopt;
-        }
-      }
+      grid.traces.push_back(SweepTrace::from_spec(std::move(varied), default_nodes));
     }
   }
   return grid;

@@ -16,9 +16,9 @@
 //   auto spec = runner::ScenarioSpec::load("paper_cluster1.scn", &error);
 //   auto run = runner::run_scenario(*spec, /*jobs=*/0, &error);
 //
-// Determinism contract: a scenario naming today's defaults (standard trace,
-// default-param policies, trials=1, no overrides) produces byte-identical
-// reports to the legacy enum-based SweepGrid path.
+// Determinism contract: every cell pumps a fresh ArrivalSource built from its
+// TraceSpec, so a scenario's report depends only on the spec — never on the
+// worker count or the order cells finish in.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +51,6 @@ struct ScenarioSpec {
   /// applied identically to every cell; the stochastic generator is
   /// configured separately via `set fault.mtbf=...` (DESIGN.md §10).
   std::vector<faults::FaultEntry> faults;
-  /// Streaming mode (`stream on`): every cell pumps its workload through a
-  /// pull-based ArrivalSource (Cluster::submit_source) instead of
-  /// materializing the whole trace up front. Generated workloads produce
-  /// fingerprint-identical results either way (the streamed source replays
-  /// the identical RNG stream); memory stays O(concurrent jobs) per cell.
-  bool stream = false;
   /// Malleable mode (`malleable on`): every generated trace that does not
   /// carry its own malleable= fraction is built with malleable jobs
   /// (fraction 1, widths [1, 2]) so the width-reconfiguration levers have
@@ -90,7 +84,7 @@ struct ScenarioSpec {
 
   /// Structural checks (non-empty axes, positive counts). Policy/override
   /// values are validated against the registry/config when the scenario is
-  /// materialized by to_grid().
+  /// turned into a grid by to_grid().
   bool validate(std::string* error = nullptr) const;
 
   /// Parses a whole spec file body (one directive per line). Errors are
@@ -115,11 +109,11 @@ struct ScenarioRun {
   const CellResult& cell(int trial, std::size_t trace, std::size_t policy) const;
 };
 
-/// Materializes the scenario into a SweepGrid: builds every trace (trial
-/// expansion on the trace axis), resolves the cluster, applies config
-/// overrides, and validates every policy spec against the registry. Returns
-/// std::nullopt + *error on any invalid piece — nothing throws, so drivers
-/// can report the message and exit cleanly.
+/// Turns the scenario into a SweepGrid: one TraceSpec entry per (trial,
+/// trace) — each cell builds its own source from it — plus the resolved
+/// cluster with config overrides applied; every policy spec and SWF log is
+/// validated up front. Returns std::nullopt + *error on any invalid piece —
+/// nothing throws, so drivers can report the message and exit cleanly.
 std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error = nullptr);
 
 /// to_grid + SweepRunner::run on `jobs` workers (0 = one per hardware

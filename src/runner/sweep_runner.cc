@@ -18,16 +18,15 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t cell_key) {
   return splitmix64(splitmix64(base_seed) ^ splitmix64(cell_key + 0x51ed270b0f4a92c5ULL));
 }
 
-SweepTrace SweepTrace::streaming(workload::TraceSpec spec, std::uint32_t default_nodes) {
+SweepTrace SweepTrace::from_spec(workload::TraceSpec spec, std::uint32_t default_nodes) {
   SweepTrace entry;
   entry.spec = std::move(spec);
-  entry.stream = true;
   entry.default_nodes = default_nodes;
   return entry;
 }
 
 std::string SweepTrace::name() const {
-  if (!stream || !spec) return trace.name();
+  if (!spec) return trace.name();
   if (spec->is_swf()) {
     if (!spec->name.empty()) return spec->name;
     // Mirror SwfTraceSource's file-stem naming without opening the file.
@@ -88,19 +87,15 @@ std::vector<CellResult> SweepRunner::run(const SweepGrid& grid) {
     config.seed = derive_seed(grid.base_seed, pair);
     cell.seed = config.seed;
 
+    // Sources are stateful single-pass iterators: build a fresh one for this
+    // cell (another worker may be pumping the same entry right now).
+    const SweepTrace& entry = grid.traces[cell.trace_index];
+    std::unique_ptr<workload::ArrivalSource> source =
+        entry.spec ? entry.spec->make_source(entry.default_nodes)
+                   : std::make_unique<workload::MaterializedTraceSource>(entry.trace);
     // Specs were validated before dispatch, so creation cannot fail here.
-    const SweepTrace& workload = grid.traces[cell.trace_index];
-    if (workload.stream && workload.spec) {
-      // Sources are stateful single-pass iterators: build a fresh one for
-      // this cell (another worker may be streaming the same spec right now).
-      std::unique_ptr<workload::ArrivalSource> source =
-          workload.spec->make_source(workload.default_nodes);
-      cell.report = *core::run_policy_on_source(grid.policies[cell.policy_index], *source,
-                                                config, grid.experiment);
-    } else {
-      cell.report = *core::run_policy_on_trace(grid.policies[cell.policy_index], workload.trace,
-                                               config, grid.experiment);
-    }
+    cell.report = *core::run_policy_on_source(grid.policies[cell.policy_index], *source, config,
+                                              grid.experiment);
   });
   return results;
 }

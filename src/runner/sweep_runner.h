@@ -38,25 +38,23 @@ std::uint64_t splitmix64(std::uint64_t x);
 /// on thread count or completion order.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t cell_key);
 
-/// One workload axis entry: either a materialized Trace (the classic path —
-/// the implicit constructor keeps `grid.traces = {trace1, trace2}` call
-/// sites working) or a streaming TraceSpec. Streaming entries build a fresh
-/// ArrivalSource per cell (sources are stateful single-pass iterators, so
-/// cells on different workers cannot share one) and run through
-/// core::run_policy_on_source — live JobSpec storage stays O(concurrent
-/// jobs) per cell instead of O(trace length) (DESIGN.md §14).
+/// One workload axis entry: a materialized Trace (the implicit constructor
+/// keeps `grid.traces = {trace1, trace2}` call sites working) or a
+/// TraceSpec recipe. Sources are stateful single-pass iterators, so every
+/// cell pumps its own: a MaterializedTraceSource copy of `trace`, or, when
+/// `spec` is set, a fresh spec->make_source(default_nodes), which keeps live
+/// JobSpec storage O(concurrent jobs) per cell (DESIGN.md §14).
 struct SweepTrace {
-  workload::Trace trace;                    // used when !stream
+  workload::Trace trace;                    // used when !spec
   std::optional<workload::TraceSpec> spec;  // recipe for per-cell sources
-  bool stream = false;
   std::uint32_t default_nodes = 32;  // node range handed to make_source
 
   SweepTrace() = default;
   // NOLINTNEXTLINE(google-explicit-constructor): Trace -> SweepTrace compat
   SweepTrace(workload::Trace materialized) : trace(std::move(materialized)) {}
 
-  /// Streaming entry: the trace is built per cell from `spec`.
-  static SweepTrace streaming(workload::TraceSpec spec, std::uint32_t default_nodes);
+  /// Recipe entry: each cell builds its own source from `spec`.
+  static SweepTrace from_spec(workload::TraceSpec spec, std::uint32_t default_nodes);
 
   /// Workload label for reports (the trace's name on both paths).
   std::string name() const;
@@ -65,7 +63,7 @@ struct SweepTrace {
 /// The cross product a sweep evaluates. Cells are enumerated row-major as
 /// (trace, config, policy), policy fastest. Policies are registry specs
 /// (core::PolicySpec), so any registered policy with any param overrides can
-/// ride a sweep; core::to_spec() converts a legacy PolicyKind.
+/// ride a sweep.
 struct SweepGrid {
   std::vector<SweepTrace> traces;
   std::vector<cluster::ClusterConfig> configs;

@@ -20,15 +20,22 @@ std::optional<JobSpec> MaterializedTraceSource::next() {
 }
 
 GeneratedStreamSource::GeneratedStreamSource(TraceParams params) : params_(std::move(params)) {
-  // Mirror generate_trace exactly: same fork order, same per-stream draw
-  // order, so job i here is bit-identical to trace.jobs()[i] there.
   const std::vector<ProgramSpec>& programs = catalog(params_.group);
   if (!params_.program_weights.empty() && params_.program_weights.size() != programs.size()) {
     std::fprintf(stderr, "GeneratedStreamSource: %zu weights for %zu programs\n",
                  params_.program_weights.size(), programs.size());
     std::abort();
   }
+  if (params_.malleable_min_width < 1 ||
+      params_.malleable_max_width < params_.malleable_min_width) {
+    std::fprintf(stderr, "GeneratedStreamSource: bad malleable width range [%d, %d]\n",
+                 params_.malleable_min_width, params_.malleable_max_width);
+    std::abort();
+  }
 
+  // Fork order is part of the trace: the malleability stream comes fifth,
+  // after the original four, so a malleability-free trace is bit-identical
+  // to one generated before the stream existed.
   sim::Rng rng(params_.seed);
   sim::Rng arrival_rng = rng.fork();
   pick_rng_ = rng.fork();
@@ -61,7 +68,9 @@ std::optional<JobSpec> GeneratedStreamSource::next() {
   const std::vector<ProgramSpec>& programs = catalog(params_.group);
   const std::size_t i = next_index_++;
 
-  // generate_trace's pick_program, verbatim.
+  // Program selection: explicit weights when given, otherwise the catalog's
+  // mix weights (which keep exceptionally large jobs a small percentage of
+  // the pool, per the workload studies the paper cites).
   const ProgramSpec* program = &programs.back();
   double target = pick_rng_.uniform() * total_weight_;
   for (std::size_t p = 0; p < programs.size(); ++p) {

@@ -1,20 +1,18 @@
 // Pull-based job-arrival streams (DESIGN.md §14).
 //
-// An ArrivalSource is the streaming counterpart of a materialized Trace: the
-// consumer (Cluster::submit_source's arrival pump) peeks the next submission
-// time, schedules exactly one arrival event for it, and pulls the JobSpec
-// when the event fires. Sources own no simulation state, so a drained source
-// is just an empty iterator — the pump keeps live JobSpec storage
-// O(concurrent jobs) instead of O(total trace length).
+// An ArrivalSource is how every run receives its jobs: the consumer
+// (Cluster::submit_source's arrival pump) peeks the next submission time,
+// schedules exactly one arrival event for it, and pulls the JobSpec when the
+// event fires. Sources own no simulation state, so a drained source is just
+// an empty iterator — the pump keeps live JobSpec storage O(concurrent jobs)
+// instead of O(total trace length).
 //
 // Three implementations:
-//   MaterializedTraceSource  — adapter over an existing Trace; the bit-exact
-//                              compatibility path for every current workload.
-//   GeneratedStreamSource    — produces the same jobs as generate_trace on
-//                              the fly from TraceParams using the identical
-//                              RNG stream (fingerprint-golden-equal to the
-//                              materialized path; locked by
-//                              tests/integration/streaming_equivalence_test).
+//   MaterializedTraceSource  — adapter over an existing Trace (hand-built,
+//                              loaded from a file, or relabelled).
+//   GeneratedStreamSource    — the synthetic generator itself: draws each
+//                              job on the fly from TraceParams;
+//                              generate_trace is a drain of it.
 //   SwfTraceSource           — Standard Workload Format replay (swf_source.h).
 #pragma once
 
@@ -56,8 +54,8 @@ class ArrivalSource {
 };
 
 /// Adapter over a materialized Trace: streams its (already sorted) jobs in
-/// order. The compatibility path — pumping this source produces the same run
-/// as Cluster::submit_trace on the same trace.
+/// order. Holds its own copy, so every run of a shared Trace wraps a fresh
+/// source.
 class MaterializedTraceSource : public ArrivalSource {
  public:
   explicit MaterializedTraceSource(Trace trace) : trace_(std::move(trace)) {}
@@ -73,11 +71,13 @@ class MaterializedTraceSource : public ArrivalSource {
   std::size_t next_index_ = 0;
 };
 
-/// Generates the jobs of generate_trace(params) lazily, one JobSpec per
-/// next() call, drawing from the identical forked RNG streams in the
-/// identical order. Only the sorted arrival times (plain doubles) are
+/// The synthetic workload generator (paper §3.3.2): draws one JobSpec per
+/// next() call from forked RNG streams (arrivals, program pick, jitter, home
+/// node, malleability). Only the sorted arrival times (plain doubles) are
 /// materialized up front — sorting forces that — so live JobSpec storage
-/// stays O(1) inside the source regardless of params.num_jobs.
+/// stays O(1) inside the source regardless of params.num_jobs. Aborts on a
+/// program-weight count that does not match the group's catalog, or on a
+/// malleable width range outside 1 <= min <= max.
 class GeneratedStreamSource : public ArrivalSource {
  public:
   explicit GeneratedStreamSource(TraceParams params);

@@ -1,9 +1,9 @@
 #include "workload/trace_generator.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
+
+#include "workload/arrival_source.h"
 
 namespace vrc::workload {
 
@@ -41,106 +41,8 @@ SimTime sample_truncated_lognormal(sim::Rng& rng, double mu, double sigma, SimTi
 }
 
 Trace generate_trace(const TraceParams& params) {
-  const std::vector<ProgramSpec>& programs = catalog(params.group);
-  if (!params.program_weights.empty() && params.program_weights.size() != programs.size()) {
-    std::fprintf(stderr, "generate_trace: %zu weights for %zu programs\n",
-                 params.program_weights.size(), programs.size());
-    std::abort();
-  }
-  if (params.malleable_min_width < 1 ||
-      params.malleable_max_width < params.malleable_min_width) {
-    std::fprintf(stderr, "generate_trace: bad malleable width range [%d, %d]\n",
-                 params.malleable_min_width, params.malleable_max_width);
-    std::abort();
-  }
-
-  sim::Rng rng(params.seed);
-  sim::Rng arrival_rng = rng.fork();
-  sim::Rng pick_rng = rng.fork();
-  sim::Rng jitter_rng = rng.fork();
-  sim::Rng node_rng = rng.fork();
-  // Fifth fork, appended after the original four so their streams — and
-  // therefore every field of a malleability-free trace — are untouched.
-  // GeneratedStreamSource forks in the same order (streamed == materialized).
-  sim::Rng malleable_rng = rng.fork();
-
-  // Arrival times: num_jobs draws from the truncated lognormal, sorted.
-  std::vector<SimTime> arrivals(params.num_jobs);
-  for (SimTime& t : arrivals) {
-    t = params.time_scale * sample_truncated_lognormal(arrival_rng, params.mu, params.sigma,
-                                                       params.duration / params.time_scale);
-  }
-  std::sort(arrivals.begin(), arrivals.end());
-
-  // Program selection: explicit weights when given, otherwise the catalog's
-  // mix weights (which keep exceptionally large jobs a small percentage of
-  // the pool, per the workload studies the paper cites).
-  std::vector<double> weights = params.program_weights;
-  if (weights.empty()) {
-    weights.reserve(programs.size());
-    for (const ProgramSpec& p : programs) weights.push_back(p.mix_weight);
-  }
-  const double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
-
-  auto pick_program = [&]() -> const ProgramSpec& {
-    double target = pick_rng.uniform() * total_weight;
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-      target -= weights[i];
-      if (target <= 0.0) return programs[i];
-    }
-    return programs.back();
-  };
-
-  std::vector<JobSpec> jobs;
-  jobs.reserve(params.num_jobs);
-  for (std::size_t i = 0; i < params.num_jobs; ++i) {
-    const ProgramSpec& program = pick_program();
-    JobSpec job;
-    job.id = static_cast<JobId>(i + 1);
-    job.program = program.name;
-    job.submit_time = arrivals[i];
-    job.home_node = static_cast<NodeId>(node_rng.uniform_index(params.num_nodes));
-    const double life_jitter =
-        jitter_rng.uniform(1.0 - params.lifetime_jitter, 1.0 + params.lifetime_jitter);
-    const double ws_jitter =
-        jitter_rng.uniform(1.0 - params.working_set_jitter, 1.0 + params.working_set_jitter);
-    job.cpu_seconds = program.lifetime * life_jitter;
-    job.touch_rate = program.touch_rate;
-    job.memory = program.profile().scaled(ws_jitter);
-    if (params.malleable_fraction > 0.0 &&
-        malleable_rng.uniform() < params.malleable_fraction) {
-      job.malleability.min_width = params.malleable_min_width;
-      job.malleability.max_width = params.malleable_max_width;
-      job.malleability.speedup_alpha = params.malleable_speedup_alpha;
-    }
-    jobs.push_back(std::move(job));
-  }
-
-  return Trace(params.name, params.group, params.duration, std::move(jobs));
-}
-
-Trace standard_trace(WorkloadGroup group, int index, std::uint32_t num_nodes) {
-  const StandardTraceShape shape = standard_trace_shape(index);
-  TraceParams params;
-  params.name = (group == WorkloadGroup::kSpec ? std::string("SPEC-Trace-")
-                                               : std::string("App-Trace-")) +
-                std::to_string(index);
-  params.group = group;
-  params.sigma = shape.sigma;
-  params.mu = shape.mu;
-  params.num_jobs = shape.num_jobs;
-  params.duration = shape.duration;
-  params.num_nodes = num_nodes;
-  // Deterministic per-(group, index) seed: the same trace is replayed for
-  // every policy, mirroring the paper's collect-once-replay-everywhere setup.
-  params.seed = standard_trace_seed(group, index);
-  return generate_trace(params);
-}
-
-std::uint64_t standard_trace_seed(WorkloadGroup group, int index) {
-  return 0xC0FFEEULL * 31 +
-         static_cast<std::uint64_t>(group == WorkloadGroup::kSpec ? 1 : 2) * 1000 +
-         static_cast<std::uint64_t>(index);
+  GeneratedStreamSource source(params);
+  return materialize(source, params.duration);
 }
 
 }  // namespace vrc::workload

@@ -4,7 +4,8 @@
 // truncated to the trace duration; each job is an instance of a catalog
 // program with lightly jittered lifetime/working set, randomly submitted to
 // one of the cluster's workstations. The five standard traces per group use
-// the published (sigma, mu, job count, duration) tuples.
+// the published (sigma, mu, job count, duration) tuples; TraceSpec::standard
+// (trace_spec.h) names them and derives their replayed seed.
 #pragma once
 
 #include <cstdint>
@@ -65,16 +66,9 @@ struct StandardTraceShape {
 /// The published (sigma, mu, jobs, duration) for trace index 1..5.
 StandardTraceShape standard_trace_shape(int index);
 
-/// Generates a trace from explicit parameters.
+/// Generates a trace from explicit parameters: a drain of
+/// GeneratedStreamSource(params) (arrival_source.h), the one per-job draw.
 Trace generate_trace(const TraceParams& params);
-
-/// Generates "SPEC-Trace-<i>" / "App-Trace-<i>" with the published shape.
-/// `index` in 1..5. The seed is derived from (group, index) so the same
-/// trace is replayed identically across policies and runs.
-Trace standard_trace(WorkloadGroup group, int index, std::uint32_t num_nodes = 32);
-
-/// The deterministic per-(group, index) seed standard_trace generates with.
-std::uint64_t standard_trace_seed(WorkloadGroup group, int index);
 
 /// Arrival-time sampler used by the generator: draws from LogNormal(mu,
 /// sigma) conditioned on the value falling in (0, duration]. Exposed for

@@ -374,9 +374,13 @@ TraceParams TraceSpec::to_params(std::uint32_t default_nodes) const {
                       : (group == WorkloadGroup::kSpec ? std::string("SPEC-Trace-")
                                                        : std::string("App-Trace-")) +
                             std::to_string(standard_index);
-    // Default to the standard replayed-trace seed so a seed-free spec stays
-    // the collect-once trace even when name/scale overrides force this path.
-    params.seed = seed != 0 ? seed : standard_trace_seed(group, standard_index);
+    // Default to the deterministic per-(group, index) seed: the same trace is
+    // replayed for every policy, mirroring the paper's collect-once,
+    // replay-everywhere setup.
+    const std::uint64_t group_key = group == WorkloadGroup::kSpec ? 1 : 2;
+    params.seed = seed != 0 ? seed
+                            : 0xC0FFEEULL * 31 + group_key * 1000 +
+                                  static_cast<std::uint64_t>(standard_index);
   } else {
     params.num_jobs = num_jobs;
     params.duration = duration;
@@ -391,12 +395,6 @@ Trace TraceSpec::build(std::uint32_t default_nodes) const {
     SwfTraceSource source(swf_file, swf_options_of(*this, default_nodes));
     return materialize(source);
   }
-  const std::uint32_t nodes = num_nodes != 0 ? num_nodes : default_nodes;
-  if (standard_index > 0 && seed == 0 && arrival_scale == 1.0 && name.empty() &&
-      malleable_fraction == 0.0) {
-    // The exact enum-era path: byte-identical standard traces.
-    return standard_trace(group, standard_index, nodes);
-  }
   return generate_trace(to_params(default_nodes));
 }
 
@@ -404,10 +402,7 @@ std::unique_ptr<ArrivalSource> TraceSpec::make_source(std::uint32_t default_node
   if (is_swf()) {
     return std::make_unique<SwfTraceSource>(swf_file, swf_options_of(*this, default_nodes));
   }
-  // GeneratedStreamSource replays generate_trace's RNG stream job-for-job, so
-  // this source and build() above are fingerprint-interchangeable (including
-  // the standard-trace fast path, which is generate_trace on the published
-  // shape params to_params() reproduces).
+  // build() above is a drain of this same source.
   return std::make_unique<GeneratedStreamSource>(to_params(default_nodes));
 }
 

@@ -5,11 +5,10 @@
 // ("apps:jobs=400,duration=1800,seed=9,arrival_scale=1.5"), or a real
 // Standard Workload Format log replay
 // ("swf:file=tests/data/swf/NASA-iPSC-1993-3.swf,scale=0.1,max_jobs=200")
-// as text, and builds the corresponding Trace — or, via make_source(), the
-// equivalent pull-based ArrivalSource for streaming runs (DESIGN.md §14).
-// A spec that names a standard trace with no overrides builds the
-// byte-identical trace the enum-era standard_trace(group, index) call
-// produced, and its streamed source replays the identical RNG stream.
+// as text, and builds the pull-based ArrivalSource a run pumps
+// (make_source(), DESIGN.md §14) — or, via build(), a drain of that source
+// into a Trace. TraceSpec::standard(group, index) is the one way to name a
+// published trace: to_params() derives its name and replayed seed.
 #pragma once
 
 #include <cstdint>
@@ -107,21 +106,20 @@ struct TraceSpec {
   bool validate(std::string* error) const;
 
   /// The generator parameters this spec describes (generated specs only; the
-  /// shared derivation behind build() and make_source(), so the streamed and
-  /// materialized paths cannot drift apart).
+  /// derivation behind build() and make_source()). A standard-index spec
+  /// gets the published shape, the "SPEC-Trace-<i>" / "App-Trace-<i>" name,
+  /// and the per-(group, index) seed unless overridden.
   TraceParams to_params(std::uint32_t default_nodes = 32) const;
 
-  /// Builds the trace. `default_nodes` supplies the home-node range when the
-  /// spec does not pin one. A standard-index spec with default seed, scale,
-  /// and name reproduces standard_trace(group, index, nodes) exactly. SWF
-  /// specs read the log eagerly (throws std::runtime_error on a missing or
+  /// Builds the trace: a drain of make_source(default_nodes). `default_nodes`
+  /// supplies the home-node range when the spec does not pin one. SWF specs
+  /// read the log eagerly (throws std::runtime_error on a missing or
   /// malformed file, like Trace::load).
   Trace build(std::uint32_t default_nodes = 32) const;
 
-  /// Builds the pull-based streaming equivalent of build(): a
-  /// GeneratedStreamSource for generated specs (identical RNG stream, so
-  /// streamed and materialized runs fingerprint-match) or an SwfTraceSource
-  /// for SWF specs. Throws std::runtime_error on an unreadable SWF file.
+  /// Builds the pull-based source a run pumps: a GeneratedStreamSource for
+  /// generated specs or an SwfTraceSource for SWF specs. Throws
+  /// std::runtime_error on an unreadable SWF file.
   std::unique_ptr<ArrivalSource> make_source(std::uint32_t default_nodes = 32) const;
 };
 

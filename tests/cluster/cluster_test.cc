@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "workload/trace.h"
+#include "workload/arrival_source.h"
 
 namespace vrc::cluster {
 namespace {
@@ -348,10 +348,11 @@ TEST(ClusterTest, SubmitTraceSchedulesAllJobs) {
   for (JobId i = 1; i <= 5; ++i) {
     specs.push_back(make_spec(i, static_cast<double>(i), 0.5, megabytes(10), i % 4));
   }
-  workload::Trace trace("t", workload::WorkloadGroup::kSpec, 10.0, specs);
-  cluster.submit_trace(trace);
-  EXPECT_EQ(cluster.submitted_count(), 5u);
+  workload::MaterializedTraceSource source(
+      workload::Trace("t", workload::WorkloadGroup::kSpec, 10.0, specs));
+  cluster.submit_source(source);
   sim.run_until(1000.0);
+  EXPECT_EQ(cluster.submitted_count(), 5u);
   EXPECT_EQ(cluster.completed().size(), 5u);
   EXPECT_TRUE(cluster.finished());
 }

@@ -1,13 +1,16 @@
 #include "core/experiment.h"
 
+#include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace vrc::core {
 namespace {
 
-workload::Trace tiny_trace(std::size_t jobs, workload::WorkloadGroup group) {
+workload::TraceParams tiny_params(std::size_t jobs, workload::WorkloadGroup group) {
   workload::TraceParams params;
   params.name = "tiny";
   params.group = group;
@@ -15,19 +18,31 @@ workload::Trace tiny_trace(std::size_t jobs, workload::WorkloadGroup group) {
   params.duration = 600.0;
   params.num_nodes = 4;
   params.seed = 99;
-  return workload::generate_trace(params);
+  return params;
+}
+
+/// Runs a freshly generated tiny trace under the registry policy `name`.
+metrics::RunReport run_tiny(const char* name, std::size_t jobs, workload::WorkloadGroup group,
+                            const cluster::ClusterConfig& config,
+                            const ExperimentOptions& options = {}) {
+  workload::GeneratedStreamSource source(tiny_params(jobs, group));
+  std::string error;
+  std::optional<metrics::RunReport> report =
+      run_policy_on_source(PolicySpec(name), source, config, options, &error);
+  EXPECT_TRUE(report.has_value()) << error;
+  return report.value_or(metrics::RunReport{});
 }
 
 TEST(ExperimentTest, PolicyNamesRoundTrip) {
-  EXPECT_STREQ(to_string(PolicyKind::kGLoadSharing), "G-Loadsharing");
-  EXPECT_STREQ(to_string(PolicyKind::kVReconfiguration), "V-Reconfiguration");
-  EXPECT_STREQ(to_string(PolicyKind::kLocalOnly), "Local-Only");
-  EXPECT_STREQ(to_string(PolicyKind::kSuspension), "Job-Suspension");
-  for (PolicyKind kind : {PolicyKind::kGLoadSharing, PolicyKind::kVReconfiguration,
-                          PolicyKind::kLocalOnly, PolicyKind::kSuspension}) {
-    auto policy = make_policy(kind);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_STREQ(policy->name(), to_string(kind));
+  // Registry name -> the display name reports carry.
+  for (const auto& [name, display] : {std::pair{"g-loadsharing", "G-Loadsharing"},
+                                      std::pair{"v-reconf", "V-Reconfiguration"},
+                                      std::pair{"local-only", "Local-Only"},
+                                      std::pair{"suspension", "Job-Suspension"}}) {
+    std::string error;
+    auto policy = make_policy(PolicySpec(name), &error);
+    ASSERT_NE(policy, nullptr) << error;
+    EXPECT_STREQ(policy->name(), display);
   }
 }
 
@@ -43,9 +58,8 @@ TEST(ExperimentTest, PaperClusterSelection) {
 }
 
 TEST(ExperimentTest, RunCompletesAllJobs) {
-  const auto trace = tiny_trace(20, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto report = run_policy_on_trace(PolicyKind::kGLoadSharing, trace, config);
+  const auto report = run_tiny("g-loadsharing", 20, workload::WorkloadGroup::kSpec, config);
   EXPECT_EQ(report.jobs_submitted, 20u);
   EXPECT_EQ(report.jobs_completed, 20u);
   EXPECT_EQ(report.policy, "G-Loadsharing");
@@ -56,18 +70,16 @@ TEST(ExperimentTest, RunCompletesAllJobs) {
 }
 
 TEST(ExperimentTest, ReportBreakdownSumsToExecution) {
-  const auto trace = tiny_trace(25, workload::WorkloadGroup::kApps);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kApps, 4);
-  const auto report = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
+  const auto report = run_tiny("v-reconf", 25, workload::WorkloadGroup::kApps, config);
   EXPECT_NEAR(report.total_cpu + report.total_page + report.total_queue + report.total_migration,
               report.total_execution, 0.05 * static_cast<double>(report.jobs_completed));
 }
 
 TEST(ExperimentTest, DeterministicAcrossRuns) {
-  const auto trace = tiny_trace(15, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto a = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
-  const auto b = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
+  const auto a = run_tiny("v-reconf", 15, workload::WorkloadGroup::kSpec, config);
+  const auto b = run_tiny("v-reconf", 15, workload::WorkloadGroup::kSpec, config);
   EXPECT_EQ(a.total_execution, b.total_execution);
   EXPECT_EQ(a.avg_slowdown, b.avg_slowdown);
   EXPECT_EQ(a.migrations, b.migrations);
@@ -75,19 +87,19 @@ TEST(ExperimentTest, DeterministicAcrossRuns) {
 }
 
 TEST(ExperimentTest, MaxSimTimeCapsRun) {
-  const auto trace = tiny_trace(30, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 1);
   ExperimentOptions options;
   options.max_sim_time = 5.0;  // far too short
-  const auto report = run_policy_on_trace(PolicyKind::kLocalOnly, trace, config, options);
+  const auto report =
+      run_tiny("local-only", 30, workload::WorkloadGroup::kSpec, config, options);
   EXPECT_LT(report.jobs_completed, report.jobs_submitted);
 }
 
 TEST(ExperimentTest, ComparisonComputesReductions) {
-  const auto trace = tiny_trace(30, workload::WorkloadGroup::kSpec);
+  const auto trace = workload::generate_trace(tiny_params(30, workload::WorkloadGroup::kSpec));
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   const auto comparison =
-      compare_policies(PolicyKind::kLocalOnly, PolicyKind::kGLoadSharing, trace, config);
+      *compare_policies(PolicySpec("local-only"), PolicySpec("g-loadsharing"), trace, config);
   EXPECT_EQ(comparison.baseline.policy, "Local-Only");
   EXPECT_EQ(comparison.ours.policy, "G-Loadsharing");
   const double expected = metrics::reduction(comparison.baseline.total_execution,
@@ -96,11 +108,11 @@ TEST(ExperimentTest, ComparisonComputesReductions) {
 }
 
 TEST(ExperimentTest, MultipleSamplingIntervalsReported) {
-  const auto trace = tiny_trace(20, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   ExperimentOptions options;
   options.collector.sampling_intervals = {1.0, 10.0, 30.0};
-  const auto report = run_policy_on_trace(PolicyKind::kGLoadSharing, trace, config, options);
+  const auto report =
+      run_tiny("g-loadsharing", 20, workload::WorkloadGroup::kSpec, config, options);
   ASSERT_EQ(report.idle_memory_mb.size(), 3u);
   ASSERT_EQ(report.balance_skew.size(), 3u);
   EXPECT_EQ(report.idle_memory_mb[0].interval, 1.0);
@@ -111,9 +123,8 @@ TEST(ExperimentTest, MultipleSamplingIntervalsReported) {
 }
 
 TEST(ExperimentTest, PolicyStatsLandInReport) {
-  const auto trace = tiny_trace(20, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto report = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
+  const auto report = run_tiny("v-reconf", 20, workload::WorkloadGroup::kSpec, config);
   EXPECT_FALSE(report.policy_stats.empty());
 }
 
@@ -121,21 +132,23 @@ TEST(ExperimentTest, PolicyStatsLandInReport) {
 // reused across experiments (safe reuse under the sweep runner) reports
 // per-run counters instead of carrying totals over.
 TEST(ExperimentTest, ReusedPolicyObjectDoesNotCarryStatsOver) {
-  const auto trace = tiny_trace(40, workload::WorkloadGroup::kSpec);
+  const auto params = tiny_params(40, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 2);
-  for (PolicyKind kind : {PolicyKind::kGLoadSharing, PolicyKind::kVReconfiguration,
-                          PolicyKind::kSuspension}) {
-    auto policy = make_policy(kind);
-    const auto first = run_experiment(trace, config, *policy);
-    const auto second = run_experiment(trace, config, *policy);
+  for (const char* name : {"g-loadsharing", "v-reconf", "suspension"}) {
+    std::string error;
+    auto policy = make_policy(PolicySpec(name), &error);
+    ASSERT_NE(policy, nullptr) << error;
+    workload::GeneratedStreamSource first_source(params);
+    const auto first = run_experiment(first_source, config, *policy);
+    workload::GeneratedStreamSource second_source(params);
+    const auto second = run_experiment(second_source, config, *policy);
     ASSERT_EQ(first.policy_stats.size(), second.policy_stats.size());
     for (std::size_t i = 0; i < first.policy_stats.size(); ++i) {
       EXPECT_EQ(first.policy_stats[i].first, second.policy_stats[i].first);
       EXPECT_DOUBLE_EQ(first.policy_stats[i].second, second.policy_stats[i].second)
-          << to_string(kind) << " stat " << first.policy_stats[i].first
-          << " accumulated across runs";
+          << name << " stat " << first.policy_stats[i].first << " accumulated across runs";
     }
-    EXPECT_EQ(first.total_execution, second.total_execution) << to_string(kind);
+    EXPECT_EQ(first.total_execution, second.total_execution) << name;
   }
 }
 

@@ -67,8 +67,11 @@ TEST(OracleDemandsTest, AtLeastMatchesBaselinePagingOnRealWorkload) {
   params.seed = 77;
   const auto trace = workload::generate_trace(params);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto baseline = run_policy_on_trace(PolicyKind::kGLoadSharing, trace, config);
-  const auto oracle = run_policy_on_trace(PolicyKind::kOracleDemands, trace, config);
+  const auto runs = compare_policies(PolicySpec("g-loadsharing"), PolicySpec("oracle"), trace,
+                                     config);
+  ASSERT_TRUE(runs.has_value());
+  const metrics::RunReport& baseline = runs->baseline;
+  const metrics::RunReport& oracle = runs->ours;
   EXPECT_EQ(oracle.jobs_completed, oracle.jobs_submitted);
   // Perfect demand knowledge eliminates (almost) all paging.
   EXPECT_LE(oracle.total_page, baseline.total_page);
@@ -76,10 +79,10 @@ TEST(OracleDemandsTest, AtLeastMatchesBaselinePagingOnRealWorkload) {
 }
 
 TEST(OracleDemandsTest, RegisteredInPolicyFactory) {
-  auto policy = make_policy(PolicyKind::kOracleDemands);
-  ASSERT_NE(policy, nullptr);
+  std::string error;
+  auto policy = make_policy(PolicySpec("oracle"), &error);
+  ASSERT_NE(policy, nullptr) << error;
   EXPECT_STREQ(policy->name(), "Oracle-Demands");
-  EXPECT_STREQ(to_string(PolicyKind::kOracleDemands), "Oracle-Demands");
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 
 #include <string>
 
-#include "core/experiment.h"
-
 namespace vrc::core {
 namespace {
 
@@ -148,27 +146,6 @@ TEST(PolicyRegistryTest, CustomRegistrationIsCreatableLikeBuiltins) {
   EXPECT_EQ(registry.canonical_name("stub"), "test-stub");
   std::string error;
   EXPECT_NE(make_policy(PolicySpec("stub"), &error), nullptr) << error;
-}
-
-TEST(PolicyKindShimTest, EveryKindMapsToARegisteredSpec) {
-  for (auto kind : {PolicyKind::kGLoadSharing, PolicyKind::kVReconfiguration,
-                    PolicyKind::kLocalOnly, PolicyKind::kSuspension,
-                    PolicyKind::kOracleDemands}) {
-    const auto name = registry_name(kind);
-    ASSERT_TRUE(name.has_value());
-    EXPECT_TRUE(PolicyRegistry::instance().contains(*name));
-    EXPECT_EQ(to_spec(kind).name, *name);
-    std::string error;
-    EXPECT_NE(make_policy(kind, &error), nullptr) << error;
-  }
-}
-
-TEST(PolicyKindShimTest, OutOfRangeKindReturnsErrorInsteadOfAborting) {
-  std::string error;
-  const auto policy = make_policy(static_cast<PolicyKind>(999), &error);
-  EXPECT_EQ(policy, nullptr);
-  EXPECT_NE(error.find("999"), std::string::npos) << error;
-  EXPECT_NE(error.find("g-loadsharing"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "cluster/cluster.h"
 #include "core/experiment.h"
 #include "core/v_reconfiguration.h"
-#include "workload/trace_generator.h"
+#include "workload/arrival_source.h"
 
 namespace vrc {
 namespace {
@@ -300,7 +300,6 @@ TEST(FaultInjectionTest, SameSeedRunsWithFaultsAreBitIdentical) {
   params.duration = 300.0;
   params.num_nodes = 4;
   params.seed = 5;
-  const workload::Trace trace = workload::generate_trace(params);
   ClusterConfig config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   config.fault_mtbf = 400.0;
   config.fault_mttr = 30.0;
@@ -312,7 +311,8 @@ TEST(FaultInjectionTest, SameSeedRunsWithFaultsAreBitIdentical) {
 
   auto run_once = [&] {
     core::GLoadSharing policy;
-    return core::run_experiment(trace, config, policy, options);
+    workload::GeneratedStreamSource source(params);
+    return core::run_experiment(source, config, policy, options);
   };
   const metrics::RunReport a = run_once();
   const metrics::RunReport b = run_once();
@@ -338,13 +338,13 @@ TEST(FaultInjectionTest, EmptyPlanKeepsFingerprintGoldens) {
   params.duration = 900.0;
   params.num_nodes = 8;
   params.seed = 7;
-  const workload::Trace trace = workload::generate_trace(params);
   ClusterConfig config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   config.fault_mttr = 120.0;  // inert without fault_mtbf
   config.fault_seed = 123;
   config.fault_restart = "resubmit";
   core::GLoadSharing policy;
-  const metrics::RunReport report = core::run_experiment(trace, config, policy);
+  workload::GeneratedStreamSource source(params);
+  const metrics::RunReport report = core::run_experiment(source, config, policy);
   EXPECT_EQ(report.node_crashes, 0u);
   EXPECT_DOUBLE_EQ(report.availability, 1.0);
   EXPECT_EQ(fingerprint(report), kGLoadSharingGolden)

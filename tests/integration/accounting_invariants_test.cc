@@ -4,19 +4,27 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "workload/trace_generator.h"
+#include "workload/arrival_source.h"
 
 namespace vrc {
 namespace {
 
+// Registry names of the policies under test, indexed by Params::policy.
+constexpr const char* kPolicies[] = {"g-loadsharing", "v-reconf", "local-only", "suspension"};
+
 struct Params {
-  core::PolicyKind policy;
+  // An index rather than a pointer: gtest prints the parameter's bytes into
+  // every ctest name, which must not vary from build to build.
+  int policy;
   workload::WorkloadGroup group;
   std::uint64_t seed;
 };
 
+core::PolicySpec policy_spec(const Params& p) { return core::PolicySpec(kPolicies[p.policy]); }
+
 std::string param_name(const ::testing::TestParamInfo<Params>& info) {
-  std::string name = core::to_string(info.param.policy);
+  // Named after the policy's display name: "G-Loadsharing" -> G_Loadsharing.
+  std::string name = core::make_policy(policy_spec(info.param), nullptr)->name();
   for (char& c : name) {
     if (c == '-') c = '_';
   }
@@ -35,9 +43,9 @@ class AccountingInvariants : public ::testing::TestWithParam<Params> {
     params.duration = 900.0;
     params.num_nodes = 8;
     params.seed = p.seed;
-    const workload::Trace trace = workload::generate_trace(params);
+    workload::GeneratedStreamSource source(params);
     const auto config = core::paper_cluster_for(p.group, 8);
-    return core::run_policy_on_trace(p.policy, trace, config);
+    return *core::run_policy_on_source(policy_spec(p), source, config);
   }
 };
 
@@ -119,18 +127,19 @@ TEST_P(AccountingInvariants, FaultsOnlyWithPageTime) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesGroupsSeeds, AccountingInvariants,
-    ::testing::Values(
-        Params{core::PolicyKind::kGLoadSharing, workload::WorkloadGroup::kSpec, 1},
-        Params{core::PolicyKind::kGLoadSharing, workload::WorkloadGroup::kApps, 2},
-        Params{core::PolicyKind::kVReconfiguration, workload::WorkloadGroup::kSpec, 3},
-        Params{core::PolicyKind::kVReconfiguration, workload::WorkloadGroup::kApps, 4},
-        Params{core::PolicyKind::kVReconfiguration, workload::WorkloadGroup::kSpec, 5},
-        Params{core::PolicyKind::kLocalOnly, workload::WorkloadGroup::kSpec, 6},
-        Params{core::PolicyKind::kSuspension, workload::WorkloadGroup::kSpec, 7},
-        Params{core::PolicyKind::kSuspension, workload::WorkloadGroup::kApps, 8}),
-    param_name);
+constexpr Params kCases[] = {
+    {0, workload::WorkloadGroup::kSpec, 1},
+    {0, workload::WorkloadGroup::kApps, 2},
+    {1, workload::WorkloadGroup::kSpec, 3},
+    {1, workload::WorkloadGroup::kApps, 4},
+    {1, workload::WorkloadGroup::kSpec, 5},
+    {2, workload::WorkloadGroup::kSpec, 6},
+    {3, workload::WorkloadGroup::kSpec, 7},
+    {3, workload::WorkloadGroup::kApps, 8},
+};
+
+INSTANTIATE_TEST_SUITE_P(PoliciesGroupsSeeds, AccountingInvariants,
+                         ::testing::ValuesIn(kCases), param_name);
 
 }  // namespace
 }  // namespace vrc

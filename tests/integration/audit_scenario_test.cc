@@ -17,7 +17,7 @@
 #include "cluster/cluster_index.h"
 #include "cluster/load_index.h"
 #include "core/experiment.h"
-#include "workload/trace_generator.h"
+#include "workload/arrival_source.h"
 
 namespace vrc {
 namespace {
@@ -109,7 +109,7 @@ TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
   params.duration = 600.0;
   params.num_nodes = 8;
   params.seed = 11;
-  const workload::Trace trace = workload::generate_trace(params);
+  workload::GeneratedStreamSource source(params);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
 
   core::ExperimentOptions options;
@@ -118,7 +118,7 @@ TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
   // skip, the eviction/rejoin paths, and the immediate broadcasts.
   options.fault_entries = {{2, 60.0, 45.0}, {5, 150.0, 90.0}};
   const auto report =
-      core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config, options);
+      *core::run_policy_on_source(core::PolicySpec("v-reconf"), source, config, options);
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
 
   const cluster::audit::Counters& counters = cluster::audit::counters();

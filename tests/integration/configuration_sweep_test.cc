@@ -6,12 +6,13 @@
 
 #include "core/experiment.h"
 #include "runner/sweep_runner.h"
+#include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 
 namespace vrc {
 namespace {
 
-workload::Trace small_trace(std::uint64_t seed, std::size_t jobs = 60) {
+workload::TraceParams small_trace(std::uint64_t seed, std::size_t jobs = 60) {
   workload::TraceParams params;
   params.name = "cfg";
   params.group = workload::WorkloadGroup::kSpec;
@@ -19,16 +20,23 @@ workload::Trace small_trace(std::uint64_t seed, std::size_t jobs = 60) {
   params.duration = 900.0;
   params.num_nodes = 8;
   params.seed = seed;
-  return workload::generate_trace(params);
+  return params;
+}
+
+/// Generates `trace` afresh and runs it under the registry policy `policy`.
+metrics::RunReport run(const char* policy, const workload::TraceParams& trace,
+                       const cluster::ClusterConfig& config) {
+  workload::GeneratedStreamSource source(trace);
+  return *core::run_policy_on_source(core::PolicySpec(policy), source, config);
 }
 
 TEST(HeterogeneousClusterTest, SlowNodesStretchWallClock) {
   const auto trace = small_trace(101, 40);
   // Homogeneous reference vs a cluster whose nodes run at half speed.
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto fast = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto fast = run("g-loadsharing", trace, config);
   for (auto& node : config.nodes) node.cpu_mhz = 200.0;  // half the reference
-  const auto slow = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto slow = run("g-loadsharing", trace, config);
   EXPECT_EQ(slow.jobs_completed, slow.jobs_submitted);
   // Half-speed CPUs at least ~1.5x the makespan and double the CPU wall time.
   EXPECT_GT(slow.makespan, fast.makespan * 1.5);
@@ -45,7 +53,7 @@ TEST(HeterogeneousClusterTest, MixedMemoryNodesStillCompleteEverything) {
     config.nodes.push_back({300.0, megabytes(256), megabytes(256), megabytes(16)});
   }
   runner::SweepGrid grid;
-  grid.traces = {small_trace(102)};
+  grid.traces = {workload::generate_trace(small_trace(102))};
   grid.configs = {config};
   grid.policies = {core::PolicySpec("g-loadsharing"), core::PolicySpec("v-reconf")};
   runner::SweepRunner sweep(2);
@@ -61,11 +69,9 @@ TEST(HeterogeneousClusterTest, MixedMemoryNodesStillCompleteEverything) {
 TEST(NetworkContentionTest, SerializedTransfersNeverSpeedThingsUp) {
   const auto trace = small_trace(103);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto free_net =
-      core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
+  const auto free_net = run("v-reconf", trace, config);
   config.network_contention = true;
-  const auto contended =
-      core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
+  const auto contended = run("v-reconf", trace, config);
   EXPECT_EQ(contended.jobs_completed, contended.jobs_submitted);
   // Shared-segment serialization can only add migration latency.
   EXPECT_GE(contended.total_migration, free_net.total_migration - 1.0);
@@ -74,12 +80,10 @@ TEST(NetworkContentionTest, SerializedTransfersNeverSpeedThingsUp) {
 TEST(StochasticFaultsTest, PreservesInvariantsAndRoughMagnitude) {
   const auto trace = small_trace(104, 80);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto deterministic =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto deterministic = run("g-loadsharing", trace, config);
   config.stochastic_faults = true;
   config.seed = 2024;
-  const auto stochastic =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto stochastic = run("g-loadsharing", trace, config);
   EXPECT_EQ(stochastic.jobs_completed, stochastic.jobs_submitted);
   // Poisson sampling perturbs fault counts but not their order of magnitude.
   if (deterministic.total_faults > 1000.0) {
@@ -95,12 +99,10 @@ TEST_P(TickSizeSweep, ResultsStableAcrossTickGranularity) {
   // not change aggregate results by more than discretization noise.
   const auto trace = small_trace(105);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto reference =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto reference = run("g-loadsharing", trace, config);
   config.tick = GetParam();
   config.quantum = GetParam();
-  const auto coarse =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto coarse = run("g-loadsharing", trace, config);
   EXPECT_EQ(coarse.jobs_completed, coarse.jobs_submitted);
   EXPECT_NEAR(coarse.total_cpu, reference.total_cpu, 0.02 * reference.total_cpu);
   EXPECT_NEAR(coarse.total_execution, reference.total_execution,
@@ -129,9 +131,8 @@ TEST(ClusterSizeSweepTest, PoliciesScaleFromFourToSixtyFourNodes) {
     params.duration = 900.0;
     params.num_nodes = static_cast<std::uint32_t>(nodes);
     params.seed = 200 + nodes;
-    const auto trace = workload::generate_trace(params);
     const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, nodes);
-    return core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
+    return run("v-reconf", params, config);
   });
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     EXPECT_EQ(reports[i].jobs_completed, reports[i].jobs_submitted) << sizes[i] << " nodes";

@@ -15,7 +15,7 @@
 #include "../common/report_fingerprint.h"
 #include "core/experiment.h"
 #include "metrics/report.h"
-#include "workload/trace_generator.h"
+#include "workload/arrival_source.h"
 
 namespace vrc {
 namespace {
@@ -24,8 +24,7 @@ using testutil::fingerprint;
 using testutil::kGLoadSharingGolden;
 using testutil::kVReconfigurationGolden;
 
-metrics::RunReport run_fig1_style(core::PolicyKind kind,
-                                  double load_exchange_period = 0.0) {
+metrics::RunReport run_fig1_style(const char* policy, double load_exchange_period = 0.0) {
   workload::TraceParams params;
   params.name = "fingerprint-trace";
   params.group = workload::WorkloadGroup::kSpec;
@@ -33,10 +32,10 @@ metrics::RunReport run_fig1_style(core::PolicyKind kind,
   params.duration = 900.0;
   params.num_nodes = 8;
   params.seed = 7;
-  const workload::Trace trace = workload::generate_trace(params);
+  workload::GeneratedStreamSource source(params);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   if (load_exchange_period > 0.0) config.load_exchange_period = load_exchange_period;
-  return core::run_policy_on_trace(kind, trace, config);
+  return *core::run_policy_on_source(core::PolicySpec(policy), source, config);
 }
 
 // Goldens for the same fig1-style runs with a non-default exchange period
@@ -49,28 +48,28 @@ constexpr std::uint64_t kGLoadSharingSlowExchangeGolden = 0x5f646c0d05a1b9a9ull;
 constexpr std::uint64_t kVReconfigurationSlowExchangeGolden = 0x22426a262c4385fdull;
 
 TEST(DeterminismFingerprintTest, GLoadSharingMatchesPreRewriteEngine) {
-  const auto report = run_fig1_style(core::PolicyKind::kGLoadSharing);
+  const auto report = run_fig1_style("g-loadsharing");
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
   EXPECT_EQ(fingerprint(report), kGLoadSharingGolden)
       << "actual fingerprint: 0x" << std::hex << fingerprint(report);
 }
 
 TEST(DeterminismFingerprintTest, VReconfigurationMatchesPreRewriteEngine) {
-  const auto report = run_fig1_style(core::PolicyKind::kVReconfiguration);
+  const auto report = run_fig1_style("v-reconf");
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
   EXPECT_EQ(fingerprint(report), kVReconfigurationGolden)
       << "actual fingerprint: 0x" << std::hex << fingerprint(report);
 }
 
 TEST(DeterminismFingerprintTest, GLoadSharingNonDefaultExchangePeriod) {
-  const auto report = run_fig1_style(core::PolicyKind::kGLoadSharing, 2.5);
+  const auto report = run_fig1_style("g-loadsharing", 2.5);
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
   EXPECT_EQ(fingerprint(report), kGLoadSharingSlowExchangeGolden)
       << "actual fingerprint: 0x" << std::hex << fingerprint(report);
 }
 
 TEST(DeterminismFingerprintTest, VReconfigurationNonDefaultExchangePeriod) {
-  const auto report = run_fig1_style(core::PolicyKind::kVReconfiguration, 2.5);
+  const auto report = run_fig1_style("v-reconf", 2.5);
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
   EXPECT_EQ(fingerprint(report), kVReconfigurationSlowExchangeGolden)
       << "actual fingerprint: 0x" << std::hex << fingerprint(report);
@@ -79,8 +78,8 @@ TEST(DeterminismFingerprintTest, VReconfigurationNonDefaultExchangePeriod) {
 // Same-process repeatability: two identical runs must agree bit-for-bit
 // (guards against any hidden global state in the engine or policies).
 TEST(DeterminismFingerprintTest, RepeatedRunsAreBitIdentical) {
-  const auto a = run_fig1_style(core::PolicyKind::kVReconfiguration);
-  const auto b = run_fig1_style(core::PolicyKind::kVReconfiguration);
+  const auto a = run_fig1_style("v-reconf");
+  const auto b = run_fig1_style("v-reconf");
   EXPECT_EQ(fingerprint(a), fingerprint(b));
 }
 

@@ -28,9 +28,9 @@ workload::TraceSpec malleable_spec() {
 metrics::RunReport run_malleable(const std::string& policy,
                                  const workload::Trace& trace) {
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
+  workload::MaterializedTraceSource source(trace);
   std::string error;
-  auto report =
-      core::run_policy_on_trace(core::PolicySpec(policy), trace, config, {}, &error);
+  auto report = core::run_policy_on_source(core::PolicySpec(policy), source, config, {}, &error);
   EXPECT_TRUE(report.has_value()) << error;
   return *report;
 }

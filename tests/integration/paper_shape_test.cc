@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 
 namespace vrc {
@@ -27,8 +28,8 @@ workload::Trace scaled_trace(workload::WorkloadGroup group, double sigma_mu,
 TEST(PaperShapeTest, VReconNeverLosesBadlyOnModerateLoad) {
   const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 3.0, 120, 42);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto c = core::compare_policies(core::PolicyKind::kGLoadSharing,
-                                        core::PolicyKind::kVReconfiguration, trace, config);
+  const auto c = *core::compare_policies(core::PolicySpec("g-loadsharing"),
+                                         core::PolicySpec("v-reconf"), trace, config);
   EXPECT_EQ(c.baseline.jobs_completed, c.baseline.jobs_submitted);
   EXPECT_EQ(c.ours.jobs_completed, c.ours.jobs_submitted);
   EXPECT_GT(c.execution_reduction(), -0.08);
@@ -38,8 +39,8 @@ TEST(PaperShapeTest, LoadSharingBeatsLocalOnly) {
   // Sanity anchor predating the paper: any load sharing beats none.
   const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 3.0, 120, 43);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto c = core::compare_policies(core::PolicyKind::kLocalOnly,
-                                        core::PolicyKind::kGLoadSharing, trace, config);
+  const auto c = *core::compare_policies(core::PolicySpec("local-only"),
+                                         core::PolicySpec("g-loadsharing"), trace, config);
   EXPECT_GT(c.execution_reduction(), 0.10);
   EXPECT_GT(c.slowdown_reduction(), 0.10);
 }
@@ -51,8 +52,8 @@ TEST(PaperShapeTest, PagingTimeDropsUnderVRecon) {
   double base_page = 0.0, ours_page = 0.0;
   for (std::uint64_t seed : {50u, 51u, 52u}) {
     const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 2.0, 170, seed);
-    const auto c = core::compare_policies(core::PolicyKind::kGLoadSharing,
-                                          core::PolicyKind::kVReconfiguration, trace, config);
+    const auto c = *core::compare_policies(core::PolicySpec("g-loadsharing"),
+                                           core::PolicySpec("v-reconf"), trace, config);
     base_page += c.baseline.total_page;
     ours_page += c.ours.total_page;
   }
@@ -64,8 +65,8 @@ TEST(PaperShapeTest, CpuTimeIdenticalAcrossPolicies) {
   // environment, so that T_cpu = T̂_cpu."
   const auto trace = scaled_trace(workload::WorkloadGroup::kApps, 3.0, 100, 44);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kApps, 8);
-  const auto c = core::compare_policies(core::PolicyKind::kGLoadSharing,
-                                        core::PolicyKind::kVReconfiguration, trace, config);
+  const auto c = *core::compare_policies(core::PolicySpec("g-loadsharing"),
+                                         core::PolicySpec("v-reconf"), trace, config);
   EXPECT_NEAR(c.baseline.total_cpu, c.ours.total_cpu, 0.01 * c.baseline.total_cpu + 1.0);
 }
 
@@ -76,8 +77,9 @@ TEST(PaperShapeTest, SamplingIntervalInsensitivity) {
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   core::ExperimentOptions options;
   options.collector.sampling_intervals = {1.0, 10.0, 30.0};
+  workload::MaterializedTraceSource source(trace);
   const auto report =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config, options);
+      *core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source, config, options);
   ASSERT_EQ(report.idle_memory_mb.size(), 3u);
   const double reference = report.idle_memory_mb[0].average;
   for (const auto& signal : report.idle_memory_mb) {
@@ -91,10 +93,12 @@ TEST(PaperShapeTest, HigherArrivalRateRaisesSlowdown) {
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   const auto light = scaled_trace(workload::WorkloadGroup::kSpec, 4.0, 60, 46);
   const auto heavy = scaled_trace(workload::WorkloadGroup::kSpec, 1.5, 180, 46);
+  workload::MaterializedTraceSource light_source(light);
   const auto light_report =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, light, config);
+      *core::run_policy_on_source(core::PolicySpec("g-loadsharing"), light_source, config);
+  workload::MaterializedTraceSource heavy_source(heavy);
   const auto heavy_report =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, heavy, config);
+      *core::run_policy_on_source(core::PolicySpec("g-loadsharing"), heavy_source, config);
   EXPECT_GT(heavy_report.avg_slowdown, light_report.avg_slowdown);
 }
 

@@ -4,17 +4,21 @@
 // (DESIGN.md §15). Width-weighted slot accounting, the resize state machine,
 // and the extra generator substream must all be invisible on rigid
 // workloads — any drift here means a rigid run changed, which is a bug, not
-// a golden refresh.
+// a golden refresh. Each shape is pumped straight from
+// TraceSpec::standard(g, i).make_source(32), so the goldens also pin the
+// generator and the arrival pump, whose live spec storage must stay bounded
+// by the jobs in flight.
 //
 // Parameterized so ctest runs the ten shapes in parallel (~1-3 s each).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "../common/report_fingerprint.h"
 #include "core/experiment.h"
-#include "workload/trace_generator.h"
+#include "workload/trace_spec.h"
 
 namespace vrc {
 namespace {
@@ -25,8 +29,8 @@ struct ShapeGolden {
   std::uint64_t fingerprint;
 };
 
-// Captured by running G-Loadsharing over standard_trace(group, index) on
-// paper_cluster_for(group, 32) at the pre-malleability HEAD.
+// Captured by running G-Loadsharing over the standard (group, index) trace
+// on paper_cluster_for(group, 32) at the pre-malleability HEAD.
 constexpr ShapeGolden kGoldens[] = {
     {workload::WorkloadGroup::kSpec, 1, 0x316a883cc5e17cdeull},
     {workload::WorkloadGroup::kSpec, 2, 0x37838501ece6c1f9ull},
@@ -44,11 +48,18 @@ class StandardShapeFingerprintTest : public testing::TestWithParam<ShapeGolden> 
 
 TEST_P(StandardShapeFingerprintTest, RigidShapeIsByteIdenticalToPreMalleabilityBaseline) {
   const ShapeGolden& golden = GetParam();
-  const workload::Trace trace = workload::standard_trace(golden.group, golden.index);
+  const std::unique_ptr<workload::ArrivalSource> source =
+      workload::TraceSpec::standard(golden.group, golden.index).make_source(32);
+  const std::size_t jobs = *source->total_jobs();
   const auto config = core::paper_cluster_for(golden.group, 32);
-  const auto report =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto report = *core::run_policy_on_source(core::PolicySpec("g-loadsharing"), *source,
+                                                  config);
   EXPECT_EQ(testutil::fingerprint(report), golden.fingerprint);
+  EXPECT_TRUE(report.streamed);
+  EXPECT_EQ(report.jobs_submitted, jobs);
+  // The pump holds only the jobs in flight, never more than the trace.
+  EXPECT_GT(report.peak_live_specs, 0u);
+  EXPECT_LE(report.peak_live_specs, jobs);
   // And the malleability surface stays dark on rigid workloads.
   EXPECT_EQ(report.malleable_jobs, 0u);
   EXPECT_EQ(report.resizes, 0u);

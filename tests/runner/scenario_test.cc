@@ -1,7 +1,7 @@
 // The declarative scenario layer: spec-file parsing, precise error text, and
 // the headline determinism contract — a ScenarioSpec naming today's defaults
-// produces byte-identical reports to the legacy enum-based path (held to the
-// same FNV-1a goldens as tests/integration/determinism_fingerprint_test.cc).
+// reproduces the FNV-1a goldens that
+// tests/integration/determinism_fingerprint_test.cc pins for direct runs.
 #include "runner/scenario.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "../common/report_fingerprint.h"
 #include "core/experiment.h"
-#include "workload/trace_generator.h"
 
 namespace vrc::runner {
 namespace {
@@ -59,6 +58,9 @@ TEST(ScenarioSpecTest, ApplyLineRejectsEachFailureClassPrecisely) {
   EXPECT_FALSE(spec.apply_line("warp_speed 9", &error));
   EXPECT_NE(error.find("unknown scenario directive 'warp_speed'"), std::string::npos) << error;
   EXPECT_NE(error.find("trace, policy, cluster"), std::string::npos) << error;
+  // Every cell streams its workload, so there is no `stream` switch.
+  EXPECT_FALSE(spec.apply_line("stream on", &error));
+  EXPECT_NE(error.find("unknown scenario directive 'stream'"), std::string::npos) << error;
 
   EXPECT_FALSE(spec.apply_line("policy", &error));
   EXPECT_NE(error.find("needs an argument"), std::string::npos) << error;
@@ -141,19 +143,25 @@ TEST(ScenarioSpecTest, MalleableDirectiveDefaultsGeneratedTracesOnly) {
   ASSERT_EQ(grid->traces.size(), 2u);
   // The directive defaults only traces WITHOUT their own malleable= fraction:
   // the first trace becomes all-malleable (width [1,2] ⇒ every job submits at
-  // width 2), the second keeps its explicit 0.25.
+  // width 2), the second keeps its explicit 0.25. Each grid entry carries the
+  // TraceSpec its cells build their sources from.
+  ASSERT_TRUE(grid->traces[0].spec && grid->traces[1].spec);
+  const workload::Trace all_malleable =
+      grid->traces[0].spec->build(grid->traces[0].default_nodes);
   std::size_t wide = 0;
-  for (const workload::JobSpec& job : grid->traces[0].trace.jobs()) {
+  for (const workload::JobSpec& job : all_malleable.jobs()) {
     EXPECT_TRUE(job.malleable());
     wide += job.initial_width() > 1 ? 1u : 0u;
   }
-  EXPECT_EQ(wide, grid->traces[0].trace.size());
+  EXPECT_EQ(wide, all_malleable.size());
+  const workload::Trace partly_malleable =
+      grid->traces[1].spec->build(grid->traces[1].default_nodes);
   std::size_t fraction_malleable = 0;
-  for (const workload::JobSpec& job : grid->traces[1].trace.jobs()) {
+  for (const workload::JobSpec& job : partly_malleable.jobs()) {
     fraction_malleable += job.malleable() ? 1u : 0u;
   }
   EXPECT_GT(fraction_malleable, 0u);
-  EXPECT_LT(fraction_malleable, grid->traces[1].trace.size());
+  EXPECT_LT(fraction_malleable, partly_malleable.size());
 
   // An explicit per-trace fraction alone also counts as configured.
   ScenarioSpec per_trace;
@@ -263,29 +271,6 @@ TEST(ScenarioEquivalenceTest, DefaultSpecRunMatchesEnumPathGoldens) {
   ASSERT_EQ(run->cells.size(), 2u);
   EXPECT_EQ(fingerprint(run->cell(0, 0, 0).report), kGLoadSharingGolden);
   EXPECT_EQ(fingerprint(run->cell(0, 0, 1).report), kVReconfigurationGolden);
-}
-
-// Every PolicyKind and its to_spec() equivalent must run bit-identically.
-TEST(ScenarioEquivalenceTest, EnumAndSpecPathsAgreeForEveryKind) {
-  workload::TraceParams params;
-  params.name = "equiv";
-  params.group = workload::WorkloadGroup::kSpec;
-  params.num_jobs = 40;
-  params.duration = 600.0;
-  params.num_nodes = 8;
-  params.seed = 19;
-  const workload::Trace trace = workload::generate_trace(params);
-  const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  for (auto kind : {core::PolicyKind::kGLoadSharing, core::PolicyKind::kVReconfiguration,
-                    core::PolicyKind::kLocalOnly, core::PolicyKind::kSuspension,
-                    core::PolicyKind::kOracleDemands}) {
-    const auto via_enum = core::run_policy_on_trace(kind, trace, config);
-    std::string error;
-    const auto via_spec =
-        core::run_policy_on_trace(core::to_spec(kind), trace, config, {}, &error);
-    ASSERT_TRUE(via_spec.has_value()) << error;
-    EXPECT_EQ(fingerprint(*via_spec), fingerprint(via_enum)) << core::to_string(kind);
-  }
 }
 
 TEST(ScenarioRunTest, TrialsExpandTheTraceAxisTrialMajor) {

@@ -188,7 +188,8 @@ TEST(SweepRunnerTest, RunIndexedPreservesIndexOrder) {
   const auto reports = runner.run_indexed(3, [&](std::size_t i) {
     core::ExperimentOptions options;
     options.max_sim_time = 100000.0 + 1000.0 * static_cast<double>(i);
-    return core::run_policy_on_trace(core::PolicyKind::kLocalOnly, trace, config, options);
+    workload::MaterializedTraceSource source(trace);
+    return *core::run_policy_on_source(core::PolicySpec("local-only"), source, config, options);
   });
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& report : reports) {

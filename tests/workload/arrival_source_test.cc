@@ -25,7 +25,7 @@ void expect_job_equal(const JobSpec& a, const JobSpec& b, std::size_t index) {
 }
 
 TEST(MaterializedTraceSourceTest, StreamsJobsInOrder) {
-  Trace trace = standard_trace(WorkloadGroup::kSpec, 1, 8);
+  Trace trace = TraceSpec::standard(WorkloadGroup::kSpec, 1).build(8);
   MaterializedTraceSource source(trace);
   ASSERT_TRUE(source.total_jobs().has_value());
   EXPECT_EQ(*source.total_jobs(), trace.size());
@@ -45,8 +45,8 @@ TEST(MaterializedTraceSourceTest, StreamsJobsInOrder) {
 }
 
 TEST(GeneratedStreamSourceTest, MatchesGenerateTraceJobForJob) {
-  // The core streaming contract: the lazy source must replay generate_trace's
-  // RNG stream bit-for-bit, for every standard shape of both groups.
+  // build() drains the same generator make_source() hands out: the two must
+  // agree job for job, for every standard shape of both groups.
   for (WorkloadGroup group : {WorkloadGroup::kSpec, WorkloadGroup::kApps}) {
     for (int index = 1; index <= 5; ++index) {
       TraceSpec spec = TraceSpec::standard(group, index);
@@ -96,8 +96,26 @@ TEST(GeneratedStreamSourceTest, PeekIsStableAndMatchesNext) {
   EXPECT_FALSE(source->next().has_value());
 }
 
+// The generator's two input checks abort up front, before any job is drawn.
+TEST(GeneratedStreamSourceDeathTest, RejectsProgramWeightCountMismatch) {
+  TraceParams params;
+  params.group = WorkloadGroup::kSpec;
+  params.program_weights = {1.0, 2.0};  // the SPEC catalog has six programs
+  EXPECT_DEATH(GeneratedStreamSource{params}, "2 weights for 6 programs");
+}
+
+TEST(GeneratedStreamSourceDeathTest, RejectsMalleableWidthRangeOutsideOneToMax) {
+  TraceParams params;
+  params.malleable_fraction = 1.0;
+  params.malleable_min_width = 0;
+  EXPECT_DEATH(GeneratedStreamSource{params}, "bad malleable width range \\[0, 2\\]");
+  params.malleable_min_width = 3;
+  params.malleable_max_width = 2;
+  EXPECT_DEATH(GeneratedStreamSource{params}, "bad malleable width range \\[3, 2\\]");
+}
+
 TEST(MaterializeTest, RoundTripsThroughSource) {
-  Trace trace = standard_trace(WorkloadGroup::kApps, 3, 16);
+  Trace trace = TraceSpec::standard(WorkloadGroup::kApps, 3).build(16);
   MaterializedTraceSource source(trace);
   Trace copy = materialize(source, trace.duration());
   EXPECT_EQ(copy.name(), trace.name());

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <map>
 
+#include "workload/trace_spec.h"
+
 namespace vrc::workload {
 namespace {
 
@@ -176,8 +178,8 @@ TEST(TraceGeneratorTest, ExplicitWeightsOverrideMix) {
 TEST(TraceGeneratorTest, HigherIntensityShapesSubmitFasterEarlyOn) {
   // Trace-5 both carries more jobs and front-loads them: within the first
   // ten minutes it must deliver substantially more work than Trace-1.
-  Trace light = standard_trace(WorkloadGroup::kSpec, 1);
-  Trace heavy = standard_trace(WorkloadGroup::kSpec, 5);
+  Trace light = TraceSpec::standard(WorkloadGroup::kSpec, 1).build();
+  Trace heavy = TraceSpec::standard(WorkloadGroup::kSpec, 5).build();
   auto early_count = [](const Trace& t) {
     std::size_t n = 0;
     for (const JobSpec& job : t.jobs()) {
@@ -189,8 +191,8 @@ TEST(TraceGeneratorTest, HigherIntensityShapesSubmitFasterEarlyOn) {
 }
 
 TEST(TraceGeneratorTest, StandardTraceIsReproducible) {
-  Trace a = standard_trace(WorkloadGroup::kApps, 3);
-  Trace b = standard_trace(WorkloadGroup::kApps, 3);
+  Trace a = TraceSpec::standard(WorkloadGroup::kApps, 3).build();
+  Trace b = TraceSpec::standard(WorkloadGroup::kApps, 3).build();
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.name(), "App-Trace-3");
   for (size_t i = 0; i < a.size(); ++i) {
@@ -199,7 +201,7 @@ TEST(TraceGeneratorTest, StandardTraceIsReproducible) {
 }
 
 TEST(TraceGeneratorTest, StandardTraceUsesGroupPrograms) {
-  Trace trace = standard_trace(WorkloadGroup::kApps, 2);
+  Trace trace = TraceSpec::standard(WorkloadGroup::kApps, 2).build();
   for (const JobSpec& job : trace.jobs()) {
     auto program = find_program(job.program);
     ASSERT_TRUE(program.has_value());

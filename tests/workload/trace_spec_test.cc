@@ -1,7 +1,7 @@
 // TraceSpec: the declarative trace axis of a scenario. Covers parse/print
 // round-trips, validation errors, and — critically — that a spec naming a
-// standard trace builds the byte-identical trace the enum-era
-// standard_trace() call produced.
+// standard trace builds the byte-identical collect-once trace (published
+// shape, standard name, fixed per-(group, index) seed).
 #include "workload/trace_spec.h"
 
 #include <gtest/gtest.h>
@@ -22,14 +22,34 @@ std::string serialize(const Trace& trace) {
   return out.str();
 }
 
+// The standard trace's generator parameters, spelled out independently of
+// TraceSpec::to_params: the published shape, the "SPEC-Trace-<i>" /
+// "App-Trace-<i>" name, and the fixed seed every run of the shape replays.
+TraceParams standard_params(WorkloadGroup group, int index, std::uint32_t nodes) {
+  const StandardTraceShape shape = standard_trace_shape(index);
+  TraceParams params;
+  params.name = std::string(group == WorkloadGroup::kSpec ? "SPEC-Trace-" : "App-Trace-") +
+                std::to_string(index);
+  params.group = group;
+  params.sigma = shape.sigma;
+  params.mu = shape.mu;
+  params.num_jobs = shape.num_jobs;
+  params.duration = shape.duration;
+  params.num_nodes = nodes;
+  params.seed = 0xC0FFEEULL * 31 + (group == WorkloadGroup::kSpec ? 1000u : 2000u) +
+                static_cast<std::uint64_t>(index);
+  return params;
+}
+
 TEST(TraceSpecTest, StandardSpecBuildsByteIdenticalStandardTrace) {
   for (int index = 1; index <= 5; ++index) {
     const Trace from_spec = TraceSpec::standard(WorkloadGroup::kSpec, index).build(8);
-    const Trace from_enum_path = standard_trace(WorkloadGroup::kSpec, index, 8);
-    EXPECT_EQ(serialize(from_spec), serialize(from_enum_path)) << "trace " << index;
+    const Trace reference = generate_trace(standard_params(WorkloadGroup::kSpec, index, 8));
+    EXPECT_EQ(serialize(from_spec), serialize(reference)) << "trace " << index;
   }
   const Trace apps_spec = TraceSpec::standard(WorkloadGroup::kApps, 2).build(32);
-  EXPECT_EQ(serialize(apps_spec), serialize(standard_trace(WorkloadGroup::kApps, 2, 32)));
+  EXPECT_EQ(serialize(apps_spec),
+            serialize(generate_trace(standard_params(WorkloadGroup::kApps, 2, 32))));
 }
 
 TEST(TraceSpecTest, PrintParseRoundTrips) {
@@ -102,7 +122,7 @@ TEST(TraceSpecTest, SeedOverrideRegeneratesTheShapeAsAFreshRealization) {
 
   // The standard seed made explicit reproduces the replayed trace exactly.
   auto explicit_seed = TraceSpec::standard(WorkloadGroup::kSpec, 2);
-  explicit_seed.seed = standard_trace_seed(WorkloadGroup::kSpec, 2);
+  explicit_seed.seed = standard_params(WorkloadGroup::kSpec, 2, 8).seed;
   EXPECT_EQ(serialize(explicit_seed.build(8)), serialize(replayed));
 }
 
