@@ -1,6 +1,6 @@
 """Heap-order analyzer: code and documented tie-break contract must agree.
 
-The four ``ClusterIndex`` heap orders (DESIGN.md §11) are the scheduling
+The two ``ClusterIndex`` heap orders (DESIGN.md §11) are the scheduling
 policies' selection semantics: which node "wins" for a given policy is
 decided entirely by the key pair ``key_for`` returns and the final node-id
 tie-break in ``IndexedHeap::precedes``. A silent edit to one comparator —

@@ -14,15 +14,6 @@ Counters& counters() {
 
 void reset_counters() { counters() = Counters{}; }
 
-void check_cluster_index(const ClusterIndex& index, const char* context) {
-  ++counters().index_audits;
-  std::string why;
-  if (!index.audit_verify(&why)) {
-    VRC_LOG(kError) << "VRC_AUDIT failed (" << context << "): " << why;
-    std::abort();
-  }
-}
-
 namespace {
 
 // Fields compared between a board row and a freshly captured snapshot.

@@ -1,11 +1,11 @@
 // Shadow-verification hooks for the VRC_AUDIT build (DESIGN.md §13.5).
 //
-// The incremental structures (ClusterIndex, the dirty-set board exchange) buy
-// speed by maintaining state instead of recomputing it; a missed publish or a
-// broken fold is invisible until a placement goes subtly wrong. Under
-// -DVRC_AUDIT=ON, Cluster calls these checks from its tick and exchange hooks
-// to compare the incremental answers against brute-force recomputation and
-// abort loudly on the first divergence.
+// The incremental structures (the board's ClusterIndex, the dirty-set board
+// exchange) buy speed by maintaining state instead of recomputing it; a
+// missed publish or a broken fold is invisible until a placement goes subtly
+// wrong. Under -DVRC_AUDIT=ON, Cluster calls these checks from its exchange
+// hook to compare the incremental answers against brute-force recomputation
+// and abort loudly on the first divergence.
 //
 // Everything here is compiled in every build so the default build can
 // unit-test the checkers; only the *call sites* in cluster.cc are gated
@@ -17,7 +17,6 @@
 #include <functional>
 #include <optional>
 
-#include "cluster/cluster_index.h"
 #include "cluster/load_index.h"
 #include "workload/job.h"
 
@@ -26,8 +25,6 @@ namespace vrc::cluster::audit {
 /// Running tallies of audit activity, so tests can assert the checks actually
 /// fired (a silently skipped audit is indistinguishable from a passing one).
 struct Counters {
-  std::uint64_t tick_events = 0;   // ticks seen by the cadence gate
-  std::uint64_t index_audits = 0;  // ClusterIndex::audit_verify sweeps run
   std::uint64_t board_audits = 0;  // board-vs-live diff sweeps run
   std::uint64_t rows_checked = 0;  // board rows compared across all sweeps
 };
@@ -40,17 +37,14 @@ Counters& counters();
 /// Zeroes the counters; tests call this between scenarios.
 void reset_counters();
 
-/// Runs index.audit_verify() and aborts with a VRC_LOG(kError) diagnostic on
-/// failure. `context` names the call site (e.g. "live index after tick").
-void check_cluster_index(const ClusterIndex& index, const char* context);
-
 /// Verifies the board against freshly captured node state: for every node,
 /// `fresh(node)` returns the snapshot the node would publish right now (or
 /// nullopt to skip it — failed nodes keep deliberately frozen rows), and the
 /// board's row must match it field-for-field except `timestamp` (undirtied
 /// nodes legitimately keep their old stamp; their *values* must still agree,
 /// which is exactly the dirty-set soundness contract of DESIGN.md §12). Also
-/// runs board.audit_verify(). Aborts on the first divergence.
+/// runs board.audit_verify(), which sweeps the board's ClusterIndex. Aborts
+/// on the first divergence.
 void check_board(const LoadInfoBoard& board,
                  const std::function<std::optional<LoadInfo>(NodeId)>& fresh,
                  const char* context);

@@ -20,8 +20,6 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config, SchedulerPolicy& pol
       policy_(policy),
       network_(sim, config_),
       board_(config_.num_nodes()),
-      live_index_(config_.num_nodes(), ClusterIndex::Order::kMaxIdleMinJobs,
-                  ClusterIndex::Order::kMinPeak),
       activity_(config_.num_nodes()),
       rng_(config_.seed),
       last_pressure_callback_(config_.num_nodes(), -1e18),
@@ -32,10 +30,9 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config, SchedulerPolicy& pol
   for (std::size_t i = 0; i < config_.num_nodes(); ++i) {
     nodes_.push_back(
         std::make_unique<Workstation>(static_cast<NodeId>(i), config_.nodes[i], config_));
-    // bind_activity first: its publish marks every node dirty, so the
-    // constructor's exchange below performs the one full-board publish.
+    // bind_activity's publish marks every node dirty, so the constructor's
+    // exchange below performs the one full-board publish.
     nodes_.back()->bind_activity(&activity_);
-    nodes_.back()->bind_index(&live_index_);
   }
   handle_exchange(sim_.now());  // policies see a fresh board before any event
   policy_.attach(*this);
@@ -465,6 +462,15 @@ std::vector<RunningJob*> Cluster::pending_jobs() {
   return jobs;
 }
 
+Bytes Cluster::live_idle_memory() const {
+  Bytes total = 0;
+  for (const auto& node : nodes_) {
+    if (node->failed()) continue;
+    total += std::max<Bytes>(0, node->user_memory() - node->resident_demand());
+  }
+  return total;
+}
+
 std::vector<int> Cluster::live_active_jobs(bool skip_reserved) const {
   std::vector<int> counts;
   counts.reserve(nodes_.size());
@@ -518,13 +524,6 @@ void Cluster::handle_tick(SimTime now) {
     policy_.on_node_pressure(*this, target);
   });
   maybe_finish(now);
-#ifdef VRC_AUDIT
-  // Shadow-verify the live index against brute-force recomputation every
-  // VRC_AUDIT_CADENCE ticks (every tick would make big scenarios O(n^2)).
-  if (++audit::counters().tick_events % VRC_AUDIT_CADENCE == 0) {
-    audit::check_cluster_index(live_index_, "live index after tick");
-  }
-#endif
 }
 
 void Cluster::handle_exchange(SimTime now) {
@@ -565,7 +564,6 @@ void Cluster::handle_exchange(SimTime now) {
         return target.snapshot(now);
       },
       "board after exchange");
-  audit::check_cluster_index(board_.index(), "board index after exchange");
 #endif
 }
 

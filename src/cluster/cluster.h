@@ -94,12 +94,6 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   Network& network() { return network_; }
   const LoadInfoBoard& board() const { return board_; }
-  /// Heap-indexed view of *live* workstation state (as opposed to the
-  /// board's stale snapshots), republished by each workstation on mutation.
-  /// First heap: (idle desc, jobs asc) for reservation candidates; second
-  /// heap: (future-committed peak asc) for oracle placement. Control-path
-  /// scans only — distributed policies must keep reading the board.
-  const ClusterIndex& live_index() const { return live_index_; }
   Workstation& node(NodeId id) { return *nodes_[id]; }
   const Workstation& node(NodeId id) const { return *nodes_[id]; }
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -123,10 +117,11 @@ class Cluster {
   /// streams (O(concurrent), not O(total)).
   std::size_t peak_live_specs() const { return peak_live_specs_; }
 
-  /// Live (not board-snapshot) cluster-wide idle memory over non-failed
-  /// nodes; an O(1) running total from the live index. Used by metric
-  /// samplers and the reconfiguration trigger's fresh-view check.
-  Bytes live_idle_memory() const { return live_index_.total_available(); }
+  /// Live (not board-snapshot) cluster-wide idle memory: the sum over
+  /// non-failed nodes of max(0, user memory - resident demand), in-flight
+  /// reservations excluded. O(n); used by metric samplers and the
+  /// reconfiguration trigger's fresh-view check.
+  Bytes live_idle_memory() const;
   /// Live active-job counts, optionally skipping reserved nodes (the paper's
   /// job-balance skew is over non-reserved workstations).
   std::vector<int> live_active_jobs(bool skip_reserved) const;
@@ -183,7 +178,6 @@ class Cluster {
   SchedulerPolicy& policy_;
   Network network_;
   LoadInfoBoard board_;
-  ClusterIndex live_index_;
   /// Active (needs_tick) and dirty (unpublished-mutation) node sets, fed by
   /// every workstation's publish_index() hook. handle_tick and
   /// handle_exchange iterate these instead of all n nodes, making both loops

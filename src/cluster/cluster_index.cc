@@ -122,10 +122,7 @@ ClusterIndex::ClusterIndex(std::size_t num_nodes, Order first, Order second)
     : first_order_(first),
       second_order_(second),
       idle_(num_nodes, 0),
-      available_(num_nodes, 0),
-      peak_(num_nodes, 0),
       user_(num_nodes, 0),
-      active_(num_nodes, 0),
       slots_(num_nodes, 0),
       flags_(num_nodes, 0),
       live_count_(num_nodes),
@@ -145,10 +142,6 @@ IndexedHeap::Key ClusterIndex::key_for(Order order, const NodeState& state) {
       return {state.slots_used, -state.idle};
     case Order::kMaxIdle:
       return {-state.idle, 0};
-    case Order::kMaxIdleMinJobs:
-      return {-state.idle, state.active_jobs};
-    case Order::kMinPeak:
-      return {state.peak, 0};
   }
   return {};
 }
@@ -157,22 +150,17 @@ void ClusterIndex::publish(NodeId node, const NodeState& state) {
   const bool was_failed = failed(node);
   if (!was_failed) {
     total_idle_ -= idle_[node];
-    total_available_ -= available_[node];
     total_user_ -= user_[node];
     --live_count_;
   }
   idle_[node] = state.idle;
-  available_[node] = state.available;
-  peak_[node] = state.peak;
   user_[node] = state.user;
-  active_[node] = state.active_jobs;
   slots_[node] = state.slots_used;
   flags_[node] = static_cast<std::uint8_t>((state.failed ? kFailedFlag : 0) |
                                            (state.reserved ? kReservedFlag : 0) |
                                            (state.pressured ? kPressuredFlag : 0));
   if (!state.failed) {
     total_idle_ += state.idle;
-    total_available_ += state.available;
     total_user_ += state.user;
     ++live_count_;
   }
@@ -196,24 +184,20 @@ bool ClusterIndex::audit_verify(std::string* why) const {
 
   // O(1) totals vs brute-force sums over non-failed rows.
   Bytes idle_sum = 0;
-  Bytes available_sum = 0;
   Bytes user_sum = 0;
   std::size_t live = 0;
   for (std::size_t node = 0; node < n; ++node) {
     const NodeId id = static_cast<NodeId>(node);
     if (failed(id)) continue;
     idle_sum += idle_[node];
-    available_sum += available_[node];
     user_sum += user_[node];
     ++live;
   }
-  if (idle_sum != total_idle_ || available_sum != total_available_ ||
-      user_sum != total_user_ || live != live_count_) {
+  if (idle_sum != total_idle_ || user_sum != total_user_ || live != live_count_) {
     std::ostringstream out;
-    out << "aggregate drift: totals are (idle " << total_idle_
-        << ", available " << total_available_ << ", user " << total_user_
-        << ", live " << live_count_ << ") but brute-force sums are (idle "
-        << idle_sum << ", available " << available_sum << ", user "
+    out << "aggregate drift: totals are (idle " << total_idle_ << ", user "
+        << total_user_ << ", live " << live_count_
+        << ") but brute-force sums are (idle " << idle_sum << ", user "
         << user_sum << ", live " << live << ")";
     return fail(out.str());
   }
@@ -223,10 +207,7 @@ bool ClusterIndex::audit_verify(std::string* why) const {
   const auto row_state = [this](NodeId node) {
     NodeState state;
     state.idle = idle_[node];
-    state.available = available_[node];
-    state.peak = peak_[node];
     state.user = user_[node];
-    state.active_jobs = active_[node];
     state.slots_used = slots_[node];
     state.failed = failed(node);
     state.reserved = reserved(node);

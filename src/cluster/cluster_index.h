@@ -1,11 +1,10 @@
 // Indexed cluster state for O(log n) placement decisions.
 //
-// Every scheduling decision in the paper's framework is a "best workstation
-// under a filter" query: least-loaded submission target, largest-idle
-// migration destination, reservation candidate, least-future-committed oracle
-// placement. The original implementation answered each with an O(nodes)
-// linear walk, which was fine for the paper's 32 workstations and is not for
-// the 10k-node clusters the roadmap targets.
+// The distributed schedulers' placement decisions are "best workstation under
+// a filter" queries over the load-information board: least-loaded submission
+// target and largest-idle migration destination. The original implementation
+// answered each with an O(nodes) linear walk, which was fine for the paper's
+// 32 workstations and is not for the 10k-node clusters the roadmap targets.
 //
 // ClusterIndex keeps the per-node load quantities in cache-friendly parallel
 // arrays (structure-of-arrays) and maintains two IndexedHeaps over them, each
@@ -140,30 +139,22 @@ class IndexedHeap {
 };
 
 /// SoA view of per-node load state plus two policy-ordered heaps and O(1)
-/// cluster-wide aggregates over live (non-failed) nodes. Two instances exist
-/// per cluster run: one inside LoadInfoBoard mirroring the (stale) published
-/// snapshots the distributed schedulers rank by, and one inside Cluster
-/// mirroring live workstation state for the control-path scans
-/// (reservation candidates, oracle placement).
+/// cluster-wide aggregates over live (non-failed) nodes. Its one instance
+/// lives inside LoadInfoBoard, mirroring the (stale) published snapshots the
+/// distributed schedulers rank by (DESIGN.md §11.4).
 class ClusterIndex {
  public:
   /// Key schema of one heap; each matches one policy scan's ranking exactly.
   enum class Order {
     kMinSlotsMaxIdle,  // (slots asc, idle desc, id asc) — submission targets
     kMaxIdle,          // (idle desc, id asc)            — migration targets
-    kMaxIdleMinJobs,   // (idle desc, jobs asc, id asc)  — reservation candidates
-    kMinPeak,          // (peak asc, id asc)             — oracle placements
   };
 
-  /// One node's published state. `idle` is committed-based idle memory
-  /// (reservation-aware), `available` is resident-based (what the §2.1
-  /// trigger accumulates), `peak` is the oracle's future-committed demand.
+  /// One node's published state; `idle` is committed-based idle memory
+  /// (reservation-aware).
   struct NodeState {
     Bytes idle = 0;
-    Bytes available = 0;
-    Bytes peak = 0;
     Bytes user = 0;
-    std::int32_t active_jobs = 0;
     std::int32_t slots_used = 0;
     bool failed = false;
     bool reserved = false;
@@ -181,10 +172,7 @@ class ClusterIndex {
 
   // --- SoA accessors ---
   Bytes idle(NodeId node) const { return idle_[node]; }
-  Bytes available(NodeId node) const { return available_[node]; }
-  Bytes peak(NodeId node) const { return peak_[node]; }
   Bytes user(NodeId node) const { return user_[node]; }
-  std::int32_t active_jobs(NodeId node) const { return active_[node]; }
   std::int32_t slots_used(NodeId node) const { return slots_[node]; }
   bool failed(NodeId node) const { return (flags_[node] & kFailedFlag) != 0; }
   bool reserved(NodeId node) const { return (flags_[node] & kReservedFlag) != 0; }
@@ -192,7 +180,6 @@ class ClusterIndex {
 
   // --- O(1) aggregates over live (non-failed) nodes ---
   Bytes total_idle() const { return total_idle_; }
-  Bytes total_available() const { return total_available_; }
   Bytes total_user() const { return total_user_; }
   std::size_t live_count() const { return live_count_; }
 
@@ -216,7 +203,7 @@ class ClusterIndex {
   /// key_for() of the node's SoA row, both heaps must satisfy
   /// audit_invariants(), and both pruned best() minima must match a linear
   /// argmin. Compiled in every build (unit-testable); called under
-  /// -DVRC_AUDIT=ON from Cluster's tick/exchange hooks. Returns false and
+  /// -DVRC_AUDIT=ON through LoadInfoBoard::audit_verify. Returns false and
   /// describes the first inconsistency in `why` (when non-null).
   bool audit_verify(std::string* why) const;
 
@@ -232,15 +219,11 @@ class ClusterIndex {
 
   // Parallel arrays (SoA): one cache-friendly row per node.
   std::vector<Bytes> idle_;
-  std::vector<Bytes> available_;
-  std::vector<Bytes> peak_;
   std::vector<Bytes> user_;
-  std::vector<std::int32_t> active_;
   std::vector<std::int32_t> slots_;
   std::vector<std::uint8_t> flags_;
 
   Bytes total_idle_ = 0;
-  Bytes total_available_ = 0;
   Bytes total_user_ = 0;
   std::size_t live_count_ = 0;
 

@@ -187,13 +187,21 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     if (key.rfind("node.", 0) == 0) continue;
     std::string expected;
     bool ok = true;
+    // Range check on a value that parsed: a `bad` one is rejected with
+    // `example` as the expected form. Periods, quantum, slot threshold, CPU
+    // speed and bandwidth must be positive (NaN is not): a zero period
+    // re-arms its periodic task at the same instant forever, and the others
+    // leave jobs unable to run or transfer.
+    const auto reject_if = [&ok, &expected](bool bad, const char* example) {
+      if (ok && bad) {
+        ok = false;
+        expected = example;
+      }
+    };
     if (key == "nodes") {
       int count = 0;
       ok = set_int(value, &count, &expected);
-      if (ok && count <= 0) {
-        ok = false;
-        expected = "positive int, e.g. 32";
-      }
+      reject_if(count <= 0, "positive int, e.g. 32");
       if (ok) {
         if (updated.nodes.empty()) {
           *err = "config override 'nodes': cannot resize a cluster with no node template";
@@ -203,6 +211,7 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       }
     } else if (key == "reference_mhz") {
       ok = set_double(value, &updated.reference_mhz, &expected);
+      reject_if(!(updated.reference_mhz > 0.0), "positive double, e.g. 400");
     } else if (key == "page_size") {
       ok = set_bytes(value, &updated.page_size, &expected);
     } else if (key == "page_fault_service") {
@@ -211,16 +220,20 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       ok = set_duration(value, &updated.context_switch, &expected);
     } else if (key == "quantum") {
       ok = set_duration(value, &updated.quantum, &expected);
+      reject_if(!(updated.quantum > 0.0), "positive duration, e.g. 10ms");
     } else if (key == "tick") {
       ok = set_duration(value, &updated.tick, &expected);
+      reject_if(!(updated.tick > 0.0), "positive duration, e.g. 10ms");
     } else if (key == "network_mbps") {
       ok = set_double(value, &updated.network_mbps, &expected);
+      reject_if(!(updated.network_mbps > 0.0), "positive double, e.g. 10");
     } else if (key == "remote_submit_cost") {
       ok = set_duration(value, &updated.remote_submit_cost, &expected);
     } else if (key == "network_contention") {
       ok = set_bool(value, &updated.network_contention, &expected);
     } else if (key == "cpu_threshold") {
       ok = set_int(value, &updated.cpu_threshold, &expected);
+      reject_if(updated.cpu_threshold <= 0, "positive int, e.g. 5");
     } else if (key == "memory_threshold") {
       ok = set_double(value, &updated.memory_threshold, &expected);
     } else if (key == "admission_demand_estimate") {
@@ -231,30 +244,24 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       ok = set_duration(value, &updated.fault_rate_tau, &expected);
     } else if (key == "load_exchange_period") {
       ok = set_duration(value, &updated.load_exchange_period, &expected);
+      reject_if(!(updated.load_exchange_period > 0.0), "positive duration, e.g. 1s");
     } else if (key == "policy_period") {
       ok = set_duration(value, &updated.policy_period, &expected);
+      reject_if(!(updated.policy_period > 0.0), "positive duration, e.g. 250ms");
     } else if (key == "pressure_callback_interval") {
       ok = set_duration(value, &updated.pressure_callback_interval, &expected);
     } else if (key == "migration_cooldown") {
       ok = set_duration(value, &updated.migration_cooldown, &expected);
     } else if (key == "resize.fixed_cost") {
       ok = set_duration(value, &updated.resize_fixed_cost, &expected);
-      if (ok && updated.resize_fixed_cost < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 0.5s";
-      }
+      reject_if(updated.resize_fixed_cost < 0.0, "non-negative duration, e.g. 0.5s");
     } else if (key == "resize.per_slot_cost") {
       ok = set_duration(value, &updated.resize_per_slot_cost, &expected);
-      if (ok && updated.resize_per_slot_cost < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 0.25s";
-      }
+      reject_if(updated.resize_per_slot_cost < 0.0, "non-negative duration, e.g. 0.25s");
     } else if (key == "resize.min_interval") {
       ok = set_duration(value, &updated.resize_min_interval, &expected);
-      if (ok && updated.resize_min_interval < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 2s (0 disables)";
-      }
+      reject_if(updated.resize_min_interval < 0.0,
+                "non-negative duration, e.g. 2s (0 disables)");
     } else if (key == "fault_exposure_knee") {
       ok = set_double(value, &updated.fault_exposure_knee, &expected);
     } else if (key == "stochastic_faults") {
@@ -263,16 +270,10 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       ok = set_uint64(value, &updated.seed, &expected);
     } else if (key == "fault.mtbf") {
       ok = set_duration(value, &updated.fault_mtbf, &expected);
-      if (ok && updated.fault_mtbf < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 2000s (0 disables)";
-      }
+      reject_if(updated.fault_mtbf < 0.0, "non-negative duration, e.g. 2000s (0 disables)");
     } else if (key == "fault.mttr") {
       ok = set_duration(value, &updated.fault_mttr, &expected);
-      if (ok && updated.fault_mttr <= 0.0) {
-        ok = false;
-        expected = "positive duration, e.g. 60s";
-      }
+      reject_if(updated.fault_mttr <= 0.0, "positive duration, e.g. 60s");
     } else if (key == "fault.seed") {
       ok = set_uint64(value, &updated.fault_seed, &expected);
     } else if (key == "fault.restart") {

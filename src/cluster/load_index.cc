@@ -38,7 +38,6 @@ ClusterIndex::NodeState LoadInfoBoard::state_from(const LoadInfo& info) {
   ClusterIndex::NodeState state;
   state.idle = info.idle_memory;
   state.user = info.user_memory;
-  state.active_jobs = info.active_jobs;
   state.slots_used = info.slots_used;
   state.failed = info.failed;
   state.reserved = info.reserved;
@@ -59,7 +58,6 @@ bool LoadInfoBoard::audit_verify(std::string* why) const {
     const ClusterIndex::NodeState want = state_from(info);
     const NodeId node = info.node;
     if (index_.idle(node) != want.idle || index_.user(node) != want.user ||
-        index_.active_jobs(node) != want.active_jobs ||
         index_.slots_used(node) != want.slots_used ||
         index_.failed(node) != want.failed ||
         index_.reserved(node) != want.reserved ||

@@ -1,8 +1,8 @@
 // Mutation bookkeeping shared by the cluster's incremental loops: which
 // workstations currently need ticks (active set) and which have mutated
 // since the last load exchange (dirty set). Workstations feed both through
-// the same publish_index() hook that already fires on every state mutation,
-// so membership is exact by construction (DESIGN.md §12).
+// their publish_index() hook, which fires on every state mutation, so
+// membership is exact by construction (DESIGN.md §12).
 #pragma once
 
 #include <bit>

@@ -298,13 +298,12 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   if (jobs_.empty() && fault_rate_ < 1e-12) fault_rate_ = 0.0;
 
   // Republish only when a published value could differ. Every field the
-  // live index and the board snapshot carry derives from resident_bytes_,
-  // the job/incoming counts and aggregates, the flags, and fault_rate_;
-  // within a tick the first three only move on a completion or a demand
-  // delta, so a tick that completed nothing, shifted no memory, and left
-  // the EMA bit-identical (exactly 0 stays exactly 0 without faults) would
-  // republish the very values already published — that no-op dominated the
-  // tick loop at 10k nodes (one indexed upsert per active node per tick).
+  // board snapshot carries derives from resident_bytes_, the job/incoming
+  // counts and aggregates, the flags, and fault_rate_; within a tick the
+  // first three only move on a completion or a demand delta, so a tick that
+  // completed nothing, shifted no memory, and left the EMA bit-identical
+  // (exactly 0 stays exactly 0 without faults) would only re-mark the node
+  // dirty for an exchange that republishes the values already on the board.
   // Value-unchanged also means needs_tick() cannot have flipped, so the
   // active-set membership refresh is equally unnecessary.
   if (!outcome.completed.empty() || resident_delta != 0 ||
@@ -340,11 +339,6 @@ bool Workstation::aggregates_consistent() const {
          runnable_slots == runnable_slots_ && incoming_slots == incoming_slots_;
 }
 
-void Workstation::bind_index(ClusterIndex* index) {
-  live_index_ = index;
-  publish_index();
-}
-
 void Workstation::bind_activity(NodeActivity* activity) {
   activity_ = activity;
   publish_index();
@@ -352,18 +346,6 @@ void Workstation::bind_activity(NodeActivity* activity) {
 
 void Workstation::publish_index() {
   if (activity_ != nullptr) activity_->note_mutation(id_, needs_tick());
-  if (live_index_ == nullptr) return;
-  ClusterIndex::NodeState state;
-  state.idle = idle_memory();
-  state.available = std::max<Bytes>(0, user_memory() - resident_bytes_);
-  state.peak = future_committed();
-  state.user = user_memory();
-  state.active_jobs = active_count_;
-  state.slots_used = slots_used();
-  state.failed = failed_;
-  state.reserved = reserved_;
-  state.pressured = memory_pressured();
-  live_index_->publish(id_, state);
 }
 
 LoadInfo Workstation::snapshot(SimTime now) const {

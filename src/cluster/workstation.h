@@ -146,15 +146,11 @@ class Workstation {
   /// cost scales with *busy* nodes, not cluster size.
   bool needs_tick() const { return !jobs_.empty() || fault_rate_ != 0.0; }
 
-  /// Binds the cluster's live ClusterIndex; from then on the workstation
-  /// republishes its row after every state mutation (job lifecycle, phase
-  /// changes, incoming reservations, failure/reservation flips, ticks), so
-  /// control-path scans read an always-current indexed view.
-  void bind_index(ClusterIndex* index);
-
-  /// Binds the cluster's NodeActivity; from then on every mutation (the same
-  /// publish_index() sites) marks this node dirty for the next incremental
-  /// exchange and refreshes its active-set (needs_tick) membership.
+  /// Binds the cluster's NodeActivity; from then on every state mutation
+  /// (job lifecycle, phase changes, incoming reservations, failure and
+  /// reservation flips, ticks — the publish_index() sites) marks this node
+  /// dirty for the next incremental exchange and refreshes its active-set
+  /// (needs_tick) membership.
   void bind_activity(NodeActivity* activity);
 
   /// Publishes the node's load snapshot.
@@ -181,7 +177,7 @@ class Workstation {
   /// assertions to catch drift.
   bool aggregates_consistent() const;
 
-  /// Rewrites this node's row in the bound live index (no-op when unbound).
+  /// Marks this node in the bound NodeActivity (no-op when unbound).
   void publish_index();  // vrc:publish-fn
 
   NodeId id_;
@@ -223,9 +219,6 @@ class Workstation {
   SimTime cpu_busy_ = 0.0;
   std::uint64_t jobs_completed_ = 0;
 
-  /// Cluster-owned live index this node publishes into; null in unit tests
-  /// that exercise a workstation in isolation.
-  ClusterIndex* live_index_ = nullptr;
   /// Cluster-owned active/dirty sets; null in isolation unit tests.
   NodeActivity* activity_ = nullptr;
 };

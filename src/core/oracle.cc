@@ -28,17 +28,17 @@ bool OracleDemands::try_place_oracle(Cluster& cluster, RunningJob& job) {
     cluster.place_local(job, home.id());
     return true;
   }
-  // Least future-committed workstation that can take the full peak: the
-  // live index's min-peak heap, filtered by the oracle admission predicate.
-  const auto best = cluster.live_index().best_second([&](NodeId n) {
-    if (n == home.id()) return false;
-    return oracle_accepts(cluster, cluster.node(n), peak, job.width);
-  });
-  if (best) {
-    cluster.place_remote(job, *best);
-    return true;
+  // Least future-committed workstation that can take the full peak, lowest
+  // id on a tie.
+  const Workstation* best = nullptr;
+  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
+    const Workstation& node = cluster.node(static_cast<NodeId>(i));
+    if (node.id() == home.id() || !oracle_accepts(cluster, node, peak, job.width)) continue;
+    if (best == nullptr || future_committed(node) < future_committed(*best)) best = &node;
   }
-  return false;
+  if (best == nullptr) return false;
+  cluster.place_remote(job, best->id());
+  return true;
 }
 
 void OracleDemands::on_job_arrival(Cluster& cluster, RunningJob& job) {

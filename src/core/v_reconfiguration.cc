@@ -110,14 +110,22 @@ std::optional<NodeId> VReconfiguration::pick_reservation_candidate(Cluster& clus
   // Largest idle memory first (committed demand is the best observable
   // proxy for how fast the reserving period completes — small residents
   // are short-lived jobs, per the lifetime-prediction argument of [5]),
-  // then fewest jobs: exactly the live index's (idle desc, jobs asc) heap.
-  // Failed and already-reserved workstations are evicted from the heap.
+  // then fewest jobs, then lowest id. A rare control-path step (one per
+  // detected blocking episode), so a scan of the live workstations.
   metrics::perf_add(&metrics::PerfCounters::reservation_scans);
-  const cluster::ClusterIndex& live = cluster.live_index();
-  return live.best_first([&](NodeId n) {
-    if (n == pressured) return false;
-    return cluster.node(n).incoming_count() == 0;  // no placements in flight
-  });
+  const Workstation* best = nullptr;
+  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
+    const Workstation& node = cluster.node(static_cast<NodeId>(i));
+    if (node.failed() || node.reserved() || node.id() == pressured) continue;
+    if (node.incoming_count() != 0) continue;  // placements in flight
+    if (best == nullptr || node.idle_memory() > best->idle_memory() ||
+        (node.idle_memory() == best->idle_memory() &&
+         node.active_jobs() < best->active_jobs())) {
+      best = &node;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  return best->id();
 }
 
 RunningJob* VReconfiguration::find_cluster_big_job(Cluster& cluster, NodeId* src) const {

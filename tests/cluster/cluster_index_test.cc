@@ -110,7 +110,6 @@ TEST(ClusterIndexTest, TotalsTrackLiveNodesOnly) {
   ClusterIndex::NodeState a;
   a.idle = megabytes(100);
   a.user = megabytes(368);
-  a.available = megabytes(100);
   index.publish(0, a);
   ClusterIndex::NodeState b = a;
   b.idle = megabytes(50);
@@ -131,24 +130,29 @@ TEST(ClusterIndexTest, TotalsTrackLiveNodesOnly) {
 }
 
 TEST(ClusterIndexTest, FailedAndReservedNodesLeaveHeaps) {
-  ClusterIndex index(2, ClusterIndex::Order::kMaxIdle, ClusterIndex::Order::kMinPeak);
+  ClusterIndex index(2, ClusterIndex::Order::kMinSlotsMaxIdle, ClusterIndex::Order::kMaxIdle);
+  const auto any = [](NodeId) { return true; };
+  const auto expect_best = [&](NodeId node) {
+    EXPECT_EQ(*index.best_first(any), node);
+    EXPECT_EQ(*index.best_second(any), node);
+  };
   ClusterIndex::NodeState best;
   best.idle = megabytes(200);
   index.publish(0, best);
-  EXPECT_EQ(*index.best_first([](NodeId) { return true; }), 0u);
+  expect_best(0);
 
   best.failed = true;
   index.publish(0, best);
-  EXPECT_EQ(*index.best_first([](NodeId) { return true; }), 1u);
+  expect_best(1);
 
   best.failed = false;
   best.reserved = true;
   index.publish(0, best);
-  EXPECT_EQ(*index.best_first([](NodeId) { return true; }), 1u);
+  expect_best(1);
 
   best.reserved = false;
   index.publish(0, best);
-  EXPECT_EQ(*index.best_first([](NodeId) { return true; }), 0u);
+  expect_best(0);
 }
 
 // --- property tests: indexed picks == the old linear-scan picks ---
@@ -251,56 +255,6 @@ TEST(ClusterIndexPropertyTest, MigrationPicksMatchLinearScan) {
         return board.index().idle(n) > 0 && board.index().idle(n) >= demand;
       });
       EXPECT_EQ(indexed, linear_migration_target(board, demand, exclude, cpu_threshold))
-          << "nodes=" << nodes << " trial=" << trial;
-    }
-  }
-}
-
-TEST(ClusterIndexPropertyTest, ReservationAndOraclePicksMatchLinearScan) {
-  sim::Rng rng(13);
-  for (std::size_t nodes = 32; nodes <= 512; nodes *= 4) {
-    ClusterIndex index(nodes, ClusterIndex::Order::kMaxIdleMinJobs,
-                       ClusterIndex::Order::kMinPeak);
-    std::vector<ClusterIndex::NodeState> mirror(nodes);
-    for (int trial = 0; trial < 400; ++trial) {
-      const NodeId victim = static_cast<NodeId>(rng.uniform_index(nodes));
-      ClusterIndex::NodeState state;
-      state.idle = megabytes(static_cast<double>(rng.uniform_index(300)));
-      state.peak = megabytes(static_cast<double>(rng.uniform_index(500)));
-      state.active_jobs = static_cast<int>(rng.uniform_index(6));
-      state.failed = rng.uniform() < 0.1;
-      state.reserved = rng.uniform() < 0.1;
-      index.publish(victim, state);
-      mirror[victim] = state;
-
-      const NodeId pressured = static_cast<NodeId>(rng.uniform_index(nodes));
-
-      // Reservation candidate: (idle desc, jobs asc, id asc) over live,
-      // unreserved nodes, excluding the pressured one.
-      std::optional<NodeId> expected;
-      for (NodeId n = 0; n < nodes; ++n) {
-        const auto& s = mirror[n];
-        if (s.failed || s.reserved || n == pressured) continue;
-        if (!expected) {
-          expected = n;
-          continue;
-        }
-        const auto& b = mirror[*expected];
-        if (s.idle > b.idle || (s.idle == b.idle && s.active_jobs < b.active_jobs)) {
-          expected = n;
-        }
-      }
-      EXPECT_EQ(index.best_first([&](NodeId n) { return n != pressured; }), expected)
-          << "nodes=" << nodes << " trial=" << trial;
-
-      // Oracle placement: least peak, first id on ties.
-      std::optional<NodeId> least_peak;
-      for (NodeId n = 0; n < nodes; ++n) {
-        const auto& s = mirror[n];
-        if (s.failed || s.reserved) continue;
-        if (!least_peak || s.peak < mirror[*least_peak].peak) least_peak = n;
-      }
-      EXPECT_EQ(index.best_second([](NodeId) { return true; }), least_peak)
           << "nodes=" << nodes << " trial=" << trial;
     }
   }

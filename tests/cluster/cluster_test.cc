@@ -311,33 +311,41 @@ TEST(ClusterTest, BoardAggregatesMatchLiveSumsDuringFaultWindow) {
   EXPECT_EQ(cluster.board().cluster_idle_memory(), idle_sum);
   EXPECT_EQ(cluster.board().average_user_memory(), user_sum / static_cast<Bytes>(live));
 
-  // And the live-index totals see the failure immediately as well.
-  EXPECT_EQ(cluster.live_index().live_count(), 3u);
+  // The live idle sum drops the failed node immediately as well (it is
+  // empty: jobs 1 and 2 run on nodes 0 and 2) and takes it back on recovery.
+  const Bytes user = cluster.node(0).user_memory();
+  EXPECT_EQ(cluster.live_idle_memory(), 3 * user - megabytes(100));
   cluster.recover_node(1);
-  EXPECT_EQ(cluster.live_index().live_count(), 4u);
+  EXPECT_EQ(cluster.live_idle_memory(), 4 * user - megabytes(100));
 }
 
-TEST(ClusterTest, LiveIndexFollowsJobLifecycle) {
+TEST(ClusterTest, LiveIdleMemoryFollowsJobLifecycle) {
+  // max(0, user - resident) summed over non-failed nodes, to the byte, through
+  // placement, suspension, resumption, completion, failure and recovery.
   sim::Simulator sim;
   ScriptedPolicy policy;
   Cluster cluster(sim, small_config(2), policy);
   const Bytes user = cluster.node(0).user_memory();
-  EXPECT_EQ(cluster.live_index().idle(0), user);
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user);
   cluster.submit_job(make_spec(1, 0.0, 30.0, megabytes(50), 0));
   sim.run_until(1.0);
-  EXPECT_EQ(cluster.live_index().active_jobs(0), 1);
-  EXPECT_EQ(cluster.live_index().idle(0), user - megabytes(50));
-  EXPECT_EQ(cluster.live_index().peak(0), megabytes(50));
-  // Suspension swaps the job out: the index row follows set_job_phase.
-  ASSERT_TRUE(cluster.suspend_job(0, 1));
-  EXPECT_EQ(cluster.live_index().active_jobs(0), 0);
-  EXPECT_EQ(cluster.live_index().idle(0), user);
-  EXPECT_EQ(cluster.live_index().peak(0), 0);
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user - megabytes(50));
+  ASSERT_TRUE(cluster.suspend_job(0, 1));  // swapped out: no resident pages
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user);
   ASSERT_TRUE(cluster.resume_job(0, 1));
-  EXPECT_EQ(cluster.live_index().peak(0), megabytes(50));
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user - megabytes(50));
   sim.run_until(100.0);
-  EXPECT_EQ(cluster.live_index().active_jobs(0), 0);
-  EXPECT_EQ(cluster.live_index().idle(0), user);
+  ASSERT_EQ(cluster.completed().size(), 1u);
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user);
+
+  cluster.submit_job(make_spec(2, 100.0, 30.0, megabytes(70), 1));
+  sim.run_until(101.0);
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user - megabytes(70));
+  cluster.fail_node(1);  // the node leaves the sum with its job
+  EXPECT_EQ(cluster.live_idle_memory(), user);
+  cluster.recover_node(1);  // back empty; the killed job waits in pending
+  EXPECT_EQ(cluster.pending_count(), 1u);
+  EXPECT_EQ(cluster.live_idle_memory(), 2 * user);
 }
 
 TEST(ClusterTest, SubmitTraceSchedulesAllJobs) {

@@ -97,6 +97,18 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
   EXPECT_NE(error.find("expected bytes"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"nodes", "0"}}, &error));
   EXPECT_NE(error.find("positive int"), std::string::npos) << error;
+  // A zero period never ends the run; a zero quantum, slot threshold, CPU
+  // speed or bandwidth leaves jobs unable to run or transfer.
+  for (const std::string key : {"tick", "load_exchange_period", "policy_period", "quantum",
+                                "cpu_threshold", "reference_mhz", "network_mbps"}) {
+    EXPECT_FALSE(config.apply_overrides({{key, "0"}}, &error)) << key;
+    EXPECT_NE(error.find("config override '" + key + "': invalid value '0'"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("expected positive"), std::string::npos) << error;
+  }
+  // strtod accepts "nan"; a NaN tick completes no job yet exits cleanly.
+  EXPECT_FALSE(config.apply_overrides({{"tick", "nan"}}, &error));
+  EXPECT_NE(error.find("expected positive duration"), std::string::npos) << error;
 }
 
 TEST(ApplyOverridesTest, BadNodeKeysAreRejectedPrecisely) {

@@ -57,6 +57,30 @@ TEST(OracleDemandsTest, BlocksJobThatFitsNowhere) {
   EXPECT_EQ(cluster.node(0).active_jobs(), 1);
 }
 
+TEST(OracleDemandsTest, RemotePlacementTakesLeastFutureCommittedThenLowestId) {
+  // Node 1 holds about 5 MB now but will grow to 100 MB; nodes 2 and 3 hold
+  // a flat 50 MB. Home node 0 is empty but reserved, so job 4 goes remote:
+  // to the smaller future peak rather than the smaller resident demand, and
+  // on the tie to the lower id.
+  sim::Simulator sim;
+  OracleDemands policy;
+  Cluster cluster(sim, ClusterConfig::paper_cluster1(4), policy);
+  cluster.submit_job(surprise_spec(1, 0.0, 1000.0, megabytes(100), 1));
+  for (const JobId id : {2u, 3u}) {
+    JobSpec flat = surprise_spec(id, 0.0, 1000.0, megabytes(50), id);
+    flat.memory = MemoryProfile::constant(megabytes(50));
+    cluster.submit_job(flat);
+  }
+  cluster.set_reserved(0, true);
+  cluster.submit_job(surprise_spec(4, 1.0, 100.0, megabytes(100), 0));
+  sim.run_until(2.0);
+  EXPECT_EQ(cluster.remote_submits(), 1u);
+  ASSERT_NE(cluster.node(2).find_job(4), nullptr);
+  EXPECT_EQ(cluster.node(0).active_jobs(), 0);
+  EXPECT_EQ(cluster.node(1).active_jobs(), 1);
+  EXPECT_EQ(cluster.node(3).active_jobs(), 1);
+}
+
 TEST(OracleDemandsTest, AtLeastMatchesBaselinePagingOnRealWorkload) {
   workload::TraceParams params;
   params.name = "oracle";

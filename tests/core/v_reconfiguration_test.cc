@@ -196,6 +196,69 @@ TEST(VReconfigurationTest, DrainTimeoutAbandonsStuckReservation) {
   EXPECT_EQ(reserved_nodes, policy.active_reservations());
 }
 
+// Pins every arrival to its home node, so a test lays out exact per-node
+// load (the inherited G-Loadsharing placement would spread the jobs).
+class HomePinnedVReconfiguration : public VReconfiguration {
+ public:
+  void on_job_arrival(Cluster& cluster, RunningJob& job) override {
+    cluster.place_local(job, job.home_node);
+  }
+};
+
+double stat(const VReconfiguration& policy, const std::string& key) {
+  for (const auto& [name, value] : policy.stats()) {
+    if (name == key) return value;
+  }
+  ADD_FAILURE() << "no stat " << key;
+  return -1.0;
+}
+
+/// Node 0 collides two 250 MB jobs on 368 MB of user memory and no node has
+/// 250 MB idle with a free slot, so the first tick detects blocking. A
+/// placement of cpu_threshold slots and 1 MB keeps `incoming_node` out of the
+/// migration targets while leaving it 367 MB idle.
+void collide_on_node_zero(Cluster& cluster, NodeId failed, NodeId reserved,
+                          NodeId incoming_node) {
+  cluster.submit_job(make_spec(1, 0.0, 1000.0, megabytes(250), 0));
+  cluster.submit_job(make_spec(2, 0.0, 1000.0, megabytes(250), 0));
+  cluster.fail_node(failed);
+  cluster.set_reserved(reserved, true);
+  cluster.node(incoming_node).add_incoming(99, megabytes(1), cluster.config().cpu_threshold);
+}
+
+TEST(VReconfigurationTest, ReservesMostIdleThenFewestJobsThenLowestId) {
+  // Nodes 1-3 tie at 200 MB idle; node 1 runs two jobs, nodes 2 and 3 one
+  // each. Nodes 4 (failed), 5 (already reserved) and 6 (placement in flight)
+  // have more idle memory and must be passed over.
+  sim::Simulator sim;
+  HomePinnedVReconfiguration policy;
+  Cluster cluster(sim, ClusterConfig::paper_cluster1(7), policy);
+  cluster.submit_job(make_spec(10, 0.0, 1000.0, megabytes(84), 1));
+  cluster.submit_job(make_spec(11, 0.0, 1000.0, megabytes(84), 1));
+  cluster.submit_job(make_spec(12, 0.0, 1000.0, megabytes(168), 2));
+  cluster.submit_job(make_spec(13, 0.0, 1000.0, megabytes(168), 3));
+  collide_on_node_zero(cluster, 4, 5, 6);
+  sim.run_until(0.05);
+  ASSERT_EQ(policy.reservations_started(), 1u);
+  EXPECT_TRUE(cluster.node(2).reserved());
+  for (const NodeId node : {0u, 1u, 3u, 4u, 6u}) {
+    EXPECT_FALSE(cluster.node(node).reserved()) << "node " << node;
+  }
+}
+
+TEST(VReconfigurationTest, NeverReservesThePressuredNode) {
+  // Every other node is failed, reserved or awaiting a placement: the
+  // blocked node is the only one left, and it must not reserve itself.
+  sim::Simulator sim;
+  HomePinnedVReconfiguration policy;
+  Cluster cluster(sim, ClusterConfig::paper_cluster1(4), policy);
+  collide_on_node_zero(cluster, 1, 2, 3);
+  sim.run_until(0.05);
+  EXPECT_EQ(policy.reservations_started(), 0u);
+  EXPECT_EQ(stat(policy, "declined_candidate"), 1.0);
+  EXPECT_FALSE(cluster.node(0).reserved());
+}
+
 TEST(VReconfigurationTest, StatsIncludeReconfigurationCounters) {
   VReconfiguration policy;
   auto stats = policy.stats();

@@ -3,11 +3,11 @@
 // The audit checkers are compiled into every build, so the first half
 // unit-tests them directly against hand-built structures regardless of build
 // flavour. The second half runs one fault scenario end-to-end: under
-// -DVRC_AUDIT=ON the tick/exchange call sites are live and the counters must
-// show both audits actually fired (an audit that silently never runs looks
-// exactly like one that always passes); in the default build the same run
-// must leave the counters untouched, proving the hooks are fully compiled
-// out of the hot path.
+// -DVRC_AUDIT=ON the exchange call site is live and the counters must show
+// the audit actually fired (an audit that silently never runs looks exactly
+// like one that always passes); in the default build the same run must leave
+// the counters untouched, proving the hook is fully compiled out of the hot
+// path.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -52,9 +52,7 @@ TEST(AuditSurfaceTest, ClusterIndexVerifiesAfterPublishChurn) {
   for (NodeId node = 0; node < 6; ++node) {
     ClusterIndex::NodeState state;
     state.idle = 100 * (node + 1);
-    state.available = 50 * (node + 1);
     state.user = 10 * (node + 1);
-    state.active_jobs = static_cast<std::int32_t>(node);
     state.slots_used = static_cast<std::int32_t>(node % 3);
     index.publish(node, state);
   }
@@ -84,7 +82,6 @@ TEST(AuditSurfaceTest, BoardVerifiesAndCheckersCount) {
   EXPECT_TRUE(board.audit_verify(&why)) << why;
 
   cluster::audit::reset_counters();
-  cluster::audit::check_cluster_index(board.index(), "unit test");
   cluster::audit::check_board(
       board,
       [&](NodeId node) -> std::optional<LoadInfo> {
@@ -93,7 +90,6 @@ TEST(AuditSurfaceTest, BoardVerifiesAndCheckersCount) {
       },
       "unit test");
   const cluster::audit::Counters& counters = cluster::audit::counters();
-  EXPECT_EQ(counters.index_audits, 1u);
   EXPECT_EQ(counters.board_audits, 1u);
   EXPECT_EQ(counters.rows_checked, 3u);  // 4 nodes minus the frozen one
   cluster::audit::reset_counters();
@@ -123,20 +119,14 @@ TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
 
   const cluster::audit::Counters& counters = cluster::audit::counters();
 #ifdef VRC_AUDIT
-  // The shadow checks must actually have fired — on every exchange for the
-  // board, and at the configured cadence for the live index.
+  // The shadow check must actually have fired, on every exchange.
   EXPECT_GT(counters.board_audits, 0u);
   EXPECT_GT(counters.rows_checked, 0u);
-  EXPECT_GT(counters.index_audits, counters.board_audits)
-      << "expected per-exchange board-index audits plus cadence-gated live "
-         "index audits";
-  EXPECT_GT(counters.tick_events, 0u);
 #else
-  // Default build: the call sites are compiled out; a nonzero counter here
+  // Default build: the call site is compiled out; a nonzero counter here
   // means audit overhead leaked into the production configuration.
-  EXPECT_EQ(counters.tick_events, 0u);
-  EXPECT_EQ(counters.index_audits, 0u);
   EXPECT_EQ(counters.board_audits, 0u);
+  EXPECT_EQ(counters.rows_checked, 0u);
 #endif
   cluster::audit::reset_counters();
 }
