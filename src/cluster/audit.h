@@ -5,12 +5,14 @@
 // missed publish or a broken fold is invisible until a placement goes subtly
 // wrong. Under -DVRC_AUDIT=ON, Cluster calls these checks from its exchange
 // hook to compare the incremental answers against brute-force recomputation
-// and abort loudly on the first divergence.
+// and abort loudly on the first divergence. Workstation::replay likewise
+// re-integrates every replayed stretch of a parked node tick by tick
+// (Workstation::audit_replay) and counts it here.
 //
 // Everything here is compiled in every build so the default build can
-// unit-test the checkers; only the *call sites* in cluster.cc are gated
-// behind #ifdef VRC_AUDIT, so the default build's behaviour — and its
-// determinism fingerprints — are untouched.
+// unit-test the checkers; only the *call sites* in cluster.cc and
+// workstation.cc are gated behind #ifdef VRC_AUDIT, so the default build's
+// behaviour — and its determinism fingerprints — are untouched.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,7 @@ namespace vrc::cluster::audit {
 struct Counters {
   std::uint64_t board_audits = 0;  // board-vs-live diff sweeps run
   std::uint64_t rows_checked = 0;  // board rows compared across all sweeps
+  std::uint64_t replays_checked = 0;  // parked-tick replays re-integrated tick by tick
 };
 
 /// Process-wide counters. A singleton, not a Cluster member, so enabling the

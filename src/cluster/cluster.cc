@@ -489,6 +489,7 @@ void Cluster::add_finish_callback(std::function<void(SimTime)> callback) {
 void Cluster::handle_tick(SimTime now) {
   metrics::ScopedPerfTimer wall(&metrics::PerfCounters::tick_wall_ns);
   metrics::perf_add(&metrics::PerfCounters::tick_rounds);
+  ++tick_round_;
   // Only nodes with needs_tick() are visited — idle workstations (no jobs,
   // settled fault EMA) are provably no-op ticks, and the active set keeps
   // them out of the loop entirely, so a tick costs O(active), not O(n).
@@ -499,16 +500,30 @@ void Cluster::handle_tick(SimTime now) {
   // wall == 0: no progress, no RNG draw, no EMA change) — skipping it is
   // bit-identical. The needs_tick() re-check per visit covers nodes drained
   // by an earlier visit's completion cascade.
+  //
+  // A parked node is skipped until its wake round; its ticks are replayed
+  // when something reaches it through node() (DESIGN.md §12.6). At the wake
+  // round it is settled through the previous tick and ticked normally.
   std::uint64_t ticked = 0;
   activity_.ticking.for_each([&](NodeId id) {
+    tick_cursor_ = id;
+    if (activity_.is_parked(id)) {
+      if (activity_.parked[id].wake > tick_round_) return;
+      settle(id, tick_round_ - 1);
+      activity_.unpark(id);
+    }
     Workstation& target = *nodes_[id];
     if (!target.needs_tick()) return;
     ++ticked;
     Workstation::TickOutcome outcome = target.tick(now, config_.tick, rng_);
+    if (outcome.steady_ticks > 0) activity_.park(id, tick_round_, now, outcome.steady_ticks);
     for (auto& done : outcome.completed) complete_job(std::move(done), now);
   });
+  tick_cursor_ = ~NodeId{0};
   metrics::perf_add(&metrics::PerfCounters::node_ticks, ticked);
   activity_.ticking.for_each([&](NodeId id) {
+    // A parked node is steady, so never pressured.
+    if (activity_.is_parked(id)) return;
     Workstation& target = *nodes_[id];
     // needs_tick() false implies zero resident demand and zero fault rate —
     // the node cannot be pressured (so restricting this loop to the active
@@ -524,6 +539,15 @@ void Cluster::handle_tick(SimTime now) {
     policy_.on_node_pressure(*this, target);
   });
   maybe_finish(now);
+}
+
+void Cluster::settle(NodeId id, std::uint64_t round) {
+  ParkedNode& park = activity_.parked[id];
+  if (round <= park.through) return;
+  const std::uint64_t ticks = round - park.through;
+  park.through_time = nodes_[id]->replay(park.through_time, config_.tick, ticks);
+  park.through = round;
+  metrics::perf_add(&metrics::PerfCounters::ticks_replayed, ticks);
 }
 
 void Cluster::handle_exchange(SimTime now) {

@@ -94,8 +94,15 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   Network& network() { return network_; }
   const LoadInfoBoard& board() const { return board_; }
-  Workstation& node(NodeId id) { return *nodes_[id]; }
-  const Workstation& node(NodeId id) const { return *nodes_[id]; }
+  /// The workstation, settled through the last fired tick: a parked node's
+  /// skipped ticks are replayed first (DESIGN.md §12.6). Inside the tick
+  /// pass, a node the pass has not reached yet is settled through the
+  /// previous tick, since the pass still ticks it. A reference or job
+  /// pointer kept across events may miss later replays; call node() again.
+  Workstation& node(NodeId id) {
+    if (activity_.is_parked(id)) settle(id, id < tick_cursor_ ? tick_round_ : tick_round_ - 1);
+    return *nodes_[id];
+  }
   std::size_t num_nodes() const { return nodes_.size(); }
 
   /// Jobs awaiting placement (blocked submissions), oldest first.
@@ -164,6 +171,8 @@ class Cluster {
   void pump_arrival();
   void ensure_tasks_running();
   void handle_tick(SimTime now);
+  /// Replays a parked node's skipped ticks through tick round `round`.
+  void settle(NodeId id, std::uint64_t round);
   void handle_exchange(SimTime now);
   /// The one board-publish funnel: writes `node`'s snapshot to the board and
   /// clears its dirty bit, so an immediate (out-of-band) broadcast cannot
@@ -206,6 +215,11 @@ class Cluster {
   /// Per-node stamp of the last resize start, enforcing
   /// config.resize_min_interval.
   std::vector<SimTime> last_resize_start_;
+
+  /// Tick events fired so far; the round a parked node is settled through.
+  std::uint64_t tick_round_ = 0;
+  /// The node the tick pass is visiting; past every id outside that pass.
+  NodeId tick_cursor_ = ~NodeId{0};
 
   std::unique_ptr<sim::PeriodicTask> tick_task_;
   std::unique_ptr<sim::PeriodicTask> exchange_task_;

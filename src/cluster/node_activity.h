@@ -1,8 +1,9 @@
 // Mutation bookkeeping shared by the cluster's incremental loops: which
-// workstations currently need ticks (active set) and which have mutated
-// since the last load exchange (dirty set). Workstations feed both through
-// their publish_index() hook, which fires on every state mutation, so
-// membership is exact by construction (DESIGN.md §12).
+// workstations currently need ticks (active set), which have mutated since
+// the last load exchange (dirty set), and which are parked (steady, their
+// ticks replayed on demand). Workstations feed all three through their
+// publish_index() hook, which fires on every state mutation, so membership
+// is exact by construction (DESIGN.md §12).
 #pragma once
 
 #include <bit>
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/units.h"
 #include "workload/job.h"
 
 namespace vrc::cluster {
@@ -119,17 +121,42 @@ class DirtyNodeSet {
   std::vector<NodeId> order_;        // first-mark order, may hold cleared ids
 };
 
-/// The pair of incremental sets a Cluster maintains, updated from
+/// A parked workstation: steady, so the tick pass skips it and its ticks are
+/// replayed on demand (DESIGN.md §12.6). Counted in tick rounds, the 1-based
+/// number of the tick event that fired.
+struct ParkedNode {
+  std::uint64_t wake = 0;     // round of its next normal tick; 0 = not parked
+  std::uint64_t through = 0;  // last round integrated
+  SimTime through_time = 0.0;  // that round's tick time
+};
+
+/// The incremental sets a Cluster maintains, updated from
 /// Workstation::publish_index after every mutation.
 struct NodeActivity {
   NodeBitset ticking;
   DirtyNodeSet dirty;
+  /// Per node. A parked node keeps its `ticking` bit: for_each reads each
+  /// word once, so a bit re-inserted mid-pass would be skipped.
+  std::vector<ParkedNode> parked;
 
-  explicit NodeActivity(std::size_t num_nodes) : ticking(num_nodes), dirty(num_nodes) {}
+  explicit NodeActivity(std::size_t num_nodes)
+      : ticking(num_nodes), dirty(num_nodes), parked(num_nodes) {}
 
+  bool is_parked(NodeId node) const { return parked[node].wake != 0; }
+
+  /// Parks `node` after its normal tick of `round` at `time`, for the
+  /// `ticks` rounds that follow.
+  void park(NodeId node, std::uint64_t round, SimTime time, std::uint64_t ticks) {
+    parked[node] = {round + ticks + 1, round, time};
+  }
+
+  void unpark(NodeId node) { parked[node].wake = 0; }
+
+  /// Every mutation unparks: the accessor that reached the node settled it.
   void note_mutation(NodeId node, bool needs_tick) {
     ticking.set(node, needs_tick);
     dirty.mark(node);
+    unpark(node);
   }
 };
 

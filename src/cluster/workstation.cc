@@ -1,9 +1,13 @@
 #include "cluster/workstation.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
+#include "cluster/audit.h"
 #include "util/log.h"
 
 namespace vrc::cluster {
@@ -11,6 +15,7 @@ namespace vrc::cluster {
 Workstation::Workstation(NodeId id, const NodeConfig& hardware, const ClusterConfig& config)
     : id_(id), hardware_(hardware), config_(&config) {
   speed_factor_ = hardware_.cpu_mhz / config.reference_mhz;
+  inverse_speed_ = 1.0 / speed_factor_;
   rr_efficiency_ = config.quantum / (config.quantum + config.context_switch);
 }
 
@@ -172,19 +177,65 @@ bool Workstation::remove_incoming(JobId id) {
   return false;
 }
 
+inline Workstation::Sharing Workstation::sharing() const {
+  // Round-robin shares are width-weighted: a width-w job holds w of the
+  // runnable slots. With every width at 1 the slot sum equals the job count,
+  // so the division in step() is bit-identical to the pre-malleability
+  // model. Context-switch overhead still keys off the *job* count — one wide
+  // job alone does not context-switch against itself.
+  Sharing share;
+  share.efficiency = runnable_count_ > 1 ? rr_efficiency_ : 1.0;
+  share.slots = runnable_slots_;
+  // Fault exposure has a knee (config.fault_exposure_knee): cyclic working
+  // sets mean that once demand exceeds user memory, LRU evicts pages just
+  // before their reuse ([6]), so even a small relative deficit exposes a
+  // large share of page touches — a big-job collision collapses the node,
+  // which is the paper's blocking episode.
+  const double overcommit_now = overcommit();
+  share.exposure = overcommit_now <= 0.0
+                       ? 0.0
+                       : overcommit_now / (overcommit_now + config_->fault_exposure_knee);
+  return share;
+}
+
+inline Workstation::JobStep Workstation::step(const RunningJob& job, SimTime wall,
+                                              const Sharing& share) const {
+  // Round-robin share for this job's portion of the interval: width slots
+  // out of the runnable slots, scaled by the sub-linear parallel speedup for
+  // wide jobs (speedup(1) == 1, so the branch keeps width-1 arithmetic
+  // untouched — DESIGN.md §15).
+  double usable = share.efficiency * wall / static_cast<double>(share.slots);
+  if (job.width > 1) usable *= job.spec->malleability.speedup(job.width);
+  // Wall seconds per reference-CPU second: compute time at this node's
+  // speed plus page-fault stalls charged against the job's own turn.
+  const double fault_rate_per_ref_sec = job.spec->touch_rate * share.exposure;
+  const double stall_per_ref_sec = fault_rate_per_ref_sec * config_->page_fault_service;
+  const double wall_per_ref_sec = inverse_speed_ + stall_per_ref_sec;
+  JobStep out;
+  out.progress = std::min(usable / wall_per_ref_sec, job.remaining_cpu());
+  out.cpu_wall = out.progress / speed_factor_;
+  out.page_wall = out.progress * stall_per_ref_sec;
+  out.queue_wall = std::max(0.0, wall - out.cpu_wall - out.page_wall);
+  out.faults = fault_rate_per_ref_sec * out.progress;
+  out.width_wall = wall * static_cast<double>(job.width);
+  return out;
+}
+
+inline void Workstation::accumulate(RunningJob& job, const JobStep& step) {
+  job.cpu_done += step.progress;
+  job.t_cpu += step.cpu_wall;
+  job.t_page += step.page_wall;
+  job.t_queue += step.queue_wall;
+  job.faults += step.faults;
+  job.width_seconds += step.width_wall;
+}
+
 Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rng) {
   TickOutcome outcome;
 
   // Sharing state at the start of the interval, from the O(1) aggregates.
-  // Round-robin shares are width-weighted: a width-w job holds w of the
-  // runnable_slots shares. With every width at 1 the slot sum equals the job
-  // count, so the division below is bit-identical to the pre-malleability
-  // model. Context-switch overhead still keys off the *job* count — one wide
-  // job alone does not context-switch against itself.
+  const Sharing share = sharing();
   const int runnable = runnable_count_;
-  const int runnable_slots = runnable_slots_;
-  const double overcommit_now = overcommit();
-  const double efficiency = runnable > 1 ? rr_efficiency_ : 1.0;
   const SimTime interval_start = now - dt;
 
   double tick_faults = 0.0;
@@ -211,50 +262,21 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
       continue;
     }
 
-    // Round-robin share for this job's portion of the interval: width slots
-    // out of runnable_slots, scaled by the sub-linear parallel speedup for
-    // wide jobs (speedup(1) == 1, so the branch keeps width-1 arithmetic
-    // untouched — DESIGN.md §15).
-    double usable = efficiency * wall / static_cast<double>(runnable_slots);
-    if (job.width > 1) usable *= job.spec->malleability.speedup(job.width);
-    // Wall seconds per reference-CPU second: compute time at this node's
-    // speed plus page-fault stalls charged against the job's own turn.
-    // Fault exposure has a knee (config.fault_exposure_knee): cyclic working
-    // sets mean that once demand exceeds user memory, LRU evicts pages just
-    // before their reuse ([6]), so even a small relative deficit exposes a
-    // large share of page touches — a big-job collision collapses the node,
-    // which is the paper's blocking episode.
-    const double exposure =
-        overcommit_now <= 0.0
-            ? 0.0
-            : overcommit_now / (overcommit_now + config_->fault_exposure_knee);
-    const double fault_rate_per_ref_sec = job.spec->touch_rate * exposure;
-    const double stall_per_ref_sec = fault_rate_per_ref_sec * config_->page_fault_service;
-    const double wall_per_ref_sec = 1.0 / speed_factor_ + stall_per_ref_sec;
-    double progress = usable / wall_per_ref_sec;
-    progress = std::min(progress, job.remaining_cpu());
-
-    const double cpu_wall = progress / speed_factor_;
-    const double page_wall = progress * stall_per_ref_sec;
-    const double queue_wall = std::max(0.0, wall - cpu_wall - page_wall);
-
-    double faults = fault_rate_per_ref_sec * progress;
-    if (config_->stochastic_faults && faults > 0.0) {
-      faults = static_cast<double>(rng.poisson(faults));
+    JobStep job_step = step(job, wall, share);
+    if (config_->stochastic_faults && job_step.faults > 0.0) {
+      job_step.faults = static_cast<double>(rng.poisson(job_step.faults));
     }
-
-    job.cpu_done += progress;
-    busy_wall += cpu_wall + page_wall;
-    job.t_cpu += cpu_wall;
-    job.t_page += page_wall;
-    job.t_queue += queue_wall;
-    job.faults += faults;
-    job.width_seconds += wall * static_cast<double>(job.width);
+    accumulate(job, job_step);
+    busy_wall += job_step.cpu_wall + job_step.page_wall;
     job.accounted_until = now;
-    const Bytes new_demand = job.demand_now();
-    resident_delta += new_demand - job.demand;
-    job.demand = new_demand;
-    tick_faults += faults;
+    // A single-point profile's demand never moves off the value add_job
+    // cached.
+    if (!job.spec->memory.is_constant()) {
+      const Bytes new_demand = job.demand_now();
+      resident_delta += new_demand - job.demand;
+      job.demand = new_demand;
+    }
+    tick_faults += job_step.faults;
 
     if (job.finished()) {
       std::unique_ptr<RunningJob> done = std::move(jobs_[i]);
@@ -281,15 +303,19 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // of the interval, so charging the full dt would overstate utilization.
   // Dividing by the round-robin efficiency folds the context-switch overhead
   // (also busy time) back in; a fully-utilized tick charges exactly dt.
-  if (runnable > 0) cpu_busy_ += std::min<SimTime>(dt, busy_wall / efficiency);
+  if (runnable > 0) cpu_busy_ += std::min<SimTime>(dt, busy_wall / share.efficiency);
 
   total_faults_ += tick_faults;
   outcome.faults = tick_faults;
 
-  // EMA of the fault rate with time constant fault_rate_tau.
+  // EMA of the fault rate with time constant fault_rate_tau. An EMA at
+  // exactly 0 with no fault this tick stays exactly 0 (0 * decay +
+  // (1 - decay) * 0), so the exp is skipped on the common fault-free tick.
   const double fault_rate_before = fault_rate_;
-  const double decay = std::exp(-dt / config_->fault_rate_tau);
-  fault_rate_ = fault_rate_ * decay + (1.0 - decay) * (tick_faults / dt);
+  if (fault_rate_ != 0.0 || tick_faults != 0.0) {
+    const double decay = std::exp(-dt / config_->fault_rate_tau);
+    fault_rate_ = fault_rate_ * decay + (1.0 - decay) * (tick_faults / dt);
+  }
   // An exponential decay never reaches zero in floating point, which would
   // keep an otherwise-idle node ticking forever just to shave the EMA. Snap
   // once the node is empty and the rate is far below any consumer's
@@ -305,12 +331,154 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // (exactly 0 stays exactly 0 without faults) would only re-mark the node
   // dirty for an exchange that republishes the values already on the board.
   // Value-unchanged also means needs_tick() cannot have flipped, so the
-  // active-set membership refresh is equally unnecessary.
+  // active-set membership refresh is equally unnecessary. Only such a tick
+  // can leave the node steady (DESIGN.md §12.6), so only it asks.
   if (!outcome.completed.empty() || resident_delta != 0 ||
       fault_rate_ != fault_rate_before) {
     publish_index();
+  } else {
+    outcome.steady_ticks = steady_ticks(now, dt);
   }
   return outcome;
+}
+
+std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt) const {
+  if (failed_ || fault_rate_ != 0.0 || memory_pressured() || jobs_.empty()) return 0;
+  // Every resident job running: none suspended, migrating or resizing.
+  if (runnable_count_ != static_cast<int>(jobs_.size())) return 0;
+  // While T < dt * 2^33, ulp(T) < dt * 2^-19, so a replayed tick's wall
+  // (T - max(T_prev, T - dt)) never exceeds wall_bound below. The start
+  // and length caps keep every replayed T under that.
+  constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 31;
+  if (!(now < dt * 0x1p32)) return 0;
+  const SimTime wall_bound = dt * (1.0 + 0x1p-16);
+
+  const Sharing share = sharing();
+  std::uint64_t horizon = kMaxTicks;
+  for (const auto& job : jobs_) {
+    const double cpu = job->spec->cpu_seconds;
+    // The stretch ends at the finish test (cpu_done + 1e-9 >= cpu_seconds)
+    // or where the profile leaves its flat stretch, whichever comes first.
+    // 2^-40 of the job's size covers the rounding of the sums and the
+    // progress quotient on the way there.
+    const double limit =
+        std::min(cpu - 1e-9, job->spec->memory.flat_until(job->progress()) * cpu) -
+        cpu * 0x1p-40;
+    // step() is monotone in the wall, so this bounds every replayed tick's
+    // progress; the second term bounds the rounding error of one add.
+    const double per_tick = step(*job, wall_bound, share).progress + cpu * 0x1p-50;
+    const double room = (limit - job->cpu_done) / per_tick;
+    if (!(room >= 2.0)) return 0;
+    if (room < static_cast<double>(horizon) + 1.0) {
+      horizon = static_cast<std::uint64_t>(room) - 1;
+    }
+  }
+  return horizon;
+}
+
+SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) {
+#ifdef VRC_AUDIT
+  std::vector<RunningJob> before;
+  before.reserve(jobs_.size());
+  for (const auto& job : jobs_) before.push_back(*job);
+  const SimTime busy_before = cpu_busy_;
+#endif
+  const Sharing share = sharing();
+  const std::size_t num_jobs = jobs_.size();
+  // Job by job over blocks of ticks. Every job's accounted_until is the
+  // previous tick, so each tick's wall is common to all of them, and walls
+  // take only a couple of values per binade of T: each block memoizes every
+  // job's step() and the tick's busy-time charge on the wall's exact bits.
+  constexpr std::size_t kBlock = 256;
+  constexpr std::size_t kMaxWalls = 8;
+  std::array<std::uint8_t, kBlock> wall_of{};
+  std::array<std::uint64_t, kMaxWalls> wall_bits{};
+  std::array<SimTime, kMaxWalls> busy{};
+  std::vector<JobStep> steps(kMaxWalls * num_jobs);
+  SimTime t = last_tick;
+  std::uint64_t left = ticks;
+  while (left > 0) {
+    std::size_t walls = 0;
+    std::size_t block = 0;
+    for (; block < kBlock && block < left; ++block) {
+      const SimTime next = t + dt;  // as sim::PeriodicTask::arm
+      const SimTime wall = next - std::max(t, next - dt);
+      const auto bits = std::bit_cast<std::uint64_t>(wall);
+      std::size_t k = 0;
+      while (k < walls && wall_bits[k] != bits) ++k;
+      if (k == walls) {
+        if (walls == kMaxWalls) break;
+        wall_bits[k] = bits;
+        double busy_wall = 0.0;
+        for (std::size_t j = 0; j < num_jobs; ++j) {
+          const JobStep job_step = step(*jobs_[j], wall, share);
+          busy_wall += job_step.cpu_wall + job_step.page_wall;
+          steps[k * num_jobs + j] = job_step;
+        }
+        busy[k] = std::min<SimTime>(dt, busy_wall / share.efficiency);
+        ++walls;
+      }
+      wall_of[block] = static_cast<std::uint8_t>(k);
+      t = next;
+    }
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+      // NOLINT-publish-audit(a replay moves job accounting only; no snapshot field reads it)
+      RunningJob& job = *jobs_[j];
+      for (std::size_t i = 0; i < block; ++i) accumulate(job, steps[wall_of[i] * num_jobs + j]);
+    }
+    for (std::size_t i = 0; i < block; ++i) cpu_busy_ += busy[wall_of[i]];
+    left -= block;
+  }
+  for (const auto& job : jobs_) job->accounted_until = t;
+#ifdef VRC_AUDIT
+  audit_replay(before, busy_before, last_tick, dt, ticks);
+#endif
+  return t;
+}
+
+void Workstation::audit_replay(const std::vector<RunningJob>& before, SimTime busy_before,
+                               SimTime last_tick, SimTime dt, std::uint64_t ticks) const {
+  const auto fail = [&](const char* what, JobId job) {
+    VRC_LOG(kError) << "VRC_AUDIT failed (replay): node " << id_ << ", job " << job << ", "
+                    << ticks << " ticks after t=" << last_tick << ": " << what;
+    std::abort();
+  };
+  const Sharing share = sharing();
+  std::vector<RunningJob> shadow = before;
+  SimTime busy = busy_before;
+  SimTime t = last_tick;
+  for (std::uint64_t tick = 0; tick < ticks; ++tick) {
+    t += dt;
+    double busy_wall = 0.0;
+    for (RunningJob& job : shadow) {
+      const SimTime wall = t - std::max(job.accounted_until, t - dt);
+      if (wall <= 0.0) fail("a tick with no wall time to integrate", job.id());
+      const JobStep job_step = step(job, wall, share);
+      accumulate(job, job_step);
+      job.accounted_until = t;
+      busy_wall += job_step.cpu_wall + job_step.page_wall;
+      if (job.finished()) fail("a job finished inside the stretch", job.id());
+      if (job.demand_now() != job.demand) {
+        fail("a job's demand changed inside the stretch", job.id());
+      }
+    }
+    busy += std::min<SimTime>(dt, busy_wall / share.efficiency);
+  }
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const RunningJob& got = *jobs_[j];
+    const RunningJob& want = shadow[j];
+    if (!same(got.cpu_done, want.cpu_done) || !same(got.t_cpu, want.t_cpu) ||
+        !same(got.t_page, want.t_page) || !same(got.t_queue, want.t_queue) ||
+        !same(got.faults, want.faults) || !same(got.width_seconds, want.width_seconds) ||
+        !same(got.accounted_until, want.accounted_until)) {
+      fail("the replay diverged from tick-by-tick integration", got.id());
+    }
+  }
+  if (!same(cpu_busy_, busy)) fail("cpu_busy diverged from tick-by-tick integration", 0);
+  ++audit::counters().replays_checked;
 }
 
 bool Workstation::aggregates_consistent() const {

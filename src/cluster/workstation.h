@@ -8,6 +8,7 @@
 // CPU-second, each costing page_fault_service (DESIGN.md §5 substitution 2).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -135,9 +136,27 @@ class Workstation {
   struct TickOutcome {
     std::vector<std::unique_ptr<RunningJob>> completed;
     double faults = 0.0;
+    /// steady_ticks() after a tick that completed nothing and changed no
+    /// published value; 0 otherwise.
+    std::uint64_t steady_ticks = 0;
   };
   /// Advances the interval [now - dt, now]. Returns completed jobs.
   TickOutcome tick(SimTime now, SimTime dt, sim::Rng& rng);
+
+  /// How many of the ticks after the one at `now` replay() may stand in for
+  /// (DESIGN.md §12.6). 0 unless the node is steady: up, not pressured,
+  /// fault EMA exactly 0, and every resident job running on a flat stretch
+  /// of its memory profile, so a tick draws no random number, counts no
+  /// fault and publishes nothing. Otherwise a bound, with margin for
+  /// rounding, under which no job can finish or leave its flat stretch.
+  std::uint64_t steady_ticks(SimTime now, SimTime dt) const;
+
+  /// Re-integrates the `ticks` ticks that follow the one at `last_tick`, at
+  /// T <- T + dt as sim::PeriodicTask arms them, leaving every job and node
+  /// accumulator bit-identical to that many tick() calls. Valid only within
+  /// a steady_ticks() bound taken at `last_tick`. Returns the time of the
+  /// last replayed tick.
+  SimTime replay(SimTime last_tick, SimTime dt, std::uint64_t ticks);
 
   /// True when tick() could have any observable effect: resident jobs to
   /// advance, or a fault-rate EMA still decaying toward zero. An idle
@@ -177,6 +196,40 @@ class Workstation {
   /// assertions to catch drift.
   bool aggregates_consistent() const;
 
+  // sharing(), step() and accumulate() are defined inline in
+  // workstation.cc, the only file that calls them, so the per-job loops of
+  // tick() and replay() inline them.
+
+  /// Sharing state at the start of a tick interval, from the O(1)
+  /// aggregates; constant while the node is steady.
+  struct Sharing {
+    double efficiency = 1.0;  // round-robin efficiency (1 with one runnable job)
+    int slots = 0;            // runnable slots the CPU is shared among
+    double exposure = 0.0;    // share of page touches that fault
+  };
+  inline Sharing sharing() const;
+
+  /// One running job's share of a tick interval of `wall` seconds.
+  struct JobStep {
+    double progress = 0.0;  // reference-CPU seconds of work done
+    SimTime cpu_wall = 0.0;
+    SimTime page_wall = 0.0;
+    SimTime queue_wall = 0.0;
+    double faults = 0.0;      // expected page faults
+    double width_wall = 0.0;  // slot-seconds: wall * width
+  };
+  /// The per-job integrand of tick() and replay().
+  inline JobStep step(const RunningJob& job, SimTime wall, const Sharing& share) const;
+  /// Adds one tick's step to the job's accumulators.
+  static inline void accumulate(RunningJob& job, const JobStep& step);
+
+  /// Shadow check of one replay (called under VRC_AUDIT): re-integrates the
+  /// stretch tick by tick from `before` and `busy_before` through step()
+  /// without the memo and aborts on the first bit difference, or if a job
+  /// finished or changed demand inside the stretch.
+  void audit_replay(const std::vector<RunningJob>& before, SimTime busy_before,
+                    SimTime last_tick, SimTime dt, std::uint64_t ticks) const;
+
   /// Marks this node in the bound NodeActivity (no-op when unbound).
   void publish_index();  // vrc:publish-fn
 
@@ -184,6 +237,7 @@ class Workstation {
   NodeConfig hardware_;
   const ClusterConfig* config_;
   double speed_factor_ = 1.0;
+  double inverse_speed_ = 1.0;  // 1 / speed_factor_
   double rr_efficiency_ = 1.0;  // q / (q + c)
 
   std::vector<std::unique_ptr<RunningJob>> jobs_;  // vrc:board-visible

@@ -33,6 +33,7 @@ void PerfCounters::merge(const PerfCounters& other) {
   immediate_publishes += other.immediate_publishes;
   tick_rounds += other.tick_rounds;
   node_ticks += other.node_ticks;
+  ticks_replayed += other.ticks_replayed;
   pressure_callbacks += other.pressure_callbacks;
   submission_scans += other.submission_scans;
   migration_scans += other.migration_scans;
@@ -59,6 +60,7 @@ std::vector<std::pair<const char*, std::uint64_t>> PerfCounters::entries() const
       {"immediate_publishes", immediate_publishes},
       {"tick_rounds", tick_rounds},
       {"node_ticks", node_ticks},
+      {"ticks_replayed", ticks_replayed},
       {"pressure_callbacks", pressure_callbacks},
       {"submission_scans", submission_scans},
       {"migration_scans", migration_scans},

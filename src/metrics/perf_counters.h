@@ -45,6 +45,7 @@ struct PerfCounters {
   // Tick loop (active-set path).
   std::uint64_t tick_rounds = 0;
   std::uint64_t node_ticks = 0;               // workstation ticks actually executed
+  std::uint64_t ticks_replayed = 0;           // parked-node ticks replayed instead
   std::uint64_t pressure_callbacks = 0;
   // Policy placement scans (each is one indexed best() decision).
   std::uint64_t submission_scans = 0;

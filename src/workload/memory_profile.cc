@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace vrc::workload {
 
@@ -53,6 +54,22 @@ Bytes MemoryProfile::demand_at(double progress) const {
   const double span = hi->progress - lo->progress;
   const double frac = (progress - lo->progress) / span;
   return lo->demand + static_cast<Bytes>(frac * static_cast<double>(hi->demand - lo->demand));
+}
+
+double MemoryProfile::flat_until(double progress) const {
+  progress = std::clamp(progress, 0.0, 1.0);
+  // As in demand_at: the first point strictly beyond `progress`.
+  auto hi = std::upper_bound(
+      points_.begin(), points_.end(), progress,
+      [](double value, const Point& p) { return value < p.progress; });
+  if (hi == points_.end()) return std::numeric_limits<double>::infinity();
+  // Before the first point demand_at clamps to it; otherwise the segment
+  // from the point before `hi` must be level.
+  if (hi != points_.begin() && (hi - 1)->demand != hi->demand) return progress;
+  // Extend across every following level segment.
+  while (hi + 1 != points_.end() && (hi + 1)->demand == hi->demand) ++hi;
+  if (hi + 1 == points_.end()) return std::numeric_limits<double>::infinity();
+  return hi->progress;
 }
 
 Bytes MemoryProfile::peak() const {

@@ -38,6 +38,16 @@ class MemoryProfile {
   /// Largest demand over the profile (the job's working set).
   Bytes peak() const;
 
+  /// End of the flat stretch at `progress`: the largest progress through
+  /// which demand_at() stays equal to demand_at(progress). Equal to
+  /// `progress` when the demand changes right after it, and +infinity on the
+  /// last point's plateau (demand_at clamps beyond it).
+  double flat_until(double progress) const;
+
+  /// True for a single-point (constant()) profile, whose demand never
+  /// changes.
+  bool is_constant() const { return points_.size() == 1; }
+
   const std::vector<Point>& points() const { return points_; }
 
   /// Returns a copy with every demand scaled by `factor` (used to jitter

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "../common/report_fingerprint.h"
 #include "workload/arrival_source.h"
 
 namespace vrc::cluster {
@@ -422,6 +425,65 @@ TEST(ClusterTest, AccountingIdentityAcrossMechanisms) {
   EXPECT_NEAR(job.t_cpu + job.t_page + job.t_queue + job.t_mig, job.wall_clock(), 0.05);
   EXPECT_GT(job.t_queue, 2.9);  // the pending phase
   EXPECT_GT(job.t_mig, 30.0);   // ~40 MB over 10 Mbps
+}
+
+/// Places arrivals on their home nodes, except job `held`, which waits until
+/// the first completion and is then placed on `late_node` from inside that
+/// completion's callback, while the tick pass is still visiting nodes.
+class LatePlacementPolicy : public SchedulerPolicy {
+ public:
+  LatePlacementPolicy(JobId held, NodeId late_node) : held_(held), late_node_(late_node) {}
+
+  const char* name() const override { return "late-placement"; }
+
+  void on_job_arrival(Cluster& cluster, RunningJob& job) override {
+    if (job.id() != held_) cluster.place_local(job, job.home_node);
+  }
+  void on_job_completed(Cluster& cluster, const CompletedJob&) override {
+    for (RunningJob* job : cluster.pending_jobs()) {
+      if (job->id() == held_) cluster.place_local(*job, late_node_);
+    }
+  }
+
+ private:
+  JobId held_;
+  NodeId late_node_;
+};
+
+/// Four long flat jobs that never page (so their nodes park), a short job on
+/// node 4 whose completion places a held job on `late_node`, all under the
+/// late-placement policy. Returns the fingerprint of every job record.
+std::uint64_t late_placement_fingerprint(NodeId late_node) {
+  sim::Simulator sim;
+  LatePlacementPolicy policy(6, late_node);
+  Cluster cluster(sim, small_config(8), policy);
+  const NodeId long_homes[] = {1, 2, 5, 6};
+  for (JobId id = 1; id <= 4; ++id) {
+    cluster.submit_job(make_spec(id, 0.0, 40.0, megabytes(50), long_homes[id - 1]));
+  }
+  cluster.submit_job(make_spec(5, 0.0, 3.0, megabytes(50), 4));
+  cluster.submit_job(make_spec(6, 0.0, 10.0, megabytes(50), 0));
+  sim.run();
+  EXPECT_TRUE(cluster.finished());
+  EXPECT_EQ(cluster.completed().size(), 6u);
+  return testutil::record_fingerprint(cluster.completed());
+}
+
+// A completion callback that reaches a node the tick pass has not visited
+// yet: the pass ticks that node later, after the held job joined it, so the
+// long job's share of this tick is already halved.
+TEST(ClusterTest, CompletionPlacesOnNodeAheadOfTheTickPass) {
+  const std::uint64_t fingerprint = late_placement_fingerprint(6);
+  EXPECT_EQ(fingerprint, 0xf037d0d840c8bca6ull)
+      << "actual fingerprint: 0x" << std::hex << fingerprint;
+}
+
+// A completion callback that reaches a node the tick pass already visited:
+// its interval up to now was integrated before the held job joined it.
+TEST(ClusterTest, CompletionPlacesOnNodeBehindTheTickPass) {
+  const std::uint64_t fingerprint = late_placement_fingerprint(2);
+  EXPECT_EQ(fingerprint, 0xd79ad77afa21426eull)
+      << "actual fingerprint: 0x" << std::hex << fingerprint;
 }
 
 }  // namespace

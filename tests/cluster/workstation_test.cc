@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include "sim/rng.h"
 #include "workload/job.h"
 
 namespace vrc::cluster {
@@ -385,6 +392,247 @@ TEST_F(WorkstationTest, DemandFollowsProfileGrowth) {
   run(5.0);  // ~50% progress
   EXPECT_GT(job.demand, megabytes(50));
   EXPECT_LT(job.demand, megabytes(70));
+}
+
+// --- steady workstations: park horizon and exact replay (DESIGN.md §12.6) ---
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Places a copy of each spec's job on `node` (the first one width-2 when
+/// `wide_first`), then runs one normal tick so every job's accounted_until
+/// is the tick time, as after any tick that could park the node. Returns the
+/// time of that tick.
+SimTime seat_jobs(Workstation& node, const std::deque<workload::JobSpec>& specs,
+                  const std::vector<double>& done, bool wide_first, SimTime start,
+                  SimTime dt, sim::Rng& rng) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    auto job = make_job(specs[i]);
+    job->cpu_done = done[i];
+    job->accounted_until = start;
+    if (wide_first && i == 0) job->width = 2;
+    node.add_job(std::move(job));
+  }
+  const SimTime now = start + dt;
+  EXPECT_TRUE(node.tick(now, dt, rng).completed.empty());
+  return now;
+}
+
+void expect_same_state(const Workstation& ticked, const Workstation& replayed) {
+  ASSERT_EQ(ticked.jobs().size(), replayed.jobs().size());
+  for (std::size_t i = 0; i < ticked.jobs().size(); ++i) {
+    const RunningJob& a = *ticked.jobs()[i];
+    const RunningJob& b = *replayed.jobs()[i];
+    EXPECT_TRUE(same_bits(a.cpu_done, b.cpu_done)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.t_cpu, b.t_cpu)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.t_page, b.t_page)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.t_queue, b.t_queue)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.t_mig, b.t_mig)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.faults, b.faults)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.width_seconds, b.width_seconds)) << "job " << i;
+    EXPECT_TRUE(same_bits(a.accounted_until, b.accounted_until)) << "job " << i;
+    EXPECT_EQ(a.demand, b.demand) << "job " << i;
+  }
+  EXPECT_TRUE(same_bits(ticked.cpu_busy_time(), replayed.cpu_busy_time()));
+  EXPECT_TRUE(same_bits(ticked.total_faults(), replayed.total_faults()));
+  EXPECT_TRUE(same_bits(ticked.fault_rate(), replayed.fault_rate()));
+}
+
+TEST(SteadyReplayTest, ReplayMatchesTicksBitForBit) {
+  for (const double mhz : {400.0, 233.0}) {  // the reference speed, then a slower node
+    for (std::size_t jobs = 1; jobs <= 3; ++jobs) {
+      SCOPED_TRACE(testing::Message() << mhz << " MHz, " << jobs << " jobs");
+      ClusterConfig config = test_config();
+      config.nodes[0].cpu_mhz = mhz;
+      const SimTime dt = config.tick;
+      std::deque<workload::JobSpec> specs;
+      std::vector<double> done;
+      done.reserve(jobs);
+      for (std::size_t i = 0; i < jobs; ++i) {
+        const double index = static_cast<double>(i);
+        specs.push_back(
+            make_spec(static_cast<workload::JobId>(i + 1), 900.0 + 100.0 * index, megabytes(40)));
+        done.push_back(3.0 * index);
+      }
+      specs[0].malleability.min_width = 1;
+      specs[0].malleability.max_width = 2;
+      Workstation ticked(0, config.nodes[0], config);
+      Workstation replayed(0, config.nodes[0], config);
+      sim::Rng rng_a(1);
+      sim::Rng rng_b(1);
+      // Start just below 2048 s so the replay crosses a binade of T, where
+      // the tick walls change value.
+      const SimTime start = 2047.9;
+      SimTime now = seat_jobs(ticked, specs, done, true, start, dt, rng_a);
+      const SimTime parked_at = seat_jobs(replayed, specs, done, true, start, dt, rng_b);
+      const std::uint64_t ticks = 25000;
+      ASSERT_GE(replayed.steady_ticks(parked_at, dt), ticks);
+      for (std::uint64_t i = 0; i < ticks; ++i) {
+        now += dt;
+        ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty());
+      }
+      EXPECT_TRUE(same_bits(replayed.replay(parked_at, dt, ticks), now));
+      expect_same_state(ticked, replayed);
+    }
+  }
+}
+
+TEST(SteadyReplayTest, HorizonNeverFinishesAJobOrLeavesAFlatStretch) {
+  const ClusterConfig config = test_config();
+  const SimTime dt = config.tick;
+  sim::Rng draw(20240917);
+  int parked = 0;
+  int tight = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const std::size_t jobs = 1 + draw.uniform_index(3);
+    std::deque<workload::JobSpec> specs;
+    std::vector<double> done;
+    done.reserve(jobs);
+    for (std::size_t i = 0; i < jobs; ++i) {
+      workload::JobSpec spec = make_spec(static_cast<workload::JobId>(i + 1),
+                                         0.05 + 120.0 * draw.uniform(), 0);
+      const Bytes peak = megabytes(20) + megabytes(80) * static_cast<Bytes>(draw.uniform_index(2));
+      switch (draw.uniform_index(3)) {
+        case 0:
+          spec.memory = workload::MemoryProfile::ramp_to(peak, 0.1 + 0.5 * draw.uniform());
+          break;
+        case 1: {
+          // Level, then a slope, then level again.
+          const double a = 0.1 + 0.3 * draw.uniform();
+          const double b = a + 0.1 + 0.3 * draw.uniform();
+          spec.memory = workload::MemoryProfile::phased(
+              {{0.0, megabytes(10)}, {a, megabytes(10)}, {b, peak}, {1.0, peak}});
+          break;
+        }
+        default:
+          spec.memory = workload::MemoryProfile::constant(peak);
+          break;
+      }
+      if (draw.uniform_index(2) == 0) {
+        spec.malleability.min_width = 1;
+        spec.malleability.max_width = 2;
+      }
+      done.push_back((spec.cpu_seconds - 0.05) * draw.uniform());  // more than a tick left
+      specs.push_back(std::move(spec));
+    }
+    Workstation ticked(0, config.nodes[0], config);
+    Workstation replayed(0, config.nodes[0], config);
+    sim::Rng rng_a(1);
+    sim::Rng rng_b(1);
+    const bool wide = specs[0].malleability.max_width == 2;
+    const SimTime start = 100.0 * draw.uniform();
+    SimTime now = seat_jobs(ticked, specs, done, wide, start, dt, rng_a);
+    const SimTime parked_at = seat_jobs(replayed, specs, done, wide, start, dt, rng_b);
+    const std::uint64_t horizon = replayed.steady_ticks(parked_at, dt);
+    if (horizon == 0) continue;
+    ++parked;
+    std::vector<Bytes> demand;
+    demand.reserve(jobs);
+    for (const auto& job : ticked.jobs()) demand.push_back(job->demand);
+    for (std::uint64_t i = 0; i < horizon; ++i) {
+      now += dt;
+      ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty()) << "tick " << i;
+      for (std::size_t j = 0; j < demand.size(); ++j) {
+        ASSERT_EQ(ticked.jobs()[j]->demand, demand[j]) << "tick " << i << ", job " << j;
+      }
+    }
+    replayed.replay(parked_at, dt, horizon);
+    expect_same_state(ticked, replayed);
+    // The bound is close: a job finishes or moves its demand within a few
+    // more ticks.
+    for (int extra = 0; extra < 3; ++extra) {
+      now += dt;
+      bool event = !ticked.tick(now, dt, rng_a).completed.empty();
+      for (std::size_t j = 0; !event && j < demand.size(); ++j) {
+        event = ticked.jobs()[j]->demand != demand[j];
+      }
+      if (event) {
+        ++tight;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(parked, 50);  // most draws land on a flat stretch
+  EXPECT_GT(tight, parked * 9 / 10);
+}
+
+TEST(SteadyReplayTest, HorizonEdgeCases) {
+  const ClusterConfig config = test_config();
+  const SimTime dt = config.tick;
+  const SimTime now = 10.0;
+  // One job with `done` reference-CPU seconds behind it, integrated up to now.
+  const auto horizon = [&](const workload::JobSpec& spec, double done) {
+    Workstation node(0, config.nodes[0], config);
+    auto job = make_job(spec);
+    job->cpu_done = done;
+    job->accounted_until = now;
+    node.add_job(std::move(job));
+    return node.steady_ticks(now, dt);
+  };
+  // Exactly on a breakpoint where the profile starts to slope: no room.
+  workload::JobSpec level_then_slope = make_spec(1, 100.0, 0);
+  level_then_slope.memory = workload::MemoryProfile::phased(
+      {{0.0, megabytes(10)}, {0.5, megabytes(10)}, {1.0, megabytes(60)}});
+  EXPECT_EQ(horizon(level_then_slope, 50.0), 0u);
+  // Just before it, the horizon stops short of the breakpoint.
+  EXPECT_EQ(horizon(level_then_slope, 50.0 - 0.05), 3u);
+  // Exactly on the ramp's end, where the plateau begins: room to the finish.
+  workload::JobSpec ramp = make_spec(1, 100.0, 0);
+  ramp.memory = workload::MemoryProfile::ramp_to(megabytes(60), 0.5);
+  EXPECT_EQ(horizon(ramp, 50.0), 4998u);
+  // Less than one tick of work left: the next tick finishes the job.
+  EXPECT_EQ(horizon(make_spec(1, 10.0, megabytes(10)), 10.0 - 0.005), 0u);
+}
+
+TEST(SteadyReplayTest, SteadyCheckRejectsUnsteadyNodes) {
+  const ClusterConfig config = test_config();
+  const SimTime dt = config.tick;
+  sim::Rng rng(1);
+  const std::deque<workload::JobSpec> specs = {make_spec(1, 100.0, megabytes(100)),
+                                               make_spec(2, 100.0, megabytes(100))};
+  const auto seated = [&](Workstation& node) {
+    return seat_jobs(node, specs, {0.0, 0.0}, false, 0.0, dt, rng);
+  };
+  {
+    Workstation node(0, config.nodes[0], config);
+    EXPECT_GT(node.steady_ticks(seated(node), dt), 0u);  // the baseline parks
+  }
+  for (const JobPhase phase : {JobPhase::kSuspended, JobPhase::kMigrating, JobPhase::kResizing}) {
+    Workstation node(0, config.nodes[0], config);
+    const SimTime now = seated(node);
+    node.set_job_phase(*node.jobs()[1], phase);
+    EXPECT_EQ(node.steady_ticks(now, dt), 0u) << static_cast<int>(phase);
+  }
+  {
+    Workstation node(0, config.nodes[0], config);
+    const SimTime now = seated(node);
+    node.set_failed(true);
+    EXPECT_EQ(node.steady_ticks(now, dt), 0u);
+  }
+  {
+    // Overcommitted, even with no page touches (so no fault is counted).
+    const std::deque<workload::JobSpec> big = {make_spec(1, 100.0, megabytes(250)),
+                                               make_spec(2, 100.0, megabytes(250))};
+    Workstation node(0, config.nodes[0], config);
+    const SimTime now = seat_jobs(node, big, {0.0, 0.0}, false, 0.0, dt, rng);
+    ASSERT_GT(node.overcommit(), 0.0);
+    EXPECT_EQ(node.steady_ticks(now, dt), 0u);
+  }
+  {
+    // A fault EMA above 0 after the overcommit is gone.
+    const std::deque<workload::JobSpec> paging = {make_spec(1, 100.0, megabytes(250), 300.0),
+                                                  make_spec(2, 100.0, megabytes(250), 300.0)};
+    Workstation node(0, config.nodes[0], config);
+    SimTime now = seat_jobs(node, paging, {0.0, 0.0}, false, 0.0, dt, rng);
+    node.remove_job(2);
+    now += dt;
+    node.tick(now, dt, rng);
+    ASSERT_EQ(node.overcommit(), 0.0);
+    ASSERT_GT(node.fault_rate(), 0.0);
+    EXPECT_EQ(node.steady_ticks(now, dt), 0u);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "metrics/report.h"
 
@@ -63,6 +64,52 @@ inline std::uint64_t fingerprint(const metrics::RunReport& report) {
     h.mix_double(job.t_mig);
     h.mix_double(job.faults);
   }
+  return h.value();
+}
+
+/// Mixes every field of one completed-job record, the restart, resize, width
+/// and working-set fields that `fingerprint` predates included.
+inline void mix_record(Fnv1a& h, const cluster::CompletedJob& job) {
+  h.mix_u64(job.id);
+  for (const char c : job.program) h.mix_u64(static_cast<unsigned char>(c));
+  h.mix_double(job.submit_time);
+  h.mix_double(job.completion_time);
+  h.mix_double(job.cpu_seconds);
+  h.mix_double(job.t_cpu);
+  h.mix_double(job.t_page);
+  h.mix_double(job.t_queue);
+  h.mix_double(job.t_mig);
+  h.mix_double(job.faults);
+  h.mix_u64(static_cast<std::uint64_t>(job.migrations));
+  h.mix_u64(static_cast<std::uint64_t>(job.remote_submits));
+  h.mix_u64(static_cast<std::uint64_t>(job.restarts));
+  h.mix_u64(static_cast<std::uint64_t>(job.resizes));
+  h.mix_u64(job.malleable ? 1 : 0);
+  h.mix_double(job.width_seconds);
+  h.mix_u64(job.final_node);
+  h.mix_u64(static_cast<std::uint64_t>(job.working_set));
+}
+
+/// Every field of every completed-job record, in completion order.
+inline std::uint64_t record_fingerprint(const std::vector<cluster::CompletedJob>& jobs) {
+  Fnv1a h;
+  h.mix_u64(jobs.size());
+  for (const cluster::CompletedJob& job : jobs) mix_record(h, job);
+  return h.value();
+}
+
+/// `fingerprint`'s aggregates plus the fault counters and sampled signals,
+/// then every field of every job record (mix_record).
+inline std::uint64_t full_fingerprint(const metrics::RunReport& report) {
+  Fnv1a h;
+  h.mix_u64(fingerprint(report));
+  h.mix_u64(report.node_crashes);
+  h.mix_u64(report.jobs_killed);
+  h.mix_u64(report.transfer_failures);
+  h.mix_double(report.work_lost_cpu_seconds);
+  h.mix_double(report.avg_idle_memory_mb);
+  h.mix_double(report.avg_balance_skew);
+  h.mix_u64(record_fingerprint(report.jobs));
   return h.value();
 }
 

@@ -2,14 +2,16 @@
 //
 // The audit checkers are compiled into every build, so the first half
 // unit-tests them directly against hand-built structures regardless of build
-// flavour. The second half runs one fault scenario end-to-end: under
-// -DVRC_AUDIT=ON the exchange call site is live and the counters must show
-// the audit actually fired (an audit that silently never runs looks exactly
-// like one that always passes); in the default build the same run must leave
-// the counters untouched, proving the hook is fully compiled out of the hot
-// path.
+// flavour. The second half runs one fault scenario and one SWF replay (whose
+// parked workstations replay their skipped ticks) end-to-end: under
+// -DVRC_AUDIT=ON the exchange and replay call sites are live and the
+// counters must show the audits actually fired (an audit that silently never
+// runs looks exactly like one that always passes); in the default build the
+// same runs must leave the counters untouched, proving the hooks are fully
+// compiled out of the hot path.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -18,6 +20,7 @@
 #include "cluster/load_index.h"
 #include "core/experiment.h"
 #include "workload/arrival_source.h"
+#include "workload/trace_spec.h"
 
 namespace vrc {
 namespace {
@@ -127,6 +130,30 @@ TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
   // means audit overhead leaked into the production configuration.
   EXPECT_EQ(counters.board_audits, 0u);
   EXPECT_EQ(counters.rows_checked, 0u);
+#endif
+  cluster::audit::reset_counters();
+}
+
+TEST(AuditScenarioTest, SwfReplayChecksEveryReplay) {
+  cluster::audit::reset_counters();
+  // Hour-long flat SWF jobs: nearly every busy workstation parks, so the
+  // run replays skipped ticks throughout (DESIGN.md §12.6).
+  const std::optional<workload::TraceSpec> trace = workload::TraceSpec::parse(
+      std::string("swf:file=") + VRC_TEST_DATA_DIR +
+      "/swf/NASA-iPSC-1993-3.swf,scale=0.1,min_runtime=1,max_jobs=80");
+  ASSERT_TRUE(trace.has_value());
+  const std::unique_ptr<workload::ArrivalSource> source = trace->make_source(8);
+  const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
+  const auto report =
+      *core::run_policy_on_source(core::PolicySpec("v-reconf"), *source, config);
+  EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
+
+  const cluster::audit::Counters& counters = cluster::audit::counters();
+#ifdef VRC_AUDIT
+  // Every replay was re-integrated tick by tick and matched bit for bit.
+  EXPECT_GT(counters.replays_checked, 0u);
+#else
+  EXPECT_EQ(counters.replays_checked, 0u);
 #endif
   cluster::audit::reset_counters();
 }
