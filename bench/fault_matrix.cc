@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "util/units.h"
 
 int main(int argc, char** argv) {
   vrc::bench::SweepOptions options;
@@ -32,7 +33,14 @@ int main(int argc, char** argv) {
       std::size_t end = mtbfs_flag.find(';', start);
       if (end == std::string::npos) end = mtbfs_flag.size();
       const std::string item = mtbfs_flag.substr(start, end - start);
-      if (!item.empty()) mtbfs.push_back(std::stod(item));
+      if (!item.empty()) {
+        double mtbf = 0.0;
+        if (!vrc::parse_finite_double(item, &mtbf)) {
+          std::fprintf(stderr, "invalid value for --mtbfs: '%s'\n", item.c_str());
+          return 1;
+        }
+        mtbfs.push_back(mtbf);
+      }
       if (end == mtbfs_flag.size()) break;
       start = end + 1;
     }

@@ -8,7 +8,7 @@ Runs four analyzers over the tree (all of them by default):
                  scripts/vrc_lint/layering.toml over the #include graph
   publish-audit  board-visible state writes must republish on every path out
                  (the `// vrc:board-visible` contract, DESIGN.md §13.3)
-  heap-order     IndexedHeap key orders in cluster_index.cc must match the
+  heap-order     IndexedHeap key orders in load_index.cc must match the
                  machine-readable tie-break table in DESIGN.md §11
 
 Usage:

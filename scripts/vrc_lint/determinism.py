@@ -140,8 +140,8 @@ class DeterminismAnalyzer(core.Analyzer):
         scanned = {rel for _full, rel in
                    core.collect_files(list(self.default_paths), root,
                                       self.extensions)}
-        for required in ("src/cluster/cluster_index.h",
-                         "src/cluster/cluster_index.cc",
+        for required in ("src/cluster/indexed_heap.h",
+                         "src/cluster/indexed_heap.cc",
                          "src/cluster/load_index.cc",
                          "src/cluster/workstation.cc",
                          "src/cluster/node_activity.h",

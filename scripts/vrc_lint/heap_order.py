@@ -1,6 +1,6 @@
 """Heap-order analyzer: code and documented tie-break contract must agree.
 
-The two ``ClusterIndex`` heap orders (DESIGN.md §11) are the scheduling
+The two ``LoadInfoBoard`` heap orders (DESIGN.md §11) are the scheduling
 policies' selection semantics: which node "wins" for a given policy is
 decided entirely by the key pair ``key_for`` returns and the final node-id
 tie-break in ``IndexedHeap::precedes``. A silent edit to one comparator —
@@ -8,15 +8,15 @@ flipping a sign, swapping primary and secondary — changes placement
 decisions everywhere while every structural test still passes. This
 analyzer diffs three sources that must stay in lockstep:
 
-  1. the ``Order`` enum in ``src/cluster/cluster_index.h``,
-  2. the ``case Order::kX: return {A, B};`` arms of ``ClusterIndex::key_for``
-     in ``src/cluster/cluster_index.cc`` plus the node tie-break direction
-     in ``IndexedHeap::precedes``,
+  1. the ``Order`` enum in ``src/cluster/load_index.h``,
+  2. the ``case Order::kX: return {A, B};`` arms of ``LoadInfoBoard::key_for``
+     in ``src/cluster/load_index.cc`` plus the node tie-break direction
+     in ``IndexedHeap::precedes`` (``src/cluster/indexed_heap.h``),
   3. the machine-readable table DESIGN.md §11 carries in a
      ``<!-- vrc-lint:heap-order ... -->`` comment block::
 
         <!-- vrc-lint:heap-order
-        kMinSlotsMaxIdle: (state.slots_used, -state.idle)
+        kMinSlotsMaxIdle: (info.slots_used, -info.idle_memory)
         ...
         tiebreak: node asc
         -->
@@ -28,9 +28,9 @@ a tie-break direction mismatch, or a missing block — fails the lint (rule
 DESIGN.md in the same commit, which is the point: the contract change
 becomes visible in review instead of hiding in a sign flip.
 
-Fixtures carry miniature ``cluster_index.{h,cc}`` + ``DESIGN.md`` trios;
-the analyzer locates its inputs by basename, so the same code paths run on
-the fixture and the real tree.
+Fixtures carry miniature ``load_index.{h,cc}``, ``indexed_heap.h`` and
+``DESIGN.md`` sets; the analyzer locates its inputs by basename, so the
+same code paths run on the fixture and the real tree.
 """
 
 import re
@@ -66,11 +66,11 @@ def parse_enum(code_lines):
 
 
 def parse_key_for(code_lines):
-    """(name -> (normalized expr pair, case line)) from ClusterIndex::key_for,
+    """(name -> (normalized expr pair, case line)) from LoadInfoBoard::key_for,
     or None when the function is not found."""
     start = None
     for index, code in enumerate(code_lines):
-        if "ClusterIndex::key_for" in code:
+        if "LoadInfoBoard::key_for" in code:
             start = index
             break
     if start is None:
@@ -140,28 +140,32 @@ def parse_doc_block(raw_lines):
 
 class HeapOrderAnalyzer(core.Analyzer):
     name = "heap-order"
-    description = "IndexedHeap key orders in cluster_index.cc must match " \
+    description = "IndexedHeap key orders in load_index.cc must match " \
                   "the machine-readable table in DESIGN.md §11"
-    default_paths = ("src/cluster/cluster_index.h",
-                     "src/cluster/cluster_index.cc",
+    default_paths = ("src/cluster/load_index.h",
+                     "src/cluster/load_index.cc",
+                     "src/cluster/indexed_heap.h",
                      "DESIGN.md")
     extensions = (".h", ".cc", ".md")
-    # A three-file diff; CLI paths cannot meaningfully restrict it.
+    # A four-file diff; CLI paths cannot meaningfully restrict it.
     accepts_paths = False
 
     def run(self, files, root):
-        header = impl = doc = None
+        header = impl = heap = doc = None
         for full, rel in files:
             base = rel.replace("\\", "/").rsplit("/", 1)[-1]
-            if base == "cluster_index.h":
+            if base == "load_index.h":
                 header = (full, rel)
-            elif base == "cluster_index.cc":
+            elif base == "load_index.cc":
                 impl = (full, rel)
+            elif base == "indexed_heap.h":
+                heap = (full, rel)
             elif base == "DESIGN.md":
                 doc = (full, rel)
         violations = []
-        for found, what in ((header, "cluster_index.h"),
-                            (impl, "cluster_index.cc"),
+        for found, what in ((header, "load_index.h"),
+                            (impl, "load_index.cc"),
+                            (heap, "indexed_heap.h"),
                             (doc, "DESIGN.md")):
             if found is None:
                 violations.append(core.Violation(
@@ -173,12 +177,12 @@ class HeapOrderAnalyzer(core.Analyzer):
             core.read_lines(header[0]))
         impl_raw = core.read_lines(impl[0])
         impl_code = core.blank_comments_and_strings(impl_raw)
+        heap_code = core.blank_comments_and_strings(core.read_lines(heap[0]))
         doc_raw = core.read_lines(doc[0])
 
         enum_members = parse_enum(header_code)
         cases = parse_key_for(impl_code)
-        # precedes() may live in either file (it is in the header today).
-        tiebreak_code = parse_tiebreak(header_code + impl_code)
+        tiebreak_code = parse_tiebreak(heap_code)
         doc_entries, doc_tiebreak, block_line = parse_doc_block(doc_raw)
 
         if not enum_members:
@@ -186,7 +190,7 @@ class HeapOrderAnalyzer(core.Analyzer):
                 header[1], 1, "heap-order", "enum class Order not found"))
         if cases is None:
             violations.append(core.Violation(
-                impl[1], 1, "heap-order", "ClusterIndex::key_for not found"))
+                impl[1], 1, "heap-order", "LoadInfoBoard::key_for not found"))
         if doc_entries is None:
             violations.append(core.Violation(
                 doc[1], 1, "heap-order",
@@ -201,7 +205,7 @@ class HeapOrderAnalyzer(core.Analyzer):
             if name not in case_names:
                 violations.append(core.Violation(
                     header[1], line, "heap-order",
-                    f"Order::{name} has no case in ClusterIndex::key_for",
+                    f"Order::{name} has no case in LoadInfoBoard::key_for",
                     header_code[line - 1]))
         for name, (exprs, line) in sorted(cases.items()):
             if name not in doc_names:
@@ -221,12 +225,12 @@ class HeapOrderAnalyzer(core.Analyzer):
                 violations.append(core.Violation(
                     doc[1], line, "heap-order",
                     f"{name} is documented in the vrc-lint:heap-order table "
-                    f"but has no case in ClusterIndex::key_for",
+                    f"but has no case in LoadInfoBoard::key_for",
                     doc_raw[line - 1]))
 
         if tiebreak_code is None:
             violations.append(core.Violation(
-                impl[1], 1, "heap-order",
+                heap[1], 1, "heap-order",
                 "node tie-break comparison not found in IndexedHeap"))
         elif doc_tiebreak is None:
             violations.append(core.Violation(

@@ -1,9 +1,9 @@
 // Shadow-verification hooks for the VRC_AUDIT build (DESIGN.md §13.5).
 //
-// The incremental structures (the board's ClusterIndex, the dirty-set board
-// exchange) buy speed by maintaining state instead of recomputing it; a
-// missed publish or a broken fold is invisible until a placement goes subtly
-// wrong. Under -DVRC_AUDIT=ON, Cluster calls these checks from its exchange
+// The incremental structures (the board's heaps and live totals, the
+// dirty-set board exchange) buy speed by maintaining state instead of
+// recomputing it; a missed publish or a broken fold is invisible until a
+// placement goes subtly wrong. Under -DVRC_AUDIT=ON, Cluster calls these checks from its exchange
 // hook to compare the incremental answers against brute-force recomputation
 // and abort loudly on the first divergence. Workstation::replay likewise
 // re-integrates every replayed stretch of a parked node tick by tick
@@ -46,8 +46,8 @@ void reset_counters();
 /// board's row must match it field-for-field except `timestamp` (undirtied
 /// nodes legitimately keep their old stamp; their *values* must still agree,
 /// which is exactly the dirty-set soundness contract of DESIGN.md §12). Also
-/// runs board.audit_verify(), which sweeps the board's ClusterIndex. Aborts
-/// on the first divergence.
+/// runs board.audit_verify(), which sweeps the board's heaps and totals.
+/// Aborts on the first divergence.
 void check_board(const LoadInfoBoard& board,
                  const std::function<std::optional<LoadInfo>(NodeId)>& fresh,
                  const char* context);

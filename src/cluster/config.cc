@@ -42,14 +42,10 @@ namespace {
 // One override assignment attempt: false + a "expected <type>, e.g. <ex>"
 // fragment in *expected on a malformed value.
 bool set_double(const std::string& value, double* out, std::string* expected) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || errno != 0 || end == value.c_str() || *end != '\0') {
+  if (!parse_finite_double(value, out)) {
     *expected = "double, e.g. 0.85";
     return false;
   }
-  *out = parsed;
   return true;
 }
 
@@ -146,6 +142,10 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
     bool ok = true;
     if (field == "cpu_mhz") {
       ok = set_double(value, &node.cpu_mhz, &expected);
+      if (ok && node.cpu_mhz <= 0.0) {
+        ok = false;
+        expected = "positive double, e.g. 400";
+      }
     } else if (field == "memory") {
       ok = set_bytes(value, &node.memory, &expected);
     } else if (field == "swap") {
@@ -187,11 +187,11 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     if (key.rfind("node.", 0) == 0) continue;
     std::string expected;
     bool ok = true;
-    // Range check on a value that parsed: a `bad` one is rejected with
-    // `example` as the expected form. Periods, quantum, slot threshold, CPU
-    // speed and bandwidth must be positive (NaN is not): a zero period
-    // re-arms its periodic task at the same instant forever, and the others
-    // leave jobs unable to run or transfer.
+    // Range check on a value that parsed (never NaN or infinite): a `bad`
+    // one is rejected with `example` as the expected form. Periods, quantum,
+    // slot and memory thresholds, CPU speed and bandwidth must be positive:
+    // a zero period re-arms its periodic task at the same instant forever,
+    // and the others leave jobs unable to run, be admitted or transfer.
     const auto reject_if = [&ok, &expected](bool bad, const char* example) {
       if (ok && bad) {
         ok = false;
@@ -211,7 +211,7 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       }
     } else if (key == "reference_mhz") {
       ok = set_double(value, &updated.reference_mhz, &expected);
-      reject_if(!(updated.reference_mhz > 0.0), "positive double, e.g. 400");
+      reject_if(updated.reference_mhz <= 0.0, "positive double, e.g. 400");
     } else if (key == "page_size") {
       ok = set_bytes(value, &updated.page_size, &expected);
     } else if (key == "page_fault_service") {
@@ -220,13 +220,13 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       ok = set_duration(value, &updated.context_switch, &expected);
     } else if (key == "quantum") {
       ok = set_duration(value, &updated.quantum, &expected);
-      reject_if(!(updated.quantum > 0.0), "positive duration, e.g. 10ms");
+      reject_if(updated.quantum <= 0.0, "positive duration, e.g. 10ms");
     } else if (key == "tick") {
       ok = set_duration(value, &updated.tick, &expected);
-      reject_if(!(updated.tick > 0.0), "positive duration, e.g. 10ms");
+      reject_if(updated.tick <= 0.0, "positive duration, e.g. 10ms");
     } else if (key == "network_mbps") {
       ok = set_double(value, &updated.network_mbps, &expected);
-      reject_if(!(updated.network_mbps > 0.0), "positive double, e.g. 10");
+      reject_if(updated.network_mbps <= 0.0, "positive double, e.g. 10");
     } else if (key == "remote_submit_cost") {
       ok = set_duration(value, &updated.remote_submit_cost, &expected);
     } else if (key == "network_contention") {
@@ -236,6 +236,7 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       reject_if(updated.cpu_threshold <= 0, "positive int, e.g. 5");
     } else if (key == "memory_threshold") {
       ok = set_double(value, &updated.memory_threshold, &expected);
+      reject_if(updated.memory_threshold <= 0.0, "positive double, e.g. 0.85");
     } else if (key == "admission_demand_estimate") {
       ok = set_bytes(value, &updated.admission_demand_estimate, &expected);
     } else if (key == "fault_rate_threshold") {
@@ -244,10 +245,10 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       ok = set_duration(value, &updated.fault_rate_tau, &expected);
     } else if (key == "load_exchange_period") {
       ok = set_duration(value, &updated.load_exchange_period, &expected);
-      reject_if(!(updated.load_exchange_period > 0.0), "positive duration, e.g. 1s");
+      reject_if(updated.load_exchange_period <= 0.0, "positive duration, e.g. 1s");
     } else if (key == "policy_period") {
       ok = set_duration(value, &updated.policy_period, &expected);
-      reject_if(!(updated.policy_period > 0.0), "positive duration, e.g. 250ms");
+      reject_if(updated.policy_period <= 0.0, "positive duration, e.g. 250ms");
     } else if (key == "pressure_callback_interval") {
       ok = set_duration(value, &updated.pressure_callback_interval, &expected);
     } else if (key == "migration_cooldown") {
@@ -297,6 +298,19 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
   for (const auto& [key, value] : overrides) {
     if (key.rfind("node.", 0) != 0) continue;
     if (!apply_node_override(updated, key, value, err)) return false;
+  }
+  // Checked on the final config, so memory and kernel_reserved of one node
+  // may be overridden together in either order.
+  for (std::size_t i = 0; i < updated.nodes.size(); ++i) {
+    const NodeConfig& node = updated.nodes[i];
+    if (node.memory <= node.kernel_reserved) {
+      const std::string prefix = "node." + std::to_string(i) + ".";
+      *err = "config override '" + prefix + "memory': node " + std::to_string(i) +
+             " has memory " + std::to_string(node.memory) + " <= kernel_reserved " +
+             std::to_string(node.kernel_reserved) + " bytes, leaving no user memory (" +
+             prefix + "memory must exceed " + prefix + "kernel_reserved)";
+      return false;
+    }
   }
 
   *this = std::move(updated);

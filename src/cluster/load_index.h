@@ -7,18 +7,19 @@
 // read these (possibly stale) snapshots, never live node state, which
 // reproduces the staleness a real system would see.
 //
-// The board keeps an incremental ClusterIndex over the published snapshots:
-// placement scans query the index's heaps instead of walking all entries, and
-// the §2.1 aggregates (cluster idle memory, average user memory) are O(1)
-// running totals over *live* nodes — a crashed node's stale snapshot no
-// longer leaks into the reconfiguration trigger.
+// The board keeps two IndexedHeaps over its own rows: placement scans query
+// a heap instead of walking all entries, and the §2.1 aggregates (cluster
+// idle memory, average user memory) are O(1) running totals over *live*
+// nodes — a crashed node's stale snapshot does not leak into the
+// reconfiguration trigger (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_index.h"
+#include "cluster/indexed_heap.h"
 #include "util/units.h"
 #include "workload/job.h"
 
@@ -68,41 +69,65 @@ class LoadInfoBoard {
   const std::vector<LoadInfo>& all() const { return infos_; }
   std::size_t size() const { return infos_.size(); }
 
-  /// Heap-indexed view of the snapshots. First heap: (slots asc, idle desc)
-  /// for submission targets; second heap: (idle desc) for migration targets.
-  /// Failed and reserved nodes are absent from both heaps.
-  const ClusterIndex& index() const { return index_; }
+  /// The submission target: among live, unreserved nodes passing `keep`,
+  /// the fewest slots used, then the most idle memory, then the lowest id.
+  template <typename Filter>
+  std::optional<NodeId> best_min_slots_max_idle(Filter&& keep) const {
+    return min_slots_max_idle_.best(keep);
+  }
+
+  /// The migration target: among live, unreserved nodes passing `keep`, the
+  /// most idle memory, then the lowest id.
+  template <typename Filter>
+  std::optional<NodeId> best_max_idle(Filter&& keep) const {
+    return max_idle_.best(keep);
+  }
 
   /// Accumulated idle memory across the *live* workstations — the quantity
   /// §2.1 compares against the average user memory to decide whether
   /// reconfiguring can help at all. Failed nodes' stale snapshots are
   /// excluded: a crashed node contributes no usable idle memory.
-  Bytes cluster_idle_memory() const { return index_.total_idle(); }
+  Bytes cluster_idle_memory() const { return total_idle_; }
 
   /// Average per-workstation user memory over live nodes.
   Bytes average_user_memory() const;
 
+  /// Number of non-failed rows.
+  std::size_t live_count() const { return live_count_; }
+
   // --- shadow-audit surface (DESIGN.md §13.5) ---
-  /// Cross-checks the indexed view against the snapshot table it mirrors:
-  /// every index row must equal state_from() of the corresponding LoadInfo,
-  /// and the index must pass its own audit_verify(). Compiled in every build;
-  /// called under -DVRC_AUDIT=ON from Cluster's exchange hook. Returns false
-  /// and describes the first mismatch in `why` (when non-null).
+  /// Full brute-force self-consistency sweep, O(n log n): the totals must
+  /// equal fresh sums over non-failed rows, heap membership must be exactly
+  /// the live unreserved set, every stored heap key must equal key_for() of
+  /// the node's current row, both heaps must pass audit_invariants(), and
+  /// both pruned best() minima must match a linear argmin. Compiled in every
+  /// build; called under -DVRC_AUDIT=ON from Cluster's exchange hook.
+  /// Returns false and describes the first inconsistency in `why` (when
+  /// non-null).
   bool audit_verify(std::string* why) const;
 
  private:
-  /// Projection of one published snapshot onto the index's key fields —
-  /// the single definition both publish() and audit_verify() rank by.
-  static ClusterIndex::NodeState state_from(const LoadInfo& info);
+  /// Key schema of one heap; each matches one policy scan's ranking exactly.
+  enum class Order {
+    kMinSlotsMaxIdle,  // (slots asc, idle desc, id asc) — submission targets
+    kMaxIdle,          // (idle desc, id asc)            — migration targets
+  };
 
-  /// Re-syncs `node`'s row into the indexed view after an infos_ write.
-  void publish(NodeId node);  // vrc:publish-fn
+  static IndexedHeap::Key key_for(Order order, const LoadInfo& info);
 
-  // Both halves of the board are board-visible by definition; the
-  // publish-audit lint (DESIGN.md §13.3) checks every writer re-syncs the
-  // index via publish() before returning.
-  std::vector<LoadInfo> infos_;  // vrc:board-visible
-  ClusterIndex index_;           // vrc:board-visible
+  /// Replaces `next.node`'s row with `next`: moves the live totals from the
+  /// old row to the new one and re-keys the node in both heaps, evicting it
+  /// when failed or reserved. Every writer funnels through here.
+  void publish(const LoadInfo& next);  // vrc:publish-fn
+
+  // Every field is board-visible; the publish-audit lint (DESIGN.md §13.3)
+  // checks every writer goes through publish() before returning.
+  std::vector<LoadInfo> infos_;     // vrc:board-visible
+  IndexedHeap min_slots_max_idle_;  // vrc:board-visible
+  IndexedHeap max_idle_;            // vrc:board-visible
+  Bytes total_idle_ = 0;            // vrc:board-visible
+  Bytes total_user_ = 0;            // vrc:board-visible
+  std::size_t live_count_ = 0;      // vrc:board-visible
 };
 
 }  // namespace vrc::cluster

@@ -50,12 +50,13 @@ std::optional<NodeId> GLoadSharing::find_submission_target(Cluster& cluster, Byt
   // (slots asc, idle desc) heap returns exactly the node the old linear scan
   // picked; failed and reserved entries are not in the heap at all.
   metrics::perf_add(&metrics::PerfCounters::submission_scans);
-  const cluster::ClusterIndex& index = cluster.board().index();
+  const cluster::LoadInfoBoard& board = cluster.board();
   const int cpu_threshold = cluster.config().cpu_threshold;
-  return index.best_first([&](NodeId n) {
-    if (n == exclude || index.pressured(n)) return false;
-    if (index.slots_used(n) + width > cpu_threshold) return false;
-    return index.idle(n) > demand_hint;
+  return board.best_min_slots_max_idle([&](NodeId n) {
+    const cluster::LoadInfo& info = board.info(n);
+    if (n == exclude || info.pressured) return false;
+    if (info.slots_used + width > cpu_threshold) return false;
+    return info.idle_memory > demand_hint;
   });
 }
 
@@ -65,14 +66,15 @@ std::optional<NodeId> GLoadSharing::find_migration_target(Cluster& cluster,
   // Board-ranked (idle desc) with a live double-check: the destination must
   // still qualify at migration time, not just at the last exchange.
   metrics::perf_add(&metrics::PerfCounters::migration_scans);
-  const cluster::ClusterIndex& index = cluster.board().index();
+  const cluster::LoadInfoBoard& board = cluster.board();
   const int cpu_threshold = cluster.config().cpu_threshold;
   // Migration preserves the job's width, so the destination needs that many
   // free slots (width 1 reduces to the old free-slot predicate).
-  return index.best_second([&](NodeId n) {
-    if (n == exclude || index.pressured(n)) return false;
-    if (index.slots_used(n) + job.width > cpu_threshold) return false;
-    if (index.idle(n) <= 0 || index.idle(n) < job.demand) return false;
+  return board.best_max_idle([&](NodeId n) {
+    const cluster::LoadInfo& info = board.info(n);
+    if (n == exclude || info.pressured) return false;
+    if (info.slots_used + job.width > cpu_threshold) return false;
+    if (info.idle_memory <= 0 || info.idle_memory < job.demand) return false;
     const Workstation& live = cluster.node(n);
     if (live.failed() || live.free_slots() < job.width || live.reserved() ||
         live.memory_pressured()) {

@@ -92,16 +92,6 @@ bool parse_int64_text(const std::string& text, long long* out) {
   return true;
 }
 
-bool parse_double_text(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 ParamReader::ParamReader(std::string policy_name, const PolicyParams& params)
@@ -145,7 +135,7 @@ void ParamReader::read_int64(const std::string& key, long long* out) {
 
 void ParamReader::read_double(const std::string& key, double* out) {
   if (const std::string* value = find(key)) {
-    if (!parse_double_text(*value, out)) fail(key, *value, "double", "1.5");
+    if (!parse_finite_double(*value, out)) fail(key, *value, "double", "1.5");
   }
 }
 

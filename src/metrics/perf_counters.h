@@ -32,7 +32,7 @@ namespace vrc::metrics {
 struct PerfCounters {
   // Discrete-event engine.
   std::uint64_t events_executed = 0;
-  // IndexedHeap maintenance in the board's ClusterIndex.
+  // IndexedHeap maintenance in the LoadInfoBoard.
   std::uint64_t heap_upserts = 0;
   std::uint64_t heap_erases = 0;
   std::uint64_t heap_best_queries = 0;

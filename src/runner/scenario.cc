@@ -355,6 +355,19 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
     fail(error, nested);
     return std::nullopt;
   }
+  // Malleable jobs submit at their widest width; wider than the slot
+  // threshold, no workstation can ever start them and the run silently ends
+  // at max_sim_time. `malleable on` makes every generated trace malleable.
+  for (const workload::TraceSpec& trace : spec.traces) {
+    const bool malleable = trace.malleable_fraction > 0.0 || (spec.malleable && !trace.is_swf());
+    if (malleable && trace.malleable_max_width > config.cpu_threshold) {
+      fail(error, "trace spec '" + trace.print() +
+                      "': malleable jobs submit at their widest width " +
+                      std::to_string(trace.malleable_max_width) + ", above cpu_threshold " +
+                      std::to_string(config.cpu_threshold) + ", so no workstation can start them");
+      return std::nullopt;
+    }
+  }
 
   SweepGrid grid;
   grid.configs = {std::move(config)};

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/units.h"
+
 namespace vrc::util {
 
 namespace {
@@ -13,18 +15,6 @@ bool parse_int64(const std::string& text, long long* out) {
   try {
     size_t pos = 0;
     long long v = std::stoll(text, &pos);
-    if (pos != text.size()) return false;
-    *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_double(const std::string& text, double* out) {
-  try {
-    size_t pos = 0;
-    double v = std::stod(text, &pos);
     if (pos != text.size()) return false;
     *out = v;
     return true;
@@ -66,7 +56,7 @@ void FlagSet::add_int64(const std::string& name, long long* target, std::string 
 void FlagSet::add_double(const std::string& name, double* target, std::string help) {
   Flag f;
   f.help = std::move(help);
-  f.set = [target](const std::string& v) { return parse_double(v, target); };
+  f.set = [target](const std::string& v) { return parse_finite_double(v, target); };
   f.default_value = [target] { return std::to_string(*target); };
   add(name, std::move(f));
 }

@@ -5,8 +5,11 @@
 // paper uses (megabytes, milliseconds, Mbps) without ad-hoc arithmetic.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace vrc {
@@ -35,33 +38,39 @@ constexpr SimTime milliseconds(double ms) { return ms / 1000.0; }
 /// Converts a megabit-per-second link speed to bytes per second.
 constexpr double mbps_to_bytes_per_sec(double mbps) { return mbps * 1e6 / 8.0; }
 
-namespace units_detail {
-
-/// Parses the leading number of `text`; on success stores the value and the
-/// remainder (the unit suffix, leading spaces stripped).
-inline bool split_number(const std::string& text, double* value, std::string* suffix) {
+/// Parses a finite double at the start of `text` with strtod syntax, but
+/// rejects NaN, infinities and anything strtod reports out of range
+/// (ERANGE), so a range check that follows never compares against NaN. When
+/// `suffix` is null the number must span all of `text`; otherwise `*suffix`
+/// receives the rest, leading spaces stripped. Returns false without
+/// touching the outputs on failure.
+inline bool parse_finite_double(const std::string& text, double* out,
+                                std::string* suffix = nullptr) {
   if (text.empty()) return false;
   const char* begin = text.c_str();
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(begin, &end);
-  if (end == begin) return false;  // no digits at all
-  while (*end == ' ') ++end;
-  *value = parsed;
-  *suffix = std::string(end);
+  if (end == begin || errno == ERANGE || !std::isfinite(parsed)) return false;
+  if (suffix == nullptr) {
+    if (*end != '\0') return false;
+  } else {
+    while (*end == ' ') ++end;
+    *suffix = std::string(end);
+  }
+  *out = parsed;
   return true;
 }
-
-}  // namespace units_detail
 
 /// Parses a memory quantity with an optional unit suffix: "384MB", "4KB",
 /// "1.5GB", "128MiB", "65536" (plain bytes), "512B". Decimal and binary
 /// suffixes are synonyms (the codebase measures memory in binary units, per
 /// megabytes()). Returns false on malformed input or unknown suffixes;
-/// negative quantities are rejected.
+/// negative, non-finite and Bytes-overflowing quantities are rejected.
 inline bool parse_bytes(const std::string& text, Bytes* out) {
   double value = 0.0;
   std::string suffix;
-  if (!units_detail::split_number(text, &value, &suffix)) return false;
+  if (!parse_finite_double(text, &value, &suffix)) return false;
   if (value < 0.0) return false;
   double scale = 1.0;
   if (suffix.empty() || suffix == "B") {
@@ -75,17 +84,20 @@ inline bool parse_bytes(const std::string& text, Bytes* out) {
   } else {
     return false;
   }
-  *out = static_cast<Bytes>(value * scale);
+  // 2^63 is exact in a double; anything at or above it does not fit in Bytes.
+  const double bytes = value * scale;
+  if (!(bytes < static_cast<double>(std::numeric_limits<Bytes>::max()))) return false;
+  *out = static_cast<Bytes>(bytes);
   return true;
 }
 
 /// Parses a time quantity with an optional unit suffix: "10ms", "0.5s",
 /// "2min", "250us", "1.5" (plain seconds). Returns false on malformed input
-/// or unknown suffixes; negative durations are rejected.
+/// or unknown suffixes; negative and non-finite durations are rejected.
 inline bool parse_duration(const std::string& text, SimTime* out) {
   double value = 0.0;
   std::string suffix;
-  if (!units_detail::split_number(text, &value, &suffix)) return false;
+  if (!parse_finite_double(text, &value, &suffix)) return false;
   if (value < 0.0) return false;
   double scale = 1.0;
   if (suffix.empty() || suffix == "s" || suffix == "sec") {
@@ -101,7 +113,9 @@ inline bool parse_duration(const std::string& text, SimTime* out) {
   } else {
     return false;
   }
-  *out = value * scale;
+  const SimTime seconds = value * scale;
+  if (!std::isfinite(seconds)) return false;
+  *out = seconds;
   return true;
 }
 

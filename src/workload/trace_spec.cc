@@ -140,8 +140,8 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
         }
         spec.swf_file = value;
       } else if (key == "scale") {
-        const double scale = std::strtod(value.c_str(), &end);
-        if (value.empty() || end == value.c_str() || *end != '\0' || scale <= 0.0) {
+        double scale = 0.0;
+        if (!parse_finite_double(value, &scale) || scale <= 0.0) {
           value_error(error, text, key, value, "positive double", "0.1");
           return std::nullopt;
         }
@@ -229,8 +229,8 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
         return std::nullopt;
       }
     } else if (key == "arrival_scale") {
-      const double scale = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0' || scale <= 0.0) {
+      double scale = 0.0;
+      if (!parse_finite_double(value, &scale) || scale <= 0.0) {
         value_error(error, text, key, value, "positive double", "1.5");
         return std::nullopt;
       }
@@ -243,9 +243,8 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
       }
       spec.seed = seed;
     } else if (key == "malleable") {
-      const double fraction = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0' || fraction < 0.0 ||
-          fraction > 1.0) {
+      double fraction = 0.0;
+      if (!parse_finite_double(value, &fraction) || fraction < 0.0 || fraction > 1.0) {
         value_error(error, text, key, value, "double in [0, 1]", "0.5");
         return std::nullopt;
       }
@@ -265,8 +264,8 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
       }
       spec.malleable_max_width = static_cast<int>(width);
     } else if (key == "malleable_alpha") {
-      const double alpha = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0' || alpha < 0.0 || alpha > 1.0) {
+      double alpha = 0.0;
+      if (!parse_finite_double(value, &alpha) || alpha < 0.0 || alpha > 1.0) {
         value_error(error, text, key, value, "double in [0, 1]", "0.8");
         return std::nullopt;
       }

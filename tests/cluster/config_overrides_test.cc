@@ -106,9 +106,12 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
         << error;
     EXPECT_NE(error.find("expected positive"), std::string::npos) << error;
   }
-  // strtod accepts "nan"; a NaN tick completes no job yet exits cleanly.
+  // A NaN tick used to complete no job yet exit cleanly; the duration parser
+  // now rejects it before the range check runs.
   EXPECT_FALSE(config.apply_overrides({{"tick", "nan"}}, &error));
-  EXPECT_NE(error.find("expected positive duration"), std::string::npos) << error;
+  EXPECT_NE(error.find("config override 'tick': invalid value 'nan' (expected duration"),
+            std::string::npos)
+      << error;
 }
 
 TEST(ApplyOverridesTest, BadNodeKeysAreRejectedPrecisely) {
@@ -154,6 +157,73 @@ TEST(ApplyOverridesTest, OverrideKeyDocsMatchAcceptedKeys) {
     EXPECT_TRUE(config.apply_overrides({{doc.key, sample.at(doc.type)}}, &error))
         << doc.key << ": " << error;
   }
+}
+
+TEST(ApplyOverridesTest, NonFiniteValuesAreRejectedForEveryNumericKey) {
+  // NaN passes every `x <= 0` range check and infinities overflow the Bytes
+  // casts: fault.mttr=nan looped forever, memory_threshold=nan cast NaN.
+  std::size_t checked = 0;
+  for (const auto& doc : ClusterConfig::override_keys()) {
+    if (doc.type != "double" && doc.type != "duration" && doc.type != "bytes") continue;
+    std::string key = doc.key;
+    if (key.rfind("node.<i>.", 0) == 0) key = "node.0." + key.substr(9);
+    for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
+      ClusterConfig config = ClusterConfig::paper_cluster1(2);
+      std::string error;
+      EXPECT_FALSE(config.apply_overrides({{key, value}}, &error)) << key << "=" << value;
+      EXPECT_NE(error.find("config override '" + key + "': invalid value '" + value + "'"),
+                std::string::npos)
+          << error;
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 20u);  // every double, duration and bytes key, per-node ones included
+}
+
+TEST(ApplyOverridesTest, NodeHardwareAndMemoryThresholdAreRangeChecked) {
+  ClusterConfig config = ClusterConfig::paper_cluster1(4);
+  const ClusterConfig before = config;
+  std::string error;
+  // A non-positive CPU speed leaves the node's jobs unable to progress.
+  for (const std::string value : {"0", "-400"}) {
+    EXPECT_FALSE(config.apply_overrides({{"node.0.cpu_mhz", value}}, &error)) << value;
+    EXPECT_NE(error.find("config override 'node.0.cpu_mhz': invalid value '" + value +
+                         "' (expected positive double"),
+              std::string::npos)
+        << error;
+  }
+  // Memory at or below kernel_reserved leaves no user memory.
+  EXPECT_FALSE(config.apply_overrides({{"node.*.memory", "0"}}, &error));
+  EXPECT_NE(error.find("config override 'node.0.memory'"), std::string::npos) << error;
+  EXPECT_NE(error.find("must exceed node.0.kernel_reserved"), std::string::npos) << error;
+  EXPECT_FALSE(config.apply_overrides({{"node.2.memory", "16MB"}}, &error));  // == reserved
+  EXPECT_NE(error.find("config override 'node.2.memory'"), std::string::npos) << error;
+  EXPECT_FALSE(config.apply_overrides({{"node.1.kernel_reserved", "384MB"}}, &error));
+  EXPECT_NE(error.find("config override 'node.1.memory'"), std::string::npos) << error;
+  // A zero or negative memory threshold fails every local admission.
+  for (const std::string value : {"0", "-0.5"}) {
+    EXPECT_FALSE(config.apply_overrides({{"memory_threshold", value}}, &error)) << value;
+    EXPECT_NE(error.find("config override 'memory_threshold': invalid value '" + value +
+                         "' (expected positive double"),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_EQ(config.nodes[0].cpu_mhz, before.nodes[0].cpu_mhz);
+  EXPECT_EQ(config.nodes[0].memory, before.nodes[0].memory);
+  EXPECT_EQ(config.memory_threshold, before.memory_threshold);
+
+  // The memory check runs on the final config: raising kernel_reserved above
+  // the old memory is fine when memory rises in the same batch, and lowering
+  // memory below the old kernel_reserved is fine when it falls too.
+  ASSERT_TRUE(config.apply_overrides({{"node.0.kernel_reserved", "400MB"},
+                                      {"node.0.memory", "512MB"}},
+                                     &error))
+      << error;
+  ASSERT_TRUE(config.apply_overrides({{"node.1.memory", "8MB"}, {"node.1.kernel_reserved", "4MB"}},
+                                     &error))
+      << error;
+  EXPECT_EQ(config.nodes[0].kernel_reserved, megabytes(400));
+  EXPECT_EQ(config.nodes[1].memory, megabytes(8));
 }
 
 }  // namespace

@@ -318,7 +318,7 @@ class BoardChecker {
     }
     // Aggregates and index rows must stay consistent with the entries.
     EXPECT_EQ(cluster_.board().cluster_idle_memory(), live_idle) << "t=" << now;
-    EXPECT_EQ(cluster_.board().index().live_count(), live) << "t=" << now;
+    EXPECT_EQ(cluster_.board().live_count(), live) << "t=" << now;
   }
 
   int checks() const { return checks_; }

@@ -148,5 +148,18 @@ TEST(PolicyRegistryTest, CustomRegistrationIsCreatableLikeBuiltins) {
   EXPECT_NE(make_policy(PolicySpec("stub"), &error), nullptr) << error;
 }
 
+TEST(PolicyRegistryTest, NonFiniteDoubleAndDurationParamsAreRejected) {
+  for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
+    for (const std::string key : {"growth_headroom", "reserve_timeout"}) {
+      std::string error;
+      EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{key, value}}), &error), nullptr)
+          << key << "=" << value;
+      EXPECT_NE(error.find("invalid value '" + value + "' for param '" + key + "'"),
+                std::string::npos)
+          << error;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vrc::core

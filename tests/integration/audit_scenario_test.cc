@@ -16,7 +16,6 @@
 #include <string>
 
 #include "cluster/audit.h"
-#include "cluster/cluster_index.h"
 #include "cluster/load_index.h"
 #include "core/experiment.h"
 #include "workload/arrival_source.h"
@@ -25,7 +24,6 @@
 namespace vrc {
 namespace {
 
-using cluster::ClusterIndex;
 using cluster::IndexedHeap;
 using cluster::LoadInfo;
 using cluster::LoadInfoBoard;
@@ -49,25 +47,27 @@ TEST(AuditSurfaceTest, HeapInvariantsHoldUnderChurn) {
   EXPECT_EQ(heap.audit_linear_min(), std::optional<NodeId>(3));
 }
 
-TEST(AuditSurfaceTest, ClusterIndexVerifiesAfterPublishChurn) {
-  ClusterIndex index(6, ClusterIndex::Order::kMinSlotsMaxIdle,
-                     ClusterIndex::Order::kMaxIdle);
+TEST(AuditSurfaceTest, BoardVerifiesAfterPublishChurn) {
+  LoadInfoBoard board(6);
   for (NodeId node = 0; node < 6; ++node) {
-    ClusterIndex::NodeState state;
-    state.idle = 100 * (node + 1);
-    state.user = 10 * (node + 1);
-    state.slots_used = static_cast<std::int32_t>(node % 3);
-    index.publish(node, state);
+    LoadInfo info;
+    info.node = node;
+    info.idle_memory = 100 * (node + 1);
+    info.user_memory = 10 * (node + 1);
+    info.slots_used = static_cast<int>(node % 3);
+    board.update(info);
   }
-  ClusterIndex::NodeState failed;
+  LoadInfo failed;
+  failed.node = 2;
   failed.failed = true;
-  index.publish(2, failed);  // eviction path
-  ClusterIndex::NodeState reserved;
-  reserved.idle = 500;
+  board.update(failed);  // eviction path
+  LoadInfo reserved;
+  reserved.node = 4;
+  reserved.idle_memory = 500;
   reserved.reserved = true;
-  index.publish(4, reserved);  // reserved eviction, still counted live
+  board.update(reserved);  // reserved eviction, still counted live
   std::string why;
-  EXPECT_TRUE(index.audit_verify(&why)) << why;
+  EXPECT_TRUE(board.audit_verify(&why)) << why;
 }
 
 TEST(AuditSurfaceTest, BoardVerifiesAndCheckersCount) {

@@ -314,5 +314,52 @@ TEST(ScenarioRunTest, TrialsExpandTheTraceAxisTrialMajor) {
             repeated->cell(1, 0, 1).report.jobs_submitted);
 }
 
+TEST(ScenarioSpecTest, NumericDirectivesRejectNonFiniteValues) {
+  // `max_sim_time nan` used to submit no job and exit 0.
+  for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(spec.apply_line("sampling_interval " + value, &error)) << value;
+    EXPECT_NE(error.find("sampling_interval '" + value + "'"), std::string::npos) << error;
+    EXPECT_FALSE(spec.apply_line("max_sim_time " + value, &error)) << value;
+    EXPECT_NE(error.find("max_sim_time '" + value + "'"), std::string::npos) << error;
+    EXPECT_FALSE(spec.apply_line("fault crash node=1 at=" + value + " for=60", &error)) << value;
+    EXPECT_NE(error.find("fault at '" + value + "'"), std::string::npos) << error;
+    EXPECT_FALSE(spec.apply_line("fault crash node=1 at=100 for=" + value, &error)) << value;
+    EXPECT_NE(error.find("fault for '" + value + "'"), std::string::npos) << error;
+    EXPECT_TRUE(spec.faults.empty());
+  }
+}
+
+TEST(ToGridTest, MalleableTraceWiderThanCpuThresholdIsRejected) {
+  // Jobs submit at their widest width; wider than cpu_threshold, none can
+  // start and the run used to end silently at max_sim_time.
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(spec.apply_line("trace spec:jobs=10,duration=10,malleable=1,malleable_max=6",
+                              &error))
+      << error;
+  ASSERT_TRUE(spec.apply_line("policy g-loadsharing", &error)) << error;
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_NE(error.find("trace spec '" + spec.traces[0].print() + "'"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("widest width 6, above cpu_threshold 5"), std::string::npos) << error;
+  ASSERT_TRUE(spec.apply_line("set cpu_threshold=6", &error)) << error;
+  EXPECT_TRUE(to_grid(spec, &error).has_value()) << error;  // width == threshold fits
+
+  // `malleable on` gives generated traces width [1, 2].
+  ScenarioSpec directive;
+  ASSERT_TRUE(directive.apply_line("trace spec:jobs=10,duration=10", &error)) << error;
+  ASSERT_TRUE(directive.apply_line("policy g-loadsharing", &error)) << error;
+  ASSERT_TRUE(directive.apply_line("malleable on", &error)) << error;
+  ASSERT_TRUE(directive.apply_line("set cpu_threshold=1", &error)) << error;
+  EXPECT_FALSE(to_grid(directive, &error).has_value());
+  EXPECT_NE(error.find("trace spec '" + directive.traces[0].print() + "'"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("widest width 2, above cpu_threshold 1"), std::string::npos) << error;
+  ASSERT_TRUE(directive.apply_line("malleable off", &error)) << error;
+  EXPECT_TRUE(to_grid(directive, &error).has_value()) << error;  // rigid width 1 fits
+}
+
 }  // namespace
 }  // namespace vrc::runner

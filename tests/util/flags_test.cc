@@ -274,5 +274,16 @@ TEST(FlagSetTest, UsageListsFlagsAndDefaults) {
   EXPECT_NE(usage.find("5"), std::string::npos);
 }
 
+TEST(FlagSetTest, NonFiniteDoubleFails) {
+  for (const char* text : {"--ratio=nan", "--ratio=inf", "--ratio=-inf", "--ratio=1e999"}) {
+    FlagSet flags;
+    double value = 1.0;
+    flags.add_double("ratio", &value, "");
+    auto argv = argv_of({text});
+    EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data())) << text;
+    EXPECT_DOUBLE_EQ(value, 1.0) << text;
+  }
+}
+
 }  // namespace
 }  // namespace vrc::util

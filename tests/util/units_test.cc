@@ -86,5 +86,42 @@ TEST(ParseDurationTest, RejectsGarbageUnknownSuffixAndNegative) {
   EXPECT_FALSE(parse_duration("10msx", &out));
 }
 
+TEST(ParseFiniteDoubleTest, RejectsNonFiniteAndOutOfRangeNumbers) {
+  double out = 7.0;
+  for (const char* text : {"nan", "NAN", "-nan", "inf", "-inf", "infinity", "1e999", "-1e999"}) {
+    EXPECT_FALSE(parse_finite_double(text, &out)) << text;
+  }
+  EXPECT_DOUBLE_EQ(out, 7.0);  // untouched on failure
+  EXPECT_TRUE(parse_finite_double("-2.5e3", &out));
+  EXPECT_DOUBLE_EQ(out, -2500.0);
+  EXPECT_FALSE(parse_finite_double("2.5x", &out));  // whole text unless a suffix is wanted
+  std::string suffix;
+  EXPECT_TRUE(parse_finite_double("2.5 GB", &out, &suffix));
+  EXPECT_DOUBLE_EQ(out, 2.5);
+  EXPECT_EQ(suffix, "GB");
+  EXPECT_FALSE(parse_finite_double("infMB", &out, &suffix));
+}
+
+TEST(ParseBytesTest, RejectsNonFiniteAndValuesBeyondBytes) {
+  Bytes out = 5;
+  for (const char* text : {"nan", "inf", "-inf", "1e999", "nanMB", "infGB", "1e30GB"}) {
+    EXPECT_FALSE(parse_bytes(text, &out)) << text;
+  }
+  // 2^63 bytes is one past the largest Bytes value; 2^62 fits.
+  EXPECT_FALSE(parse_bytes("9223372036854775808", &out));
+  EXPECT_FALSE(parse_bytes("8589934592GB", &out));
+  EXPECT_EQ(out, 5);
+  EXPECT_TRUE(parse_bytes("4294967296GB", &out));
+  EXPECT_EQ(out, Bytes{1} << 62);
+}
+
+TEST(ParseDurationTest, RejectsNonFiniteDurations) {
+  SimTime out = 1.0;
+  for (const char* text : {"nan", "inf", "-inf", "1e999", "nans", "infms", "1e307h"}) {
+    EXPECT_FALSE(parse_duration(text, &out)) << text;
+  }
+  EXPECT_DOUBLE_EQ(out, 1.0);
+}
+
 }  // namespace
 }  // namespace vrc

@@ -211,5 +211,26 @@ TEST(TraceSpecTest, TraceLevelNodesOverrideBeatsDefault) {
   for (const JobSpec& job : trace.jobs()) EXPECT_LT(job.home_node, 4);
 }
 
+TEST(TraceSpecTest, NumericParamsRejectNonFiniteValues) {
+  // NaN passes every `x <= 0` range check; a NaN duration or arrival_scale
+  // used to abort the generator, a NaN fraction to slip past [0, 1].
+  for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
+    for (const std::string key :
+         {"duration", "arrival_scale", "malleable", "malleable_alpha"}) {
+      std::string error;
+      EXPECT_FALSE(TraceSpec::parse("spec:jobs=10," + key + "=" + value, &error)
+                       .has_value())
+          << key << "=" << value;
+      EXPECT_NE(error.find("for '" + key + "'"), std::string::npos) << error;
+    }
+    for (const std::string key : {"scale", "min_runtime"}) {
+      std::string error;
+      EXPECT_FALSE(TraceSpec::parse("swf:file=log.swf," + key + "=" + value, &error).has_value())
+          << key << "=" << value;
+      EXPECT_NE(error.find("for '" + key + "'"), std::string::npos) << error;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vrc::workload
