@@ -4,6 +4,7 @@
 // file):
 //
 //   ./vrc_run --scenario examples/scenarios/paper_cluster1.scn
+//   ./vrc_run --scenario bench/paper_group1.scn --jobs 4   # Figures 1-2, §5
 //   ./vrc_run --traces "spec:trace=3" --policies "g-loadsharing;v-reconf"
 //   ./vrc_run --traces "spec:trace=1;spec:trace=2"
 //             --policies "v-reconf:early_release=0;v-reconf"
@@ -12,19 +13,30 @@
 // List-valued flags are ';'-separated because ',' separates params inside a
 // single trace/policy spec. Exits non-zero with the registry's message on an
 // unknown policy, a bad param, or a bad config override.
+//
+// A scenario with `compare` lines prints a second table: per (trial, trace,
+// config, compare line), the reductions the paper quotes and the §5 model's
+// realized gain, term deltas and approximation error.
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/model.h"
 #include "cluster/config.h"
+#include "core/experiment.h"
 #include "core/policy_registry.h"
 #include "metrics/perf_counters.h"
 #include "runner/scenario.h"
 #include "util/flags.h"
 #include "util/table.h"
+#include "util/units.h"
+#include "workload/catalog.h"
 #include "workload/trace_generator.h"
 
 using namespace vrc;
+using util::Table;
 
 namespace {
 
@@ -43,19 +55,44 @@ bool apply_list(runner::ScenarioSpec* spec, const std::string& directive,
   return true;
 }
 
-}  // namespace
+// Tables 1 and 2 of the paper: the program catalog of each workload group.
+void print_catalogs() {
+  for (const workload::WorkloadGroup group :
+       {workload::WorkloadGroup::kSpec, workload::WorkloadGroup::kApps}) {
+    const bool spec = group == workload::WorkloadGroup::kSpec;
+    std::printf("\n%s programs (paper Table %d; lifetimes on the %.0f MHz reference "
+                "workstation):\n",
+                workload::to_string(group), spec ? 1 : 2, workload::reference_mhz(group));
+    const std::vector<workload::ProgramSpec>& programs = workload::catalog(group);
+    double total_weight = 0.0;
+    for (const workload::ProgramSpec& p : programs) total_weight += p.mix_weight;
+    Table table({"program", "description", spec ? "input" : "data size", "working set (MB)",
+                 "lifetime (s)", "page touches/s", "mix share"});
+    for (const workload::ProgramSpec& p : programs) {
+      const std::string peak = Table::fmt(to_megabytes(p.working_set), 1);
+      table.add_row({p.name, p.description, p.input,
+                     p.has_range() ? Table::fmt(to_megabytes(p.working_set_min), 1) + "-" + peak
+                                   : peak,
+                     Table::fmt(p.lifetime, 1), Table::fmt(p.touch_rate, 0),
+                     Table::pct(p.mix_weight / total_weight)});
+    }
+    std::fputs(table.to_ascii().c_str(), stdout);
+  }
+}
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string scenario_path;
   std::string traces;
   std::string policies;
   std::string overrides;
   std::string cluster;
-  int nodes = 0;           // 0: keep the scenario's value
-  int trials = 0;          // 0: keep the scenario's value
-  long long base_seed = -1;  // -1: keep the scenario's value
-  double sampling_interval = 0.0;
-  double max_sim_time = 0.0;
+  // Scalar flags are kept as typed and forwarded as spec-file directives;
+  // empty keeps the scenario's value.
+  std::string nodes;
+  std::string trials;
+  std::string base_seed;
+  std::string sampling_interval;
+  std::string max_sim_time;
   int jobs = 0;
   bool csv = false;
   bool malleable = false;
@@ -71,13 +108,12 @@ int main(int argc, char** argv) {
                    "';'-separated policy specs, e.g. g-loadsharing;v-reconf:early_release=0");
   flags.add_string("set", &overrides, "comma-separated config overrides, e.g. memory_threshold=0.9");
   flags.add_string("cluster", &cluster, "auto | paper1 | paper2");
-  flags.add_int("nodes", &nodes, "number of workstations (0: scenario default)");
-  flags.add_int("trials", &trials, "independent repetitions (0: scenario default)");
-  flags.add_int64("base-seed", &base_seed, "sweep base seed (-1: scenario default)");
-  flags.add_double("sampling-interval", &sampling_interval,
-                   "metric sampling interval in seconds (0: scenario default)");
-  flags.add_double("max-sim-time", &max_sim_time,
-                   "simulated-time safety cap in seconds (0: scenario default)");
+  flags.add_string("nodes", &nodes, "number of workstations");
+  flags.add_string("trials", &trials, "independent repetitions");
+  flags.add_string("base-seed", &base_seed, "sweep base seed");
+  flags.add_string("sampling-interval", &sampling_interval,
+                   "metric sampling interval, e.g. 10 or 500ms");
+  flags.add_string("max-sim-time", &max_sim_time, "simulated-time safety cap, e.g. 2h");
   flags.add_int("jobs", &jobs, "parallel worker threads (0 = one per hardware thread)");
   flags.add_bool("csv", &csv, "emit CSV instead of an ASCII table");
   flags.add_bool("malleable", &malleable,
@@ -90,7 +126,8 @@ int main(int argc, char** argv) {
   flags.add_bool("list-overrides", &list_overrides,
                  "print every `--set` config override key, then exit");
   flags.add_bool("list-traces", &list_traces,
-                 "print the standard trace shapes and the trace-spec syntax, then exit");
+                 "print the standard trace shapes, the trace-spec syntax and both program "
+                 "catalogs, then exit");
   if (!flags.parse(argc, argv)) return 1;
 
   if (list_policies) {
@@ -122,12 +159,14 @@ int main(int argc, char** argv) {
                   shape.num_jobs, shape.duration);
     }
     std::printf("\ngenerated workloads:\n");
-    std::printf("  <spec|apps>:trace=1..5[,seed=S,arrival_scale=A,nodes=N,name=X]\n");
-    std::printf("  <spec|apps>:jobs=J,duration=D[,seed=S,arrival_scale=A,nodes=N,name=X]\n");
+    std::printf("  <spec|apps>:trace=1..5[,seed=S,arrival_scale=A,big_share=F,nodes=N,name=X]\n");
+    std::printf(
+        "  <spec|apps>:jobs=J,duration=D[,seed=S,arrival_scale=A,big_share=F,nodes=N,name=X]\n");
     std::printf("\nSWF log replay (Standard Workload Format):\n");
     std::printf(
         "  swf:file=PATH[,scale=S,max_jobs=J,min_runtime=R,group=spec|apps,nodes=N,name=X]\n");
     std::printf("  scenario-file form: trace swf file=PATH scale=S ...\n");
+    print_catalogs();
     return 0;
   }
 
@@ -143,21 +182,22 @@ int main(int argc, char** argv) {
   }
 
   // Flags refine the loaded scenario: list flags append, scalar flags
-  // override. Everything funnels through apply_line so the diagnostics match
-  // the spec-file ones.
-  const bool ok =
-      apply_list(&spec, "trace", traces, &error) &&
-      apply_list(&spec, "policy", policies, &error) &&
-      (overrides.empty() || spec.apply_line("set " + overrides, &error)) &&
-      (cluster.empty() || spec.apply_line("cluster " + cluster, &error)) &&
-      (!malleable || spec.apply_line("malleable on", &error)) &&
-      (nodes == 0 || spec.apply_line("nodes " + std::to_string(nodes), &error)) &&
-      (trials == 0 || spec.apply_line("trials " + std::to_string(trials), &error)) &&
-      (base_seed < 0 || spec.apply_line("base_seed " + std::to_string(base_seed), &error)) &&
-      (sampling_interval == 0.0 ||
-       spec.apply_line("sampling_interval " + util::Table::fmt(sampling_interval, 6), &error)) &&
-      (max_sim_time == 0.0 ||
-       spec.apply_line("max_sim_time " + util::Table::fmt(max_sim_time, 6), &error));
+  // override. Everything funnels through apply_line verbatim, so the
+  // diagnostics match the spec-file ones.
+  bool ok = apply_list(&spec, "trace", traces, &error) &&
+            apply_list(&spec, "policy", policies, &error) &&
+            (overrides.empty() || spec.apply_line("set " + overrides, &error)) &&
+            (!malleable || spec.apply_line("malleable on", &error));
+  const std::pair<const char*, const std::string*> scalars[] = {
+      {"cluster", &cluster},
+      {"nodes", &nodes},
+      {"trials", &trials},
+      {"base_seed", &base_seed},
+      {"sampling_interval", &sampling_interval},
+      {"max_sim_time", &max_sim_time}};
+  for (const auto& [directive, text] : scalars) {
+    ok = ok && (text->empty() || spec.apply_line(std::string(directive) + " " + *text, &error));
+  }
   if (!ok) {
     std::fprintf(stderr, "vrc_run: %s\n", error.c_str());
     return 1;
@@ -173,16 +213,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  using util::Table;
   // Fault columns only when the scenario configures faults, so fault-free
   // scenario goldens stay byte-identical.
-  const bool with_faults =
-      !spec.faults.empty() || spec.config_overrides.count("fault.mtbf") > 0;
+  const bool with_faults = !spec.faults.empty() ||
+                           spec.config_overrides.count("fault.mtbf") > 0 ||
+                           spec.sweep_key == "fault.mtbf";
   // Same gating for the resize columns: rigid-scenario goldens never change.
   const bool with_malleable = spec.malleable_configured();
-  std::vector<std::string> header = {"trial", "trace", "policy", "jobs", "completed",
-                                     "makespan", "t_exe", "t_cpu", "t_page", "t_que", "t_mig",
-                                     "avg_slowdown", "idle_mb", "skew"};
+  // Both tables open with trial, trace and, under a sweep, the swept value.
+  const bool swept = !spec.sweep_key.empty();
+  std::vector<std::string> axis_header = {"trial", "trace"};
+  if (swept) axis_header.push_back(spec.sweep_key);
+  auto axis_row = [&](int trial, const metrics::RunReport& report, std::size_t config) {
+    std::vector<std::string> row = {std::to_string(trial), report.trace};
+    if (swept) row.push_back(spec.sweep_values[config]);
+    return row;
+  };
+  std::vector<std::string> header = axis_header;
+  header.insert(header.end(), {"policy", "jobs", "completed", "makespan", "t_exe", "t_cpu",
+                               "t_page", "t_que", "t_mig", "avg_slowdown", "idle_mb", "skew"});
   if (with_faults) {
     header.insert(header.end(), {"crashes", "killed", "restarts", "xfail", "avail"});
   }
@@ -192,37 +241,72 @@ int main(int argc, char** argv) {
   Table table(header);
   for (int trial = 0; trial < run->num_trials; ++trial) {
     for (std::size_t t = 0; t < run->num_traces; ++t) {
-      for (std::size_t p = 0; p < run->num_policies; ++p) {
-        const metrics::RunReport& report = run->cell(trial, t, p).report;
-        std::vector<std::string> row = {
-            std::to_string(trial), report.trace, spec.policies[p].print(),
-            std::to_string(report.jobs_submitted), std::to_string(report.jobs_completed),
-            Table::fmt(report.makespan, 1), Table::fmt(report.total_execution, 1),
-            Table::fmt(report.total_cpu, 1), Table::fmt(report.total_page, 1),
-            Table::fmt(report.total_queue, 1), Table::fmt(report.total_migration, 1),
-            Table::fmt(report.avg_slowdown, 4), Table::fmt(report.avg_idle_memory_mb, 1),
-            Table::fmt(report.avg_balance_skew, 4)};
-        if (with_faults) {
-          row.push_back(std::to_string(report.node_crashes));
-          row.push_back(std::to_string(report.jobs_killed));
-          row.push_back(std::to_string(report.job_restarts));
-          row.push_back(std::to_string(report.transfer_failures));
-          row.push_back(Table::fmt(report.availability, 4));
-        }
-        if (with_malleable) {
-          double blocked_saved = 0.0;
-          for (const auto& [key, value] : report.policy_stats) {
-            if (key == "blocked_time_saved") blocked_saved = value;
+      for (std::size_t c = 0; c < run->num_configs; ++c) {
+        for (std::size_t p = 0; p < run->num_policies; ++p) {
+          const metrics::RunReport& report = run->cell(trial, t, c, p).report;
+          std::vector<std::string> row = axis_row(trial, report, c);
+          row.insert(row.end(),
+                     {spec.policies[p].print(), std::to_string(report.jobs_submitted),
+                      std::to_string(report.jobs_completed), Table::fmt(report.makespan, 1),
+                      Table::fmt(report.total_execution, 1), Table::fmt(report.total_cpu, 1),
+                      Table::fmt(report.total_page, 1), Table::fmt(report.total_queue, 1),
+                      Table::fmt(report.total_migration, 1), Table::fmt(report.avg_slowdown, 4),
+                      Table::fmt(report.avg_idle_memory_mb, 1),
+                      Table::fmt(report.avg_balance_skew, 4)});
+          if (with_faults) {
+            row.push_back(std::to_string(report.node_crashes));
+            row.push_back(std::to_string(report.jobs_killed));
+            row.push_back(std::to_string(report.job_restarts));
+            row.push_back(std::to_string(report.transfer_failures));
+            row.push_back(Table::fmt(report.availability, 4));
           }
-          row.push_back(std::to_string(report.resizes));
-          row.push_back(Table::fmt(report.width_time_product, 1));
-          row.push_back(Table::fmt(blocked_saved, 1));
+          if (with_malleable) {
+            double blocked_saved = 0.0;
+            for (const auto& [key, value] : report.policy_stats) {
+              if (key == "blocked_time_saved") blocked_saved = value;
+            }
+            row.push_back(std::to_string(report.resizes));
+            row.push_back(Table::fmt(report.width_time_product, 1));
+            row.push_back(Table::fmt(blocked_saved, 1));
+          }
+          table.add_row(row);
         }
-        table.add_row(row);
       }
     }
   }
   std::fputs(csv ? table.to_csv().c_str() : table.to_ascii().c_str(), stdout);
+
+  if (!spec.compares.empty()) {
+    header = axis_header;
+    header.insert(header.end(),
+                  {"baseline", "ours", "exec_red", "queue_red", "slowdown_red", "idle_red",
+                   "skew_red", "gain", "d_page", "d_que", "d_cpu", "d_mig", "approx_err"});
+    Table compare(header);
+    for (int trial = 0; trial < run->num_trials; ++trial) {
+      for (std::size_t t = 0; t < run->num_traces; ++t) {
+        for (std::size_t c = 0; c < run->num_configs; ++c) {
+          for (const auto& [baseline, ours] : spec.compares) {
+            const core::Comparison pair{
+                run->cell(trial, t, c, spec.policy_index(baseline)).report,
+                run->cell(trial, t, c, spec.policy_index(ours)).report};
+            const analysis::ModelDelta delta = analysis::compare_runs(pair.baseline, pair.ours);
+            std::vector<std::string> row = axis_row(trial, pair.baseline, c);
+            row.insert(row.end(),
+                       {baseline.print(), ours.print(), Table::pct(pair.execution_reduction()),
+                        Table::pct(pair.queue_reduction()), Table::pct(pair.slowdown_reduction()),
+                        Table::pct(pair.idle_memory_reduction()),
+                        Table::pct(pair.balance_skew_reduction()), Table::fmt(delta.gain(), 0),
+                        Table::fmt(delta.d_page, 0), Table::fmt(delta.d_queue, 0),
+                        Table::fmt(delta.d_cpu, 0), Table::fmt(delta.d_migration, 0),
+                        Table::pct(delta.approximation_error())});
+            compare.add_row(row);
+          }
+        }
+      }
+    }
+    std::fputs("\n", stdout);
+    std::fputs(csv ? compare.to_csv().c_str() : compare.to_ascii().c_str(), stdout);
+  }
 
   if (perf_counters) {
     // stderr, so piping the table to a file or the golden-diff keeps working.
@@ -244,4 +328,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // An exception escaping the run (say, an allocation failure) is reported
+  // like every other error instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "vrc_run: %s\n", e.what());
+    return 1;
+  }
 }

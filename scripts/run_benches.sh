@@ -56,12 +56,4 @@ for required in BM_MalleableResize BM_MalleableEndToEnd; do
   fi
 done
 
-# Fault-matrix table bench: deterministic policy-resilience sweep. Its JSON
-# gate coverage comes from BM_EndToEndFaultedRun above; running the table
-# binary here catches link/runtime breakage of the faults subsystem in the
-# same job.
-cmake --build "${build_dir}" --target fault_matrix -j >/dev/null
-"${build_dir}/bench/fault_matrix" --mtbfs "0;1500" --jobs 2 >/dev/null
-echo "fault_matrix bench OK"
-
 echo "wrote ${out_json}"

@@ -41,7 +41,7 @@ bool Workstation::accepts_new_job(Bytes demand_hint, int width) const {
   // The memory threshold of [3]: keep headroom below user memory so running
   // jobs' demand growth does not immediately overcommit the node.
   const Bytes limit =
-      static_cast<Bytes>(config_->memory_threshold * static_cast<double>(user_memory()));
+      saturating_bytes(config_->memory_threshold * static_cast<double>(user_memory()));
   return committed_demand() + demand_hint < limit;
 }
 

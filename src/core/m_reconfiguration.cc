@@ -52,8 +52,8 @@ bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
     const Workstation& node = cluster.node(candidate);
     if (node.failed() || node.reserved() || node.memory_pressured()) continue;
     if (!cooled_down(cluster, candidate)) continue;
-    const Bytes limit = static_cast<Bytes>(cluster.config().memory_threshold *
-                                           static_cast<double>(node.user_memory()));
+    const Bytes limit = saturating_bytes(cluster.config().memory_threshold *
+                                         static_cast<double>(node.user_memory()));
     if (node.committed_demand() + hint >= limit) continue;
     const int missing = node.slots_used() + job.width - cpu_threshold;
     if (missing <= 0) continue;  // not slot-bound: admission failed on memory

@@ -14,8 +14,8 @@ bool OracleDemands::oracle_accepts(const Cluster& cluster, const Workstation& no
       node.memory_pressured()) {
     return false;
   }
-  const Bytes limit = static_cast<Bytes>(cluster.config().memory_threshold *
-                                         static_cast<double>(node.user_memory()));
+  const Bytes limit = saturating_bytes(cluster.config().memory_threshold *
+                                       static_cast<double>(node.user_memory()));
   return future_committed(node) + peak < limit;
 }
 

@@ -5,7 +5,7 @@
 // placements happen and the blocking problem exists at all. This policy is
 // the counterfactual: admission and migration decisions see every job's true
 // peak working set. It upper-bounds what any predictor could achieve and
-// quantifies the price of demand uncertainty (bench/ablation_oracle).
+// quantifies the price of demand uncertainty (bench/paper_group1.scn).
 #pragma once
 
 #include "core/g_load_sharing.h"

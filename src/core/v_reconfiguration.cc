@@ -44,13 +44,13 @@ bool VReconfiguration::handle_blocking(Cluster& cluster, Workstation& node) {
   // cost more than the paging it cures).
   if (node.overcommit() < options_.min_overcommit) return false;
   RunningJob* big = node.most_memory_intensive_job();
-  const Bytes big_threshold = static_cast<Bytes>(
+  const Bytes big_threshold = saturating_bytes(
       options_.big_job_factor *
       static_cast<double>(cluster.config().admission_demand_estimate));
   if (big == nullptr || big->demand < big_threshold) return false;
 
   const Bytes needed =
-      static_cast<Bytes>(options_.growth_headroom * static_cast<double>(big->demand));
+      saturating_bytes(options_.growth_headroom * static_cast<double>(big->demand));
 
   // (1) An existing reserved workstation with enough available resources.
   if (Reservation* usable = find_usable_reservation(cluster, needed, big->width)) {
@@ -129,7 +129,7 @@ std::optional<NodeId> VReconfiguration::pick_reservation_candidate(Cluster& clus
 }
 
 RunningJob* VReconfiguration::find_cluster_big_job(Cluster& cluster, NodeId* src) const {
-  const Bytes big_threshold = static_cast<Bytes>(
+  const Bytes big_threshold = saturating_bytes(
       options_.big_job_factor *
       static_cast<double>(cluster.config().admission_demand_estimate));
   RunningJob* best = nullptr;
@@ -182,7 +182,7 @@ void VReconfiguration::complete_drain(Cluster& cluster, Reservation& reservation
   }
   Workstation& target = cluster.node(reservation.node);
   const Bytes needed =
-      static_cast<Bytes>(options_.growth_headroom * static_cast<double>(big->demand));
+      saturating_bytes(options_.growth_headroom * static_cast<double>(big->demand));
   if (target.idle_memory() < needed || target.free_slots() < big->width) return;
   if (cluster.start_migration(src, big->id(), reservation.node)) {
     ++reserved_migrations_;
@@ -267,8 +267,8 @@ void VReconfiguration::maintain_reservations(Cluster& cluster) {
         NodeId src = 0;
         RunningJob* big = find_cluster_big_job(cluster, &src);
         ready = big != nullptr && node.free_slots() >= big->width &&
-                node.idle_memory() >= static_cast<Bytes>(options_.growth_headroom *
-                                                         static_cast<double>(big->demand));
+                node.idle_memory() >= saturating_bytes(options_.growth_headroom *
+                                                       static_cast<double>(big->demand));
       }
       if (ready) {
         complete_drain(cluster, reservation);

@@ -1,8 +1,10 @@
 #include "runner/scenario.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/experiment.h"
@@ -22,6 +24,18 @@ std::string trim(const std::string& text) {
   if (first == std::string::npos) return "";
   const std::size_t last = text.find_last_not_of(" \t\r");
   return text.substr(first, last - first + 1);
+}
+
+/// Splits on `separator` and trims every item; empty items are kept.
+std::vector<std::string> split_trimmed(const std::string& text, char separator) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t end = text.find(separator, start);
+    items.push_back(trim(text.substr(start, end == std::string::npos ? end : end - start)));
+    if (end == std::string::npos) return items;
+    start = end + 1;
+  }
 }
 
 bool parse_positive_int(const std::string& value, long* out) {
@@ -49,7 +63,7 @@ bool parse_uint64(const std::string& value, std::uint64_t* out) {
 
 constexpr const char* kKnownDirectives =
     "trace, policy, cluster, nodes, set, fault, malleable, trials, "
-    "base_seed, sampling_interval, max_sim_time";
+    "base_seed, sampling_interval, max_sim_time, compare, sweep";
 
 }  // namespace
 
@@ -106,6 +120,12 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     if (!parse_positive_int(arg, &value)) {
       return fail(error, "nodes '" + arg + "' is not a positive int (e.g. nodes 32)");
     }
+    // Node ids are NodeId; a wider count would wrap the traces' home range.
+    constexpr workload::NodeId kMaxNodes = std::numeric_limits<workload::NodeId>::max();
+    if (static_cast<unsigned long>(value) > kMaxNodes) {
+      return fail(error, "nodes '" + arg + "' exceeds the node id range (at most " +
+                             std::to_string(kMaxNodes) + ")");
+    }
     nodes = static_cast<std::size_t>(value);
     return true;
   }
@@ -113,18 +133,12 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     // One or more comma-separated key=value config overrides; a later `set`
     // of the same key wins. Values are validated by apply_overrides when
     // to_grid() builds the grid.
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-      std::size_t end = arg.find(',', start);
-      if (end == std::string::npos) end = arg.size();
-      const std::string item = trim(arg.substr(start, end - start));
+    for (const std::string& item : split_trimmed(arg, ',')) {
       const std::size_t eq = item.find('=');
       if (eq == std::string::npos || eq == 0) {
         return fail(error, "set '" + item + "' is not key=value (e.g. set memory_threshold=0.9)");
       }
       config_overrides[item.substr(0, eq)] = item.substr(eq + 1);
-      if (end == arg.size()) break;
-      start = end + 1;
     }
     return true;
   }
@@ -197,7 +211,7 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
   }
   if (directive == "trials") {
     long value = 0;
-    if (!parse_positive_int(arg, &value)) {
+    if (!parse_positive_int(arg, &value) || value > std::numeric_limits<int>::max()) {
       return fail(error, "trials '" + arg + "' is not a positive int (e.g. trials 3)");
     }
     trials = static_cast<int>(value);
@@ -229,6 +243,41 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     max_sim_time = value;
     return true;
   }
+  if (directive == "compare") {
+    // compare BASELINE OURS; validate() matches both against `policy` lines.
+    std::istringstream in(arg);
+    std::string baseline_text;
+    std::string ours_text;
+    std::string extra;
+    if (!(in >> baseline_text >> ours_text) || in >> extra) {
+      return fail(error, "compare '" + arg +
+                             "' needs two policy specs (e.g. compare g-loadsharing v-reconf)");
+    }
+    std::optional<core::PolicySpec> baseline = core::PolicySpec::parse(baseline_text, error);
+    if (!baseline) return false;
+    std::optional<core::PolicySpec> ours = core::PolicySpec::parse(ours_text, error);
+    if (!ours) return false;
+    compares.emplace_back(std::move(*baseline), std::move(*ours));
+    return true;
+  }
+  if (directive == "sweep") {
+    // sweep KEY=V1|V2|...; the key and values are validated by
+    // apply_overrides when to_grid() builds one config per value.
+    if (!sweep_key.empty()) {
+      return fail(error, "sweep '" + arg + "': the scenario already sweeps '" + sweep_key +
+                             "' (at most one sweep)");
+    }
+    const std::size_t eq = arg.find('=');
+    std::vector<std::string> values =
+        split_trimmed(eq == std::string::npos ? "" : arg.substr(eq + 1), '|');
+    if (eq == std::string::npos || eq == 0 ||
+        std::find(values.begin(), values.end(), "") != values.end()) {
+      return fail(error, "sweep '" + arg + "' is not KEY=V1|V2|... (e.g. sweep fault.mtbf=0|750)");
+    }
+    sweep_key = trim(arg.substr(0, eq));
+    sweep_values = std::move(values);
+    return true;
+  }
   return fail(error, "unknown scenario directive '" + directive + "' (known directives: " +
                          kKnownDirectives + ")");
 }
@@ -239,6 +288,13 @@ bool ScenarioSpec::malleable_configured() const {
     if (trace.malleable_fraction > 0.0) return true;
   }
   return false;
+}
+
+std::size_t ScenarioSpec::policy_index(const core::PolicySpec& policy) const {
+  const std::string text = policy.print();
+  std::size_t index = 0;
+  while (index < policies.size() && policies[index].print() != text) ++index;
+  return index;
 }
 
 bool ScenarioSpec::validate(std::string* error) const {
@@ -260,6 +316,14 @@ bool ScenarioSpec::validate(std::string* error) const {
   std::string fault_error;
   if (!faults::FaultPlan::validate(faults, nodes, &fault_error)) {
     return fail(error, fault_error);
+  }
+  for (const auto& [baseline, ours] : compares) {
+    for (const core::PolicySpec* side : {&baseline, &ours}) {
+      if (policy_index(*side) == policies.size()) {
+        return fail(error, "compare names '" + side->print() +
+                               "', which matches no `policy` line of the scenario");
+      }
+    }
   }
   return true;
 }
@@ -314,9 +378,10 @@ std::optional<ScenarioSpec> ScenarioSpec::load(const std::string& path, std::str
   return spec;
 }
 
-const CellResult& ScenarioRun::cell(int trial, std::size_t trace, std::size_t policy) const {
+const CellResult& ScenarioRun::cell(int trial, std::size_t trace, std::size_t config,
+                                    std::size_t policy) const {
   const std::size_t axis = static_cast<std::size_t>(trial) * num_traces + trace;
-  return cells[axis * num_policies + policy];
+  return cells[(axis * num_configs + config) * num_policies + policy];
 }
 
 std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
@@ -334,11 +399,11 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
 
   // Resolve the cluster. "auto" picks the paper testbed of the traces'
   // workload group, which must therefore be unambiguous.
-  cluster::ClusterConfig config;
+  cluster::ClusterConfig base;
   if (spec.cluster == "paper1") {
-    config = cluster::ClusterConfig::paper_cluster1(spec.nodes);
+    base = cluster::ClusterConfig::paper_cluster1(spec.nodes);
   } else if (spec.cluster == "paper2") {
-    config = cluster::ClusterConfig::paper_cluster2(spec.nodes);
+    base = cluster::ClusterConfig::paper_cluster2(spec.nodes);
   } else {
     const workload::WorkloadGroup group = spec.traces.front().group;
     for (const workload::TraceSpec& trace : spec.traces) {
@@ -349,28 +414,40 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
         return std::nullopt;
       }
     }
-    config = core::paper_cluster_for(group, spec.nodes);
+    base = core::paper_cluster_for(group, spec.nodes);
   }
-  if (!config.apply_overrides(spec.config_overrides, &nested)) {
-    fail(error, nested);
-    return std::nullopt;
+
+  // One config per sweep value: the `set` overrides plus KEY=value.
+  SweepGrid grid;
+  const std::vector<std::string> no_sweep = {""};
+  for (const std::string& value : spec.sweep_key.empty() ? no_sweep : spec.sweep_values) {
+    std::map<std::string, std::string> overrides = spec.config_overrides;
+    if (!spec.sweep_key.empty()) overrides[spec.sweep_key] = value;
+    cluster::ClusterConfig& config = grid.configs.emplace_back(base);
+    if (!config.apply_overrides(overrides, &nested)) {
+      fail(error, nested);
+      return std::nullopt;
+    }
+  }
+  int cpu_threshold = grid.configs.front().cpu_threshold;
+  for (const cluster::ClusterConfig& config : grid.configs) {
+    cpu_threshold = std::min(cpu_threshold, config.cpu_threshold);
   }
   // Malleable jobs submit at their widest width; wider than the slot
-  // threshold, no workstation can ever start them and the run silently ends
-  // at max_sim_time. `malleable on` makes every generated trace malleable.
+  // threshold of any config, no workstation can ever start them and the run
+  // silently ends at max_sim_time. `malleable on` makes every generated
+  // trace malleable.
   for (const workload::TraceSpec& trace : spec.traces) {
     const bool malleable = trace.malleable_fraction > 0.0 || (spec.malleable && !trace.is_swf());
-    if (malleable && trace.malleable_max_width > config.cpu_threshold) {
+    if (malleable && trace.malleable_max_width > cpu_threshold) {
       fail(error, "trace spec '" + trace.print() +
                       "': malleable jobs submit at their widest width " +
                       std::to_string(trace.malleable_max_width) + ", above cpu_threshold " +
-                      std::to_string(config.cpu_threshold) + ", so no workstation can start them");
+                      std::to_string(cpu_threshold) + ", so no workstation can start them");
       return std::nullopt;
     }
   }
 
-  SweepGrid grid;
-  grid.configs = {std::move(config)};
   grid.policies = spec.policies;
   grid.base_seed = spec.base_seed;
   grid.experiment.collector.sampling_intervals = {spec.sampling_interval};
@@ -427,6 +504,7 @@ std::optional<ScenarioRun> run_scenario(const ScenarioSpec& spec, int jobs, std:
   ScenarioRun run;
   run.num_trials = spec.trials;
   run.num_traces = spec.traces.size();
+  run.num_configs = grid->configs.size();
   run.num_policies = spec.policies.size();
   run.cells = runner.run(*grid);
   return run;

@@ -12,6 +12,8 @@
 //   set memory_threshold=0.9
 //   fault crash node=2 at=100 for=60
 //   trials 3
+//   compare g-loadsharing v-reconf:early_release=0
+//   sweep fault.mtbf=0|1500|750    # one cluster config per value
 //
 //   auto spec = runner::ScenarioSpec::load("paper_cluster1.scn", &error);
 //   auto run = runner::run_scenario(*spec, /*jobs=*/0, &error);
@@ -25,6 +27,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policy_registry.h"
@@ -69,6 +72,15 @@ struct ScenarioSpec {
   double sampling_interval = 1.0;
   /// Safety cap on simulated time per cell.
   double max_sim_time = 500000.0;
+  /// Matched-pair comparisons (`compare BASELINE OURS`). Both sides must
+  /// match a `policy` line by canonical print(); drivers report the pair's
+  /// reductions for every (trial, trace, config).
+  std::vector<std::pair<core::PolicySpec, core::PolicySpec>> compares;
+  /// The cluster-config axis (`sweep KEY=V1|V2|...`, at most one): one
+  /// config per value, each the `set` overrides plus KEY=value. An empty key
+  /// means one config, the `set` overrides alone.
+  std::string sweep_key;
+  std::vector<std::string> sweep_values;
 
   bool operator==(const ScenarioSpec&) const = default;
 
@@ -77,12 +89,17 @@ struct ScenarioSpec {
   /// fraction). Drivers use it to decide whether to print resize columns.
   bool malleable_configured() const;
 
+  /// Index of the first `policy` line whose canonical text equals
+  /// `policy.print()`, or policies.size() when none does.
+  std::size_t policy_index(const core::PolicySpec& policy) const;
+
   /// Applies one spec-file directive ("policy v-reconf:early_release=0",
   /// "set memory_threshold=0.9", ...). Comments (#) and blank lines are
   /// no-ops. Returns false + *error on an unknown directive or bad value.
   bool apply_line(const std::string& line, std::string* error = nullptr);
 
-  /// Structural checks (non-empty axes, positive counts). Policy/override
+  /// Structural checks (non-empty axes, positive counts, every `compare`
+  /// side naming a `policy` line). Policy/override
   /// values are validated against the registry/config when the scenario is
   /// turned into a grid by to_grid().
   bool validate(std::string* error = nullptr) const;
@@ -97,21 +114,24 @@ struct ScenarioSpec {
                                           std::string* error = nullptr);
 };
 
-/// A completed scenario. Cells are indexed (trial, trace, policy); the
-/// flat `cells` vector is the SweepRunner grid order (trial-major trace
-/// axis, policy fastest).
+/// A completed scenario. Cells are indexed (trial, trace, config, policy);
+/// the flat `cells` vector is the SweepRunner grid order (trial-major trace
+/// axis, then the sweep's configs, policy fastest).
 struct ScenarioRun {
   int num_trials = 0;
   std::size_t num_traces = 0;
+  std::size_t num_configs = 0;
   std::size_t num_policies = 0;
   std::vector<CellResult> cells;
 
-  const CellResult& cell(int trial, std::size_t trace, std::size_t policy) const;
+  const CellResult& cell(int trial, std::size_t trace, std::size_t config, std::size_t policy) const;
 };
 
 /// Turns the scenario into a SweepGrid: one TraceSpec entry per (trial,
 /// trace) — each cell builds its own source from it — plus the resolved
-/// cluster with config overrides applied; every policy spec and SWF log is
+/// cluster with config overrides applied, once per sweep value (a cell's
+/// seed is derive_seed(base_seed, trace_axis * configs + config), so a
+/// sweep-free scenario keeps its seeds); every policy spec and SWF log is
 /// validated up front. Returns std::nullopt + *error on any invalid piece —
 /// nothing throws, so drivers can report the message and exit cleanly.
 std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error = nullptr);

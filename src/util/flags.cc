@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,7 +38,10 @@ void FlagSet::add_int(const std::string& name, int* target, std::string help) {
   f.help = std::move(help);
   f.set = [target](const std::string& v) {
     long long tmp = 0;
-    if (!parse_int64(v, &tmp)) return false;
+    if (!parse_int64(v, &tmp) || tmp < std::numeric_limits<int>::min() ||
+        tmp > std::numeric_limits<int>::max()) {
+      return false;
+    }
     *target = static_cast<int>(tmp);
     return true;
   };

@@ -27,6 +27,18 @@ inline constexpr Bytes kGiB = 1024 * kMiB;
 /// Converts mebibytes to bytes.
 constexpr Bytes megabytes(double mb) { return static_cast<Bytes>(mb * static_cast<double>(kMiB)); }
 
+/// Converts a scaled byte quantity (`factor * bytes`) to Bytes, saturating
+/// at the int64 limits instead of overflowing: a huge but finite factor
+/// (memory_threshold=1e11, growth_headroom=1e300) means "no limit", not UB.
+/// NaN saturates high. Equal to static_cast for every in-range value.
+constexpr Bytes saturating_bytes(double value) {
+  // 2^63 is exact in a double; anything at or above it does not fit.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!(value < kLimit)) return std::numeric_limits<Bytes>::max();
+  if (value < -kLimit) return std::numeric_limits<Bytes>::min();
+  return static_cast<Bytes>(value);
+}
+
 /// Converts bytes to mebibytes (for reporting).
 constexpr double to_megabytes(Bytes b) {
   return static_cast<double>(b) / static_cast<double>(kMiB);

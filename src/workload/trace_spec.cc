@@ -1,5 +1,6 @@
 #include "workload/trace_spec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <map>
@@ -74,6 +75,11 @@ std::string TraceSpec::print() const {
       alpha << malleable_speedup_alpha;
       items.emplace_back("malleable_alpha", alpha.str());
     }
+  }
+  if (big_share) {
+    std::ostringstream share;
+    share << *big_share;
+    items.emplace_back("big_share", share.str());
   }
   if (num_nodes != 0) items.emplace_back("nodes", std::to_string(num_nodes));
   if (!name.empty()) items.emplace_back("name", name);
@@ -270,6 +276,13 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
         return std::nullopt;
       }
       spec.malleable_speedup_alpha = alpha;
+    } else if (key == "big_share") {
+      double share = 0.0;
+      if (!parse_finite_double(value, &share) || share < 0.0 || share > 1.0) {
+        value_error(error, text, key, value, "double in [0, 1]", "0.15");
+        return std::nullopt;
+      }
+      spec.big_share = share;
     } else if (key == "nodes") {
       const long nodes = std::strtol(value.c_str(), &end, 10);
       if (value.empty() || end == value.c_str() || *end != '\0' || nodes <= 0) {
@@ -286,7 +299,7 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
     } else {
       fail(error, "trace spec '" + text + "': unknown key '" + key +
                       "' (known keys: trace, jobs, duration, arrival_scale, seed, malleable, "
-                      "malleable_min, malleable_max, malleable_alpha, nodes, name)");
+                      "malleable_min, malleable_max, malleable_alpha, big_share, nodes, name)");
       return std::nullopt;
     }
   }
@@ -312,6 +325,7 @@ bool TraceSpec::validate(std::string* error) const {
     if (malleable_fraction != 0.0) {
       return fail(error, "malleable= applies to generated traces, not swf replays");
     }
+    if (big_share) return fail(error, "big_share= applies to generated traces, not swf replays");
     return true;
   }
   if (swf_scale != 1.0 || swf_max_jobs != 0 || swf_min_runtime != 0.0 || !swf_profile.empty()) {
@@ -322,6 +336,9 @@ bool TraceSpec::validate(std::string* error) const {
   }
   if (malleable_min_width < 1 || malleable_max_width < malleable_min_width) {
     return fail(error, "malleable widths need 1 <= malleable_min <= malleable_max");
+  }
+  if (big_share && !(*big_share >= 0.0 && *big_share <= 1.0)) {
+    return fail(error, "big_share must be in [0, 1]");
   }
   if (standard_index != 0 && num_jobs != 0) {
     return fail(error, "trace= and jobs= are mutually exclusive");
@@ -385,6 +402,30 @@ TraceParams TraceSpec::to_params(std::uint32_t default_nodes) const {
     params.duration = duration;
     params.name = !name.empty() ? name : "generated";
     params.seed = seed != 0 ? seed : 1;
+  }
+  if (big_share) {
+    // Large programs split the share evenly; the others keep their relative
+    // catalog weights.
+    const std::vector<ProgramSpec>& programs = catalog(group);
+    Bytes largest = 0;
+    for (const ProgramSpec& p : programs) largest = std::max(largest, p.working_set);
+    const auto is_large = [largest](const ProgramSpec& p) { return p.working_set * 2 > largest; };
+    double large_count = 0.0;
+    double normal_total = 0.0;
+    for (const ProgramSpec& p : programs) {
+      if (is_large(p)) {
+        large_count += 1.0;
+      } else {
+        normal_total += p.mix_weight;
+      }
+    }
+    for (const ProgramSpec& p : programs) {
+      if (is_large(p)) {
+        params.program_weights.push_back(*big_share / large_count);
+      } else {
+        params.program_weights.push_back((1.0 - *big_share) * p.mix_weight / normal_total);
+      }
+    }
   }
   return params;
 }

@@ -41,6 +41,11 @@ namespace vrc::workload {
 ///   malleable_min  int >= 1: narrowest width of generated malleable jobs
 ///   malleable_max  int >= malleable_min: widest width (jobs submit at it)
 ///   malleable_alpha double: per-width speedup exponent s(w) = w^alpha
+///   big_share      double 0..1: arrival probability of the group's large
+///                  programs (working set above half the largest: apsi and
+///                  mcf, metis), split evenly among them; the others share
+///                  the rest in proportion to their catalog mix weights.
+///                  Unset (default) keeps the catalog mix; 0 drops them
 /// Keys for `swf` (Standard Workload Format replay; DESIGN.md §14):
 ///   file           path to the .swf log (required; relative paths are
 ///                  rebased against the scenario file by ScenarioSpec::load)
@@ -74,6 +79,9 @@ struct TraceSpec {
   int malleable_min_width = 1;
   int malleable_max_width = 2;
   double malleable_speedup_alpha = 0.8;
+
+  // Program-mix override of generated traces; unset keeps the catalog mix.
+  std::optional<double> big_share;
 
   // SWF replay (group token `swf`). A non-empty file selects SWF mode and is
   // mutually exclusive with trace=/jobs=.

@@ -1,7 +1,9 @@
 #include "core/experiment.h"
 
+#include "../common/report_fingerprint.h"
 #include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
+#include "workload/trace_spec.h"
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,47 @@ TEST(ExperimentTest, ReusedPolicyObjectDoesNotCarryStatsOver) {
     }
     EXPECT_EQ(first.total_execution, second.total_execution) << name;
   }
+}
+
+// A huge but finite memory_threshold admits everything, exactly like a
+// merely large one; the scaled limit used to overflow its Bytes cast (in
+// Release, oracle then completed 0 of 10 jobs at 1e11).
+TEST(ExperimentTest, HugeMemoryThresholdMatchesLargeOne) {
+  for (const std::string& name : PolicyRegistry::instance().names()) {
+    auto run_at = [&name](const char* threshold) {
+      cluster::ClusterConfig config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
+      std::string error;
+      EXPECT_TRUE(config.apply_overrides({{"memory_threshold", threshold}}, &error)) << error;
+      return run_tiny(name.c_str(), 10, workload::WorkloadGroup::kSpec, config);
+    };
+    const metrics::RunReport huge = run_at("1e11");
+    EXPECT_EQ(huge.jobs_completed, huge.jobs_submitted) << name;
+    EXPECT_EQ(testutil::fingerprint(huge), testutil::fingerprint(run_at("1e3"))) << name;
+  }
+}
+
+// Same for V-Reconfiguration's demand factors, on a run where it reserves:
+// 1e300 must act like 1e6 (no job is big enough / no node has the room).
+TEST(ExperimentTest, HugeVReconfFactorsMatchLargeOnes) {
+  auto run = [](const std::string& policy) {
+    const auto trace = workload::TraceSpec::parse("spec:jobs=120,duration=900,seed=7");
+    const auto source = trace->make_source(8);
+    const cluster::ClusterConfig config = cluster::ClusterConfig::paper_cluster1(8);
+    std::string error;
+    const auto report = run_policy_on_source(*PolicySpec::parse(policy), *source, config, {}, &error);
+    EXPECT_TRUE(report.has_value()) << error;
+    return report.value_or(metrics::RunReport{});
+  };
+  const metrics::RunReport defaults = run("v-reconf");
+  double reservations = 0.0;
+  for (const auto& [key, value] : defaults.policy_stats) {
+    if (key == "reservations_started") reservations = value;
+  }
+  ASSERT_GT(reservations, 0.0);
+  EXPECT_EQ(testutil::fingerprint(run("v-reconf:growth_headroom=1e300")),
+            testutil::fingerprint(run("v-reconf:growth_headroom=1e6")));
+  EXPECT_EQ(testutil::fingerprint(run("v-reconf:big_job_factor=1e300")),
+            testutil::fingerprint(run("v-reconf:big_job_factor=1e6")));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Coarse shape checks against the paper's evaluation, scaled down so the
 // suite stays fast: V-Reconfiguration must not lose materially anywhere, and
 // must win clearly on a memory-blocking-heavy workload. The full-scale
-// reproduction (32 nodes, published trace shapes) lives in bench/.
+// reproduction (32 nodes, published trace shapes) is bench/*.scn.
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
@@ -72,19 +72,25 @@ TEST(PaperShapeTest, CpuTimeIdenticalAcrossPolicies) {
 
 TEST(PaperShapeTest, SamplingIntervalInsensitivity) {
   // §4.1/§4.2: idle-memory and skew averages are nearly identical at 1 s,
-  // 10 s, and 30 s sampling.
+  // 10 s, 30 s, and 1 min sampling, under both compared policies.
   const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 3.0, 120, 45);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   core::ExperimentOptions options;
-  options.collector.sampling_intervals = {1.0, 10.0, 30.0};
-  workload::MaterializedTraceSource source(trace);
-  const auto report =
-      *core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source, config, options);
-  ASSERT_EQ(report.idle_memory_mb.size(), 3u);
-  const double reference = report.idle_memory_mb[0].average;
-  for (const auto& signal : report.idle_memory_mb) {
-    EXPECT_NEAR(signal.average, reference, 0.10 * reference + 1.0)
-        << "interval " << signal.interval;
+  options.collector.sampling_intervals = {1.0, 10.0, 30.0, 60.0};
+  for (const char* policy : {"g-loadsharing", "v-reconf"}) {
+    workload::MaterializedTraceSource source(trace);
+    const auto report =
+        *core::run_policy_on_source(core::PolicySpec(policy), source, config, options);
+    ASSERT_EQ(report.idle_memory_mb.size(), 4u);
+    ASSERT_EQ(report.balance_skew.size(), 4u);
+    const double idle = report.idle_memory_mb[0].average;
+    const double skew = report.balance_skew[0].average;
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_NEAR(report.idle_memory_mb[i].average, idle, 0.10 * idle + 1.0)
+          << policy << " interval " << report.idle_memory_mb[i].interval;
+      EXPECT_NEAR(report.balance_skew[i].average, skew, 0.10 * skew)
+          << policy << " interval " << report.balance_skew[i].interval;
+    }
   }
 }
 

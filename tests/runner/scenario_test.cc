@@ -269,8 +269,8 @@ TEST(ScenarioEquivalenceTest, DefaultSpecRunMatchesEnumPathGoldens) {
   const auto run = run_scenario(*spec, /*jobs=*/2, &error);
   ASSERT_TRUE(run.has_value()) << error;
   ASSERT_EQ(run->cells.size(), 2u);
-  EXPECT_EQ(fingerprint(run->cell(0, 0, 0).report), kGLoadSharingGolden);
-  EXPECT_EQ(fingerprint(run->cell(0, 0, 1).report), kVReconfigurationGolden);
+  EXPECT_EQ(fingerprint(run->cell(0, 0, 0, 0).report), kGLoadSharingGolden);
+  EXPECT_EQ(fingerprint(run->cell(0, 0, 0, 1).report), kVReconfigurationGolden);
 }
 
 TEST(ScenarioRunTest, TrialsExpandTheTraceAxisTrialMajor) {
@@ -298,20 +298,20 @@ TEST(ScenarioRunTest, TrialsExpandTheTraceAxisTrialMajor) {
   // Trial 0 is the scenario exactly as specified.
   for (std::size_t t = 0; t < 2; ++t) {
     for (std::size_t p = 0; p < 2; ++p) {
-      EXPECT_EQ(fingerprint(repeated->cell(0, t, p).report),
-                fingerprint(single->cell(0, t, p).report))
+      EXPECT_EQ(fingerprint(repeated->cell(0, t, 0, p).report),
+                fingerprint(single->cell(0, t, 0, p).report))
           << "trace " << t << " policy " << p;
     }
   }
   // Later trials are fresh realizations of the same shape, not copies.
-  EXPECT_NE(fingerprint(repeated->cell(1, 0, 0).report),
-            fingerprint(repeated->cell(0, 0, 0).report));
-  EXPECT_NE(fingerprint(repeated->cell(2, 0, 0).report),
-            fingerprint(repeated->cell(1, 0, 0).report));
+  EXPECT_NE(fingerprint(repeated->cell(1, 0, 0, 0).report),
+            fingerprint(repeated->cell(0, 0, 0, 0).report));
+  EXPECT_NE(fingerprint(repeated->cell(2, 0, 0, 0).report),
+            fingerprint(repeated->cell(1, 0, 0, 0).report));
   // Same trial, same trace, different policies share the trace realization.
-  EXPECT_EQ(repeated->cell(1, 0, 0).report.trace, repeated->cell(1, 0, 1).report.trace);
-  EXPECT_EQ(repeated->cell(1, 0, 0).report.jobs_submitted,
-            repeated->cell(1, 0, 1).report.jobs_submitted);
+  EXPECT_EQ(repeated->cell(1, 0, 0, 0).report.trace, repeated->cell(1, 0, 0, 1).report.trace);
+  EXPECT_EQ(repeated->cell(1, 0, 0, 0).report.jobs_submitted,
+            repeated->cell(1, 0, 0, 1).report.jobs_submitted);
 }
 
 TEST(ScenarioSpecTest, NumericDirectivesRejectNonFiniteValues) {
@@ -359,6 +359,120 @@ TEST(ToGridTest, MalleableTraceWiderThanCpuThresholdIsRejected) {
   EXPECT_NE(error.find("widest width 2, above cpu_threshold 1"), std::string::npos) << error;
   ASSERT_TRUE(directive.apply_line("malleable off", &error)) << error;
   EXPECT_TRUE(to_grid(directive, &error).has_value()) << error;  // rigid width 1 fits
+}
+
+TEST(ScenarioSpecTest, NodesAndTrialsRejectValuesBeyondTheirTypes) {
+  ScenarioSpec spec;
+  std::string error;
+  // 4294967297 nodes used to wrap the traces' home range to 1 node and then
+  // abort on an uncaught std::bad_alloc.
+  EXPECT_FALSE(spec.apply_line("nodes 4294967297", &error));
+  EXPECT_NE(error.find("nodes '4294967297' exceeds the node id range (at most 4294967295)"),
+            std::string::npos)
+      << error;
+  EXPECT_TRUE(spec.apply_line("nodes 4294967295", &error)) << error;
+  // A trial count beyond int used to wrap (4294967298 ran 2 trials).
+  for (const char* value : {"4294967298", "2147483648"}) {
+    EXPECT_FALSE(spec.apply_line(std::string("trials ") + value, &error)) << value;
+    EXPECT_NE(error.find(std::string("trials '") + value + "' is not a positive int"),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_EQ(spec.trials, 1);
+  EXPECT_TRUE(spec.apply_line("trials 2147483647", &error)) << error;
+  EXPECT_EQ(spec.trials, 2147483647);
+}
+
+TEST(ScenarioSpecTest, CompareLinesMatchPolicyLinesByCanonicalText) {
+  // Line order does not matter, and params match in any order.
+  const std::string text =
+      "trace spec:jobs=10,duration=10\n"
+      "compare g-loadsharing v-reconf:max_reservations=2,early_release=0\n"
+      "compare g-loadsharing oracle\n"
+      "policy g-loadsharing\n"
+      "policy v-reconf:early_release=0,max_reservations=2\n"
+      "policy oracle\n";
+  std::string error;
+  const auto spec = ScenarioSpec::parse(text, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  ASSERT_EQ(spec->compares.size(), 2u);
+  EXPECT_EQ(spec->policy_index(spec->compares[0].first), 0u);
+  EXPECT_EQ(spec->policy_index(spec->compares[0].second), 1u);
+  EXPECT_EQ(spec->policy_index(spec->compares[1].second), 2u);
+
+  EXPECT_FALSE(ScenarioSpec::parse(text + "compare g-loadsharing suspension\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("compare names 'suspension', which matches no `policy` line"),
+            std::string::npos)
+      << error;
+
+  ScenarioSpec partial;
+  for (const char* line : {"compare g-loadsharing", "compare a b c"}) {
+    EXPECT_FALSE(partial.apply_line(line, &error)) << line;
+    EXPECT_NE(error.find("needs two policy specs"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(partial.apply_line("compare g-loadsharing v-reconf:=1", &error));
+  EXPECT_TRUE(partial.compares.empty());
+}
+
+TEST(ScenarioSpecTest, SweepDirectiveParsesOneAxis) {
+  ScenarioSpec spec;
+  std::string error;
+  for (const char* line : {"sweep fault.mtbf", "sweep =1|2", "sweep fault.mtbf=", "sweep x=1||2"}) {
+    EXPECT_FALSE(spec.apply_line(line, &error)) << line;
+    EXPECT_NE(error.find("is not KEY=V1|V2|..."), std::string::npos) << error;
+  }
+  ASSERT_TRUE(spec.apply_line("sweep fault.mtbf=0|3000| 750", &error)) << error;
+  EXPECT_EQ(spec.sweep_key, "fault.mtbf");
+  EXPECT_EQ(spec.sweep_values, (std::vector<std::string>{"0", "3000", "750"}));
+  EXPECT_FALSE(spec.apply_line("sweep memory_threshold=0.5|0.9", &error));
+  EXPECT_NE(error.find("already sweeps 'fault.mtbf'"), std::string::npos) << error;
+
+  // Keys and values are checked like `set` overrides when the grid is built.
+  ScenarioSpec unknown;
+  ASSERT_TRUE(unknown.apply_line("trace spec:jobs=10,duration=10", &error)) << error;
+  ASSERT_TRUE(unknown.apply_line("policy g-loadsharing", &error)) << error;
+  ASSERT_TRUE(unknown.apply_line("sweep memory_threshold=0.5|x", &error)) << error;
+  EXPECT_FALSE(to_grid(unknown, &error).has_value());
+  EXPECT_NE(error.find("'memory_threshold': invalid value 'x'"), std::string::npos) << error;
+}
+
+TEST(ScenarioRunTest, SweepValuesRideTheConfigAxis) {
+  const std::string base_text =
+      "cluster paper1\n"
+      "nodes 4\n"
+      "base_seed 5\n"
+      "trace spec:jobs=30,duration=300,seed=3,name=tr\n"
+      "trace spec:jobs=30,duration=300,seed=4,name=tr2\n"
+      "policy g-loadsharing\n"
+      "policy v-reconf\n";
+  std::string error;
+  auto swept = ScenarioSpec::parse(base_text + "sweep cpu_threshold=2|4\n", &error);
+  ASSERT_TRUE(swept.has_value()) << error;
+  const auto run = run_scenario(*swept, 2, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  EXPECT_EQ(run->num_configs, 2u);
+  ASSERT_EQ(run->cells.size(), 2u * 2u * 2u);
+
+  for (std::size_t c = 0; c < 2; ++c) {
+    // Each config is the scenario with `set KEY=value` instead.
+    auto single = ScenarioSpec::parse(base_text, &error);
+    ASSERT_TRUE(single.has_value()) << error;
+    ASSERT_TRUE(single->apply_line("set cpu_threshold=" + swept->sweep_values[c], &error));
+    const auto alone = run_scenario(*single, 2, &error);
+    ASSERT_TRUE(alone.has_value()) << error;
+    for (std::size_t t = 0; t < 2; ++t) {
+      for (std::size_t p = 0; p < 2; ++p) {
+        EXPECT_EQ(fingerprint(run->cell(0, t, c, p).report),
+                  fingerprint(alone->cell(0, t, 0, p).report))
+            << "trace " << t << " config " << c << " policy " << p;
+        // Seeds key on (trace, config); without a sweep that is the trace.
+        EXPECT_EQ(run->cell(0, t, c, p).seed, derive_seed(5, t * 2 + c));
+        EXPECT_EQ(alone->cell(0, t, 0, p).seed, derive_seed(5, t));
+      }
+    }
+  }
+  EXPECT_NE(fingerprint(run->cell(0, 0, 0, 0).report), fingerprint(run->cell(0, 0, 1, 0).report));
 }
 
 }  // namespace

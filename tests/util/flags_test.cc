@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace vrc::util {
 namespace {
 
@@ -220,6 +222,27 @@ TEST(FlagSetTest, Int64OverflowFails) {
   auto argv = argv_of({"--big=99999999999999999999999999"});
   EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_EQ(value, 3);
+}
+
+TEST(FlagSetTest, IntOutsideIntRangeFailsInsteadOfWrapping) {
+  // --trials 4294967298 used to wrap to 2 trials.
+  for (const char* text : {"--n=2147483648", "--n=-2147483649", "--n=4294967298"}) {
+    FlagSet flags;
+    int value = 3;
+    flags.add_int("n", &value, "");
+    auto argv = argv_of({text});
+    EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data())) << text;
+    EXPECT_EQ(value, 3) << text;
+  }
+  FlagSet flags;
+  int value = 3;
+  flags.add_int("n", &value, "");
+  auto max = argv_of({"--n=2147483647"});
+  ASSERT_TRUE(flags.parse(static_cast<int>(max.size()), max.data()));
+  EXPECT_EQ(value, 2147483647);
+  auto min = argv_of({"--n=-2147483648"});
+  ASSERT_TRUE(flags.parse(static_cast<int>(min.size()), min.data()));
+  EXPECT_EQ(value, std::numeric_limits<int>::min());
 }
 
 TEST(FlagSetTest, TrailingJunkAfterNumberFails) {

@@ -4,6 +4,9 @@
 
 #include <set>
 
+#include "cluster/cluster.h"
+#include "core/experiment.h"
+
 namespace vrc::workload {
 namespace {
 
@@ -119,6 +122,42 @@ TEST(CatalogTest, GrowthProfilesEndAtWorkingSet) {
       EXPECT_LT(profile.demand_at(0.0), p.working_set) << p.name;
     }
   }
+}
+
+// Tables 1 and 2 measure each program alone on its group's reference
+// workstation. Run that way, every program finishes in its lifetime (up to
+// the rounding of the tick sums) and never faults: its working set fits.
+TEST(CatalogTest, EveryProgramRunsAloneInItsLifetimeWithoutFaults) {
+  class Dedicated : public cluster::SchedulerPolicy {
+   public:
+    const char* name() const override { return "dedicated"; }
+    void on_job_arrival(cluster::Cluster& cluster, cluster::RunningJob& job) override {
+      cluster.place_local(job, 0);
+    }
+  };
+  int programs = 0;
+  for (WorkloadGroup group : {WorkloadGroup::kSpec, WorkloadGroup::kApps}) {
+    for (const ProgramSpec& p : catalog(group)) {
+      sim::Simulator sim;
+      Dedicated policy;
+      cluster::Cluster cluster(sim, core::paper_cluster_for(group, 1), policy);
+      JobSpec spec;
+      spec.id = 1;
+      spec.program = p.name;
+      spec.cpu_seconds = p.lifetime;
+      spec.touch_rate = p.touch_rate;
+      spec.memory = p.profile();
+      cluster.submit_job(spec);
+      sim.run_until(p.lifetime * 10.0 + 100.0);
+      ASSERT_EQ(cluster.completed().size(), 1u) << p.name;
+      const cluster::CompletedJob& job = cluster.completed()[0];
+      EXPECT_NEAR(job.wall_clock(), p.lifetime, 1e-9 * p.lifetime) << p.name;
+      EXPECT_EQ(job.faults, 0.0) << p.name;
+      EXPECT_EQ(job.t_page, 0.0) << p.name;
+      ++programs;
+    }
+  }
+  EXPECT_EQ(programs, 13);
 }
 
 }  // namespace

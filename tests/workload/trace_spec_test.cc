@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "workload/catalog.h"
 #include "workload/trace_generator.h"
 
 namespace vrc::workload {
@@ -230,6 +231,84 @@ TEST(TraceSpecTest, NumericParamsRejectNonFiniteValues) {
       EXPECT_NE(error.find("for '" + key + "'"), std::string::npos) << error;
     }
   }
+}
+
+TEST(TraceSpecTest, BigShareParsesPrintsAndValidates) {
+  std::string error;
+  for (const char* text : {"spec:trace=3,seed=4242,big_share=0.03", "apps:jobs=40,big_share=0"}) {
+    const auto spec = TraceSpec::parse(text, &error);
+    ASSERT_TRUE(spec.has_value()) << text << ": " << error;
+    const auto reparsed = TraceSpec::parse(spec->print(), &error);
+    ASSERT_TRUE(reparsed.has_value()) << spec->print() << ": " << error;
+    EXPECT_EQ(*reparsed, *spec) << text << " vs " << spec->print();
+  }
+  // big_share=0 is a mix override (no large programs), not the default mix.
+  EXPECT_NE(*TraceSpec::parse("spec:trace=3,big_share=0"), *TraceSpec::parse("spec:trace=3"));
+  EXPECT_EQ(TraceSpec::parse("spec:trace=3,big_share=0")->print(), "spec:trace=3,big_share=0");
+
+  for (const char* value : {"1.5", "-0.1", "nan", "x"}) {
+    EXPECT_FALSE(
+        TraceSpec::parse(std::string("spec:trace=3,big_share=") + value, &error).has_value())
+        << value;
+    EXPECT_NE(error.find("for 'big_share'"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(TraceSpec::parse("swf:file=x.swf,big_share=0.5", &error).has_value());
+  EXPECT_NE(error.find("unknown key 'big_share'"), std::string::npos) << error;
+  TraceSpec swf = TraceSpec::swf("x.swf");
+  swf.big_share = 0.5;
+  EXPECT_FALSE(swf.validate(&error));
+  EXPECT_NE(error.find("generated traces"), std::string::npos) << error;
+}
+
+TEST(TraceSpecTest, BigShareSplitsTheMixBetweenLargeAndNormalPrograms) {
+  EXPECT_TRUE(TraceSpec::standard(WorkloadGroup::kSpec, 3).to_params().program_weights.empty());
+
+  // The big-job ablation's construction, spelled out independently: apsi and
+  // mcf split the share, the others keep their relative catalog weights.
+  const std::vector<ProgramSpec>& programs = catalog(WorkloadGroup::kSpec);
+  for (const double share : {0.0, 0.03, 0.5}) {
+    TraceParams reference = standard_params(WorkloadGroup::kSpec, 3, 32);
+    reference.seed = 4242;
+    double normal_total = 0.0;
+    for (const ProgramSpec& p : programs) {
+      if (p.working_set < megabytes(150)) normal_total += p.mix_weight;
+    }
+    for (const ProgramSpec& p : programs) {
+      if (p.working_set >= megabytes(150)) {
+        reference.program_weights.push_back(share / 2.0);
+      } else {
+        reference.program_weights.push_back((1.0 - share) * p.mix_weight / normal_total);
+      }
+    }
+    TraceSpec spec = TraceSpec::standard(WorkloadGroup::kSpec, 3);
+    spec.seed = 4242;
+    spec.big_share = share;
+    EXPECT_EQ(spec.to_params(32).program_weights, reference.program_weights) << share;
+    EXPECT_EQ(serialize(spec.build(32)), serialize(generate_trace(reference))) << share;
+  }
+
+  TraceSpec none = TraceSpec::standard(WorkloadGroup::kSpec, 3);
+  none.big_share = 0.0;
+  const Trace without_large = none.build(32);
+  for (const JobSpec& job : without_large.jobs()) {
+    EXPECT_NE(job.program, "apsi");
+    EXPECT_NE(job.program, "mcf");
+  }
+
+  // In the apps group metis is the only large program and takes the share.
+  TraceSpec apps = TraceSpec::standard(WorkloadGroup::kApps, 3);
+  apps.big_share = 0.25;
+  const TraceParams params = apps.to_params();
+  const std::vector<ProgramSpec>& app_programs = catalog(WorkloadGroup::kApps);
+  ASSERT_EQ(params.program_weights.size(), app_programs.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < app_programs.size(); ++i) {
+    if (app_programs[i].name == "metis") {
+      EXPECT_DOUBLE_EQ(params.program_weights[i], 0.25);
+    }
+    total += params.program_weights[i];
+  }
+  EXPECT_DOUBLE_EQ(total, 1.0);
 }
 
 }  // namespace
