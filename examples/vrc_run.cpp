@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -120,7 +121,7 @@ int run(int argc, char** argv) {
                  "generate malleable jobs (width [1,2], fraction 1) in traces without their own "
                  "malleable= fraction, and print resize columns");
   flags.add_bool("perf-counters", &perf_counters,
-                 "collect engine perf counters across all runs and print them to stderr");
+                 "print the exact work counters summed over all runs to stderr");
   flags.add_bool("list-policies", &list_policies,
                  "print every registered policy with its parameters, then exit");
   flags.add_bool("list-overrides", &list_overrides,
@@ -310,21 +311,13 @@ int run(int argc, char** argv) {
 
   if (perf_counters) {
     // stderr, so piping the table to a file or the golden-diff keeps working.
+    // Only the exact work counts: the block depends on the scenario alone, so
+    // it is committed beside each golden as <name>.counters and diffed too.
     const metrics::PerfCounters totals = metrics::take_perf_aggregate();
     std::fprintf(stderr, "perf counters (all trials/cells):\n");
     for (const auto& [label, value] : totals.entries()) {
-      std::fprintf(stderr, "  %-24s %llu\n", label,
-                   static_cast<unsigned long long>(value));
-    }
-    if (totals.exchange_rounds > 0) {
-      std::fprintf(stderr, "  %-24s %.1f\n", "snapshots/exchange",
-                   static_cast<double>(totals.exchange_dirty_visited) /
-                       static_cast<double>(totals.exchange_rounds));
-    }
-    if (totals.tick_rounds > 0) {
-      std::fprintf(stderr, "  %-24s %.1f\n", "node_ticks/tick",
-                   static_cast<double>(totals.node_ticks) /
-                       static_cast<double>(totals.tick_rounds));
+      if (std::string_view(label).ends_with("_wall_ns")) continue;  // host time
+      std::fprintf(stderr, "  %-24s %llu\n", label, static_cast<unsigned long long>(value));
     }
   }
   return 0;

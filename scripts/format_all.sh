@@ -35,6 +35,5 @@ if [[ "${1:-}" == "--check" ]]; then
   mode=(--dry-run --Werror)
 fi
 
-git ls-files 'src/**/*.h' 'src/**/*.cc' 'tests/**/*.cc' \
-  'bench/*.h' 'bench/*.cc' 'examples/**/*.cc' \
+git ls-files 'src/**/*.h' 'src/**/*.cc' 'tests/**/*.cc' 'examples/**/*.cc' \
   | xargs "${CLANG_FORMAT}" "${mode[@]}"

@@ -19,14 +19,10 @@ namespace {
 // Fields compared between a board row and a freshly captured snapshot.
 // `timestamp` is deliberately absent: undirtied nodes keep their old stamp.
 bool rows_agree(const LoadInfo& board, const LoadInfo& fresh) {
-  return board.node == fresh.node && board.active_jobs == fresh.active_jobs &&
-         board.slots_used == fresh.slots_used &&
-         board.user_memory == fresh.user_memory &&
-         board.total_demand == fresh.total_demand &&
-         board.idle_memory == fresh.idle_memory &&
-         board.fault_rate == fresh.fault_rate &&
-         board.reserved == fresh.reserved &&
-         board.pressured == fresh.pressured && board.failed == fresh.failed;
+  return board.node == fresh.node && board.slots_used == fresh.slots_used &&
+         board.user_memory == fresh.user_memory && board.idle_memory == fresh.idle_memory &&
+         board.reserved == fresh.reserved && board.pressured == fresh.pressured &&
+         board.failed == fresh.failed;
 }
 
 }  // namespace
@@ -43,13 +39,10 @@ void check_board(const LoadInfoBoard& board,
     if (!rows_agree(row, *live)) {
       VRC_LOG(kError) << "VRC_AUDIT failed (" << context << "): board row for "
                       << "node " << node << " diverged from fresh state "
-                      << "(board: jobs " << row.active_jobs << ", slots "
-                      << row.slots_used << ", user " << row.user_memory
-                      << ", demand " << row.total_demand << ", idle "
-                      << row.idle_memory << "; fresh: jobs "
-                      << live->active_jobs << ", slots " << live->slots_used
-                      << ", user " << live->user_memory << ", demand "
-                      << live->total_demand << ", idle " << live->idle_memory
+                      << "(board: slots " << row.slots_used << ", user "
+                      << row.user_memory << ", idle " << row.idle_memory
+                      << "; fresh: slots " << live->slots_used << ", user "
+                      << live->user_memory << ", idle " << live->idle_memory
                       << ") — a mutation escaped the dirty set";
       std::abort();
     }

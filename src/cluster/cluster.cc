@@ -554,12 +554,12 @@ void Cluster::handle_exchange(SimTime now) {
   metrics::ScopedPerfTimer wall(&metrics::PerfCounters::exchange_wall_ns);
   metrics::perf_add(&metrics::PerfCounters::exchange_rounds);
   // Incremental exchange: republish only nodes that mutated since the last
-  // drain. A clean fault-free node's snapshot is value-identical to its
-  // existing board entry (every snapshot field derives from state whose
-  // mutations mark the node dirty, and the fault EMA keeps a node
-  // needs_tick-active — hence dirtied every tick — until it snaps to zero),
-  // so skipping it leaves the board bit-identical to a full rebroadcast.
-  // This is the stale-but-identical contract of DESIGN.md §12, enforced by
+  // drain. A clean node's snapshot is value-identical to its existing board
+  // entry (every snapshot field derives from state whose mutations mark the
+  // node dirty; the fault EMA reaches the board only through `pressured`,
+  // and a tick whose EMA flips it marks the node dirty), so skipping it
+  // leaves the board bit-identical to a full rebroadcast. This is the
+  // stale-but-identical contract of DESIGN.md §12, enforced by
   // tests/cluster/exchange_dirty_set_test.cc.
   activity_.dirty.drain([&](NodeId id) {
     metrics::perf_add(&metrics::PerfCounters::exchange_dirty_visited);

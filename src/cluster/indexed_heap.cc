@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "metrics/perf_counters.h"
+
 namespace vrc::cluster {
 
 void IndexedHeap::upsert(NodeId node, Key key) {

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/perf_counters.h"
 #include "workload/job.h"
 
 namespace vrc::cluster {
@@ -61,7 +60,6 @@ class IndexedHeap {
   /// scan, never below it.
   template <typename Filter>
   std::optional<NodeId> best(Filter&& keep) const {
-    metrics::perf_add(&metrics::PerfCounters::heap_best_queries);
     scratch_.clear();
     if (!heap_.empty()) scratch_.push_back(0);
     std::size_t best_slot = 0;

@@ -34,7 +34,6 @@ void LoadInfoBoard::update(const LoadInfo& info) { publish(info); }
 void LoadInfoBoard::note_placement(NodeId node, Bytes estimated_demand, int width) {
   LoadInfo next = infos_[node];
   next.slots_used += width;
-  next.total_demand += estimated_demand;
   next.idle_memory = std::max<Bytes>(0, next.idle_memory - estimated_demand);
   publish(next);
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cluster/indexed_heap.h"
+#include "metrics/perf_counters.h"
 #include "util/units.h"
 #include "workload/job.h"
 
@@ -35,15 +36,12 @@ struct LoadInfo {
   /// provably unchanged); no simulation code reads this field, it exists for
   /// tests and debugging.
   SimTime timestamp = 0.0;
-  int active_jobs = 0;      // running (non-suspended) jobs
-  int slots_used = 0;       // active jobs + in-flight placements
+  int slots_used = 0;      // active jobs + in-flight placements
   Bytes user_memory = 0;
-  Bytes total_demand = 0;   // committed memory incl. in-flight placements
-  Bytes idle_memory = 0;    // max(0, user_memory - total_demand)
-  double fault_rate = 0.0;  // page faults/s (EMA)
-  bool reserved = false;    // virtual-reconfiguration reservation flag
-  bool pressured = false;   // memory-pressure predicate at publication time
-  bool failed = false;      // node is down (fault injection); never a target
+  Bytes idle_memory = 0;   // max(0, user_memory - demand incl. in-flight placements)
+  bool reserved = false;   // virtual-reconfiguration reservation flag
+  bool pressured = false;  // memory-pressure predicate at publication time
+  bool failed = false;     // node is down (fault injection); never a target
 };
 
 /// The shared snapshot table.
@@ -71,15 +69,19 @@ class LoadInfoBoard {
 
   /// The submission target: among live, unreserved nodes passing `keep`,
   /// the fewest slots used, then the most idle memory, then the lowest id.
+  /// Each call counts one `heap_best_queries`; the queries are counted here,
+  /// not in IndexedHeap::best, so audit_verify's cross-checks do not count.
   template <typename Filter>
   std::optional<NodeId> best_min_slots_max_idle(Filter&& keep) const {
+    metrics::perf_add(&metrics::PerfCounters::heap_best_queries);
     return min_slots_max_idle_.best(keep);
   }
 
   /// The migration target: among live, unreserved nodes passing `keep`, the
-  /// most idle memory, then the lowest id.
+  /// most idle memory, then the lowest id. Counted like the one above.
   template <typename Filter>
   std::optional<NodeId> best_max_idle(Filter&& keep) const {
+    metrics::perf_add(&metrics::PerfCounters::heap_best_queries);
     return max_idle_.best(keep);
   }
 

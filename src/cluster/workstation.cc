@@ -312,6 +312,7 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // exactly 0 with no fault this tick stays exactly 0 (0 * decay +
   // (1 - decay) * 0), so the exp is skipped on the common fault-free tick.
   const double fault_rate_before = fault_rate_;
+  const bool pressured_before = memory_pressured();
   if (fault_rate_ != 0.0 || tick_faults != 0.0) {
     const double decay = std::exp(-dt / config_->fault_rate_tau);
     fault_rate_ = fault_rate_ * decay + (1.0 - decay) * (tick_faults / dt);
@@ -323,18 +324,19 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // so needs_tick() can turn the node off.
   if (jobs_.empty() && fault_rate_ < 1e-12) fault_rate_ = 0.0;
 
-  // Republish only when a published value could differ. Every field the
-  // board snapshot carries derives from resident_bytes_, the job/incoming
-  // counts and aggregates, the flags, and fault_rate_; within a tick the
-  // first three only move on a completion or a demand delta, so a tick that
-  // completed nothing, shifted no memory, and left the EMA bit-identical
-  // (exactly 0 stays exactly 0 without faults) would only re-mark the node
-  // dirty for an exchange that republishes the values already on the board.
-  // Value-unchanged also means needs_tick() cannot have flipped, so the
-  // active-set membership refresh is equally unnecessary. Only such a tick
-  // can leave the node steady (DESIGN.md §12.6), so only it asks.
+  // Republish only when a published value or needs_tick() could differ.
+  // Every field the board snapshot carries derives from resident_bytes_, the
+  // job/incoming counts and aggregates, the flags, and memory_pressured();
+  // within a tick the first three only move on a completion or a demand
+  // delta, and with resident demand fixed the pressure predicate only flips
+  // when the EMA crosses fault_rate_threshold. needs_tick() flips only on a
+  // completion or on the EMA reaching or leaving exactly 0. Any other tick,
+  // a decaying EMA included, would only re-mark the node dirty for an
+  // exchange that republishes the values already on the board. Only such a
+  // tick can leave the node steady (DESIGN.md §12.6), so only it asks.
   if (!outcome.completed.empty() || resident_delta != 0 ||
-      fault_rate_ != fault_rate_before) {
+      memory_pressured() != pressured_before ||
+      (fault_rate_ == 0.0) != (fault_rate_before == 0.0)) {
     publish_index();
   } else {
     outcome.steady_ticks = steady_ticks(now, dt);
@@ -520,12 +522,9 @@ LoadInfo Workstation::snapshot(SimTime now) const {
   LoadInfo info;
   info.node = id_;
   info.timestamp = now;
-  info.active_jobs = active_jobs();
   info.slots_used = slots_used();
   info.user_memory = user_memory();
-  info.total_demand = committed_demand();
   info.idle_memory = idle_memory();
-  info.fault_rate = fault_rate_;
   info.reserved = reserved_;
   info.pressured = memory_pressured();
   info.failed = failed_;

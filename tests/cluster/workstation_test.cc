@@ -356,9 +356,7 @@ TEST_F(WorkstationTest, SnapshotReflectsState) {
   LoadInfo info = node_.snapshot(12.5);
   EXPECT_EQ(info.node, 0u);
   EXPECT_EQ(info.timestamp, 12.5);
-  EXPECT_EQ(info.active_jobs, 1);
   EXPECT_EQ(info.slots_used, 2);
-  EXPECT_EQ(info.total_demand, megabytes(150));
   EXPECT_EQ(info.idle_memory, node_.user_memory() - megabytes(150));
   EXPECT_FALSE(info.reserved);
   EXPECT_FALSE(info.pressured);

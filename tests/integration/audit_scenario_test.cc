@@ -18,6 +18,7 @@
 #include "cluster/audit.h"
 #include "cluster/load_index.h"
 #include "core/experiment.h"
+#include "metrics/perf_counters.h"
 #include "workload/arrival_source.h"
 #include "workload/trace_spec.h"
 
@@ -70,12 +71,37 @@ TEST(AuditSurfaceTest, BoardVerifiesAfterPublishChurn) {
   EXPECT_TRUE(board.audit_verify(&why)) << why;
 }
 
+TEST(AuditSurfaceTest, BoardAuditCountsNoHeapQueries) {
+  // heap_best_queries counts placement picks only: if audit_verify's best()
+  // cross-checks counted too, a VRC_AUDIT build would print other counters
+  // than a release build of the same scenario.
+  LoadInfoBoard board(4);
+  const auto any = [](NodeId) { return true; };
+  metrics::set_perf_capture_enabled(true);
+  (void)metrics::take_perf_aggregate();
+  {
+    metrics::ScopedPerfCapture capture;
+    EXPECT_TRUE(capture.active());
+    std::string why;
+    EXPECT_TRUE(board.audit_verify(&why)) << why;
+  }
+  const std::uint64_t audit_queries = metrics::take_perf_aggregate().heap_best_queries;
+  {
+    metrics::ScopedPerfCapture capture;
+    EXPECT_TRUE(board.best_min_slots_max_idle(any).has_value());
+    EXPECT_TRUE(board.best_max_idle(any).has_value());
+  }
+  const std::uint64_t pick_queries = metrics::take_perf_aggregate().heap_best_queries;
+  metrics::set_perf_capture_enabled(false);
+  EXPECT_EQ(audit_queries, 0u);
+  EXPECT_EQ(pick_queries, 2u);
+}
+
 TEST(AuditSurfaceTest, BoardVerifiesAndCheckersCount) {
   LoadInfoBoard board(4);
   for (NodeId node = 0; node < 4; ++node) {
     LoadInfo info;
     info.node = node;
-    info.active_jobs = static_cast<int>(node);
     info.slots_used = static_cast<int>(node) + 1;
     info.user_memory = 1000 * (node + 1);
     info.idle_memory = 200 * (node + 1);

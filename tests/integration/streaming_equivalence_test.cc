@@ -63,7 +63,7 @@ class UniformFirehose final : public workload::ArrivalSource {
 
 // The headline memory claim: a million-job stream completes with live
 // JobSpec storage bounded by the number of jobs in flight, not the stream
-// length. Mirrors BM_EndToEndLargeRun's shape (short uniform jobs spread
+// length. Mirrors perfbench's large-cluster shape (short uniform jobs spread
 // across many homes) so service keeps pace with arrivals and the free-list
 // recycles nearly every slot.
 TEST(StreamingEquivalenceTest, MillionJobStreamBoundsLiveSpecStorage) {
