@@ -2,15 +2,14 @@
 // standard or generated or file-loaded trace, on a cluster of any size, and
 // print the full report (optionally as CSV rows for sweeps).
 //
-//   ./simulate --policy vrecon --group spec --trace 4
+//   ./simulate --policy v-reconf --group spec --trace 4
 //   ./simulate --policy "v-reconf:early_release=0,max_reservations=2" --trace 2
-//   ./simulate --policy gls --jobs 400 --duration 1800 --seed 9 --nodes 16
+//   ./simulate --policy g-loadsharing --jobs 400 --duration 1800 --seed 9 --nodes 16
 //   ./simulate --policy oracle --load-trace my.trace --csv
 //   ./simulate --trace 3 --set memory_threshold=0.9,node.0.memory=128MB
 //
-// The policy flag takes a full registry spec (name[:key=value,...]); the
-// classic short names (gls, vrecon, local, suspend, oracle) are registry
-// aliases. For whole sweeps, see vrc_run.
+// The policy flag takes a full registry spec (name[:key=value,...]);
+// `vrc_run --list-policies` prints every name. For whole sweeps, see vrc_run.
 #include <cstdio>
 #include <map>
 #include <string>
@@ -24,7 +23,7 @@
 using namespace vrc;
 
 int main(int argc, char** argv) {
-  std::string policy_text = "vrecon";
+  std::string policy_text = "v-reconf";
   std::string group_name = "spec";
   std::string load_path;
   std::string overrides;
@@ -39,8 +38,7 @@ int main(int argc, char** argv) {
 
   util::FlagSet flags;
   flags.add_string("policy", &policy_text,
-                   "policy spec name[:key=value,...], e.g. v-reconf:early_release=0 "
-                   "(aliases: gls, vrecon, local, suspend, oracle)");
+                   "policy spec name[:key=value,...], e.g. v-reconf:early_release=0");
   flags.add_string("group", &group_name, "workload group: spec | apps");
   flags.add_int("trace", &trace_index, "standard trace 1..5 (0: generate from --jobs)");
   flags.add_int("jobs", &jobs, "jobs to generate when --trace 0");

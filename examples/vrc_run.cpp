@@ -26,9 +26,9 @@
 
 #include "analysis/model.h"
 #include "cluster/config.h"
-#include "core/experiment.h"
 #include "core/policy_registry.h"
 #include "metrics/perf_counters.h"
+#include "metrics/report.h"
 #include "runner/scenario.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -115,7 +115,8 @@ int run(int argc, char** argv) {
   flags.add_string("sampling-interval", &sampling_interval,
                    "metric sampling interval, e.g. 10 or 500ms");
   flags.add_string("max-sim-time", &max_sim_time, "simulated-time safety cap, e.g. 2h");
-  flags.add_int("jobs", &jobs, "parallel worker threads (0 = one per hardware thread)");
+  flags.add_int("jobs", &jobs,
+                "parallel worker threads, at most one per cell (0 = one per hardware thread)");
   flags.add_bool("csv", &csv, "emit CSV instead of an ASCII table");
   flags.add_bool("malleable", &malleable,
                  "generate malleable jobs (width [1,2], fraction 1) in traces without their own "
@@ -287,19 +288,22 @@ int run(int argc, char** argv) {
       for (std::size_t t = 0; t < run->num_traces; ++t) {
         for (std::size_t c = 0; c < run->num_configs; ++c) {
           for (const auto& [baseline, ours] : spec.compares) {
-            const core::Comparison pair{
-                run->cell(trial, t, c, spec.policy_index(baseline)).report,
-                run->cell(trial, t, c, spec.policy_index(ours)).report};
-            const analysis::ModelDelta delta = analysis::compare_runs(pair.baseline, pair.ours);
-            std::vector<std::string> row = axis_row(trial, pair.baseline, c);
-            row.insert(row.end(),
-                       {baseline.print(), ours.print(), Table::pct(pair.execution_reduction()),
-                        Table::pct(pair.queue_reduction()), Table::pct(pair.slowdown_reduction()),
-                        Table::pct(pair.idle_memory_reduction()),
-                        Table::pct(pair.balance_skew_reduction()), Table::fmt(delta.gain(), 0),
-                        Table::fmt(delta.d_page, 0), Table::fmt(delta.d_queue, 0),
-                        Table::fmt(delta.d_cpu, 0), Table::fmt(delta.d_migration, 0),
-                        Table::pct(delta.approximation_error())});
+            const metrics::RunReport& base =
+                run->cell(trial, t, c, spec.policy_index(baseline)).report;
+            const metrics::RunReport& our = run->cell(trial, t, c, spec.policy_index(ours)).report;
+            const analysis::ModelDelta delta = analysis::compare_runs(base, our);
+            std::vector<std::string> row = axis_row(trial, base, c);
+            row.insert(
+                row.end(),
+                {baseline.print(), ours.print(),
+                 Table::pct(metrics::reduction(base.total_execution, our.total_execution)),
+                 Table::pct(metrics::reduction(base.total_queue, our.total_queue)),
+                 Table::pct(metrics::reduction(base.avg_slowdown, our.avg_slowdown)),
+                 Table::pct(metrics::reduction(base.avg_idle_memory_mb, our.avg_idle_memory_mb)),
+                 Table::pct(metrics::reduction(base.avg_balance_skew, our.avg_balance_skew)),
+                 Table::fmt(delta.gain(), 0), Table::fmt(delta.d_page, 0),
+                 Table::fmt(delta.d_queue, 0), Table::fmt(delta.d_cpu, 0),
+                 Table::fmt(delta.d_migration, 0), Table::pct(delta.approximation_error())});
             compare.add_row(row);
           }
         }

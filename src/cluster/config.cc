@@ -1,8 +1,5 @@
 #include "cluster/config.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 namespace vrc::cluster {
 
 std::optional<RestartPolicy> parse_restart_policy(const std::string& text) {
@@ -46,31 +43,6 @@ bool set_double(const std::string& value, double* out, std::string* expected) {
     *expected = "double, e.g. 0.85";
     return false;
   }
-  return true;
-}
-
-bool set_int(const std::string& value, int* out, std::string* expected) {
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || errno != 0 || end == value.c_str() || *end != '\0') {
-    *expected = "int, e.g. 5";
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool set_uint64(const std::string& value, std::uint64_t* out, std::string* expected) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || errno != 0 || end == value.c_str() || *end != '\0' ||
-      value.front() == '-') {
-    *expected = "uint64, e.g. 42";
-    return false;
-  }
-  *out = parsed;
   return true;
 }
 
@@ -120,10 +92,8 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
   std::size_t first = 0;
   std::size_t last = config.nodes.size();  // exclusive
   if (index_text != "*") {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long index = std::strtoull(index_text.c_str(), &end, 10);
-    if (errno != 0 || end == index_text.c_str() || *end != '\0') {
+    std::size_t index = 0;
+    if (!parse_integer(index_text, &index)) {
       *error = "config override '" + key + "': node index must be a number or '*'";
       return false;
     }
@@ -132,7 +102,7 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
                " out of range (cluster has " + std::to_string(config.nodes.size()) + " nodes)";
       return false;
     }
-    first = static_cast<std::size_t>(index);
+    first = index;
     last = first + 1;
   }
 
@@ -200,8 +170,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     };
     if (key == "nodes") {
       int count = 0;
-      ok = set_int(value, &count, &expected);
-      reject_if(count <= 0, "positive int, e.g. 32");
+      expected = "positive int, e.g. 32";
+      ok = parse_integer(value, &count, 1);
       if (ok) {
         if (updated.nodes.empty()) {
           *err = "config override 'nodes': cannot resize a cluster with no node template";
@@ -232,8 +202,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     } else if (key == "network_contention") {
       ok = set_bool(value, &updated.network_contention, &expected);
     } else if (key == "cpu_threshold") {
-      ok = set_int(value, &updated.cpu_threshold, &expected);
-      reject_if(updated.cpu_threshold <= 0, "positive int, e.g. 5");
+      expected = "positive int, e.g. 5";
+      ok = parse_integer(value, &updated.cpu_threshold, 1);
     } else if (key == "memory_threshold") {
       ok = set_double(value, &updated.memory_threshold, &expected);
       reject_if(updated.memory_threshold <= 0.0, "positive double, e.g. 0.85");
@@ -268,7 +238,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     } else if (key == "stochastic_faults") {
       ok = set_bool(value, &updated.stochastic_faults, &expected);
     } else if (key == "seed") {
-      ok = set_uint64(value, &updated.seed, &expected);
+      expected = "uint64, e.g. 42";
+      ok = parse_integer(value, &updated.seed);
     } else if (key == "fault.mtbf") {
       ok = set_duration(value, &updated.fault_mtbf, &expected);
       reject_if(updated.fault_mtbf < 0.0, "non-negative duration, e.g. 2000s (0 disables)");
@@ -276,7 +247,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
       ok = set_duration(value, &updated.fault_mttr, &expected);
       reject_if(updated.fault_mttr <= 0.0, "positive duration, e.g. 60s");
     } else if (key == "fault.seed") {
-      ok = set_uint64(value, &updated.fault_seed, &expected);
+      expected = "uint64, e.g. 42";
+      ok = parse_integer(value, &updated.fault_seed);
     } else if (key == "fault.restart") {
       if (parse_restart_policy(value)) {
         updated.fault_restart = value;

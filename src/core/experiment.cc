@@ -11,7 +11,7 @@ metrics::RunReport run_experiment(workload::ArrivalSource& source,
                                   const ExperimentOptions& options) {
   // Per-run perf capture (no-op unless `vrc_run --perf-counters` enabled the
   // global switch): binds thread-local counters for the whole run — including
-  // sweep cells on ThreadPool workers — and merges them into the process
+  // scenario cells on worker threads — and merges them into the process
   // aggregate at scope exit.
   metrics::ScopedPerfCapture perf_capture;
   sim::Simulator sim;
@@ -52,42 +52,6 @@ cluster::ClusterConfig paper_cluster_for(workload::WorkloadGroup group, std::siz
   return group == workload::WorkloadGroup::kSpec
              ? cluster::ClusterConfig::paper_cluster1(nodes)
              : cluster::ClusterConfig::paper_cluster2(nodes);
-}
-
-double Comparison::execution_reduction() const {
-  return metrics::reduction(baseline.total_execution, ours.total_execution);
-}
-
-double Comparison::queue_reduction() const {
-  return metrics::reduction(baseline.total_queue, ours.total_queue);
-}
-
-double Comparison::slowdown_reduction() const {
-  return metrics::reduction(baseline.avg_slowdown, ours.avg_slowdown);
-}
-
-double Comparison::idle_memory_reduction() const {
-  return metrics::reduction(baseline.avg_idle_memory_mb, ours.avg_idle_memory_mb);
-}
-
-double Comparison::balance_skew_reduction() const {
-  return metrics::reduction(baseline.avg_balance_skew, ours.avg_balance_skew);
-}
-
-std::optional<Comparison> compare_policies(const PolicySpec& baseline, const PolicySpec& ours,
-                                           const workload::Trace& trace,
-                                           const cluster::ClusterConfig& config,
-                                           const ExperimentOptions& options,
-                                           std::string* error) {
-  std::unique_ptr<cluster::SchedulerPolicy> baseline_policy = make_policy(baseline, error);
-  if (!baseline_policy) return std::nullopt;
-  std::unique_ptr<cluster::SchedulerPolicy> ours_policy = make_policy(ours, error);
-  if (!ours_policy) return std::nullopt;
-  workload::MaterializedTraceSource baseline_source(trace);
-  workload::MaterializedTraceSource ours_source(trace);
-  // Braced initializers evaluate left to right: the baseline runs first.
-  return Comparison{run_experiment(baseline_source, config, *baseline_policy, options),
-                    run_experiment(ours_source, config, *ours_policy, options)};
 }
 
 }  // namespace vrc::core

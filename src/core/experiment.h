@@ -1,7 +1,7 @@
 // Experiment runner: one (arrival source, cluster, policy) simulation end to
 // end.
 //
-// This is the public entry point the examples and every bench binary use:
+// This is the public entry point every scenario cell runs through:
 //
 //   auto source = workload::TraceSpec::standard(WorkloadGroup::kSpec, 3).make_source();
 //   auto report = core::run_policy_on_source(core::PolicySpec("v-reconf"), *source,
@@ -61,27 +61,5 @@ std::optional<metrics::RunReport> run_policy_on_source(const PolicySpec& spec,
 /// The paper's testbed for a workload group: cluster 1 for the SPEC group,
 /// cluster 2 for the application group.
 cluster::ClusterConfig paper_cluster_for(workload::WorkloadGroup group, std::size_t nodes = 32);
-
-/// Side-by-side comparison of two runs of the same trace (baseline first),
-/// with the relative reductions the paper quotes.
-struct Comparison {
-  metrics::RunReport baseline;
-  metrics::RunReport ours;
-
-  double execution_reduction() const;
-  double queue_reduction() const;
-  double slowdown_reduction() const;
-  double idle_memory_reduction() const;
-  double balance_skew_reduction() const;
-};
-
-/// Replays `trace` under two policies (each run pumps its own
-/// MaterializedTraceSource copy) and returns the comparison. std::nullopt +
-/// *error when either spec fails to construct.
-std::optional<Comparison> compare_policies(const PolicySpec& baseline, const PolicySpec& ours,
-                                           const workload::Trace& trace,
-                                           const cluster::ClusterConfig& config,
-                                           const ExperimentOptions& options = {},
-                                           std::string* error = nullptr);
 
 }  // namespace vrc::core

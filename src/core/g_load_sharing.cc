@@ -10,7 +10,7 @@ namespace vrc::core {
 
 void GLoadSharing::attach(Cluster& cluster) {
   last_migration_.assign(cluster.num_nodes(), -1e18);
-  // A policy object may be reused across experiments (the sweep runner
+  // A policy object may be reused across experiments (run_scenario
   // constructs one per cell, but callers of run_experiment can reuse one);
   // every run must start with clean statistics.
   blocked_submissions_ = 0;

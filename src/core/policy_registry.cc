@@ -1,8 +1,6 @@
 #include "core/policy_registry.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/baselines.h"
@@ -10,6 +8,7 @@
 #include "core/m_reconfiguration.h"
 #include "core/oracle.h"
 #include "core/v_reconfiguration.h"
+#include "util/units.h"
 
 namespace vrc::core {
 
@@ -82,16 +81,6 @@ bool parse_bool_text(const std::string& text, bool* out) {
   return false;
 }
 
-bool parse_int64_text(const std::string& text, long long* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 ParamReader::ParamReader(std::string policy_name, const PolicyParams& params)
@@ -118,18 +107,13 @@ void ParamReader::read_bool(const std::string& key, bool* out) {
 
 void ParamReader::read_int(const std::string& key, int* out) {
   if (const std::string* value = find(key)) {
-    long long wide = 0;
-    if (!parse_int64_text(*value, &wide)) {
-      fail(key, *value, "int", "2");
-      return;
-    }
-    *out = static_cast<int>(wide);
+    if (!parse_integer(*value, out)) fail(key, *value, "int", "2");
   }
 }
 
 void ParamReader::read_int64(const std::string& key, long long* out) {
   if (const std::string* value = find(key)) {
-    if (!parse_int64_text(*value, out)) fail(key, *value, "int", "7");
+    if (!parse_integer(*value, out)) fail(key, *value, "int", "7");
   }
 }
 
@@ -233,7 +217,7 @@ std::unique_ptr<cluster::SchedulerPolicy> make_oracle(const PolicyParams& params
 void register_builtins(PolicyRegistry& registry) {
   const PolicyParamDoc migration = {"enable_migration", "bool", "1",
                                     "preemptive migration on/off (ablation)"};
-  registry.register_policy("g-loadsharing", make_g_load_sharing, {migration}, {"gls"});
+  registry.register_policy("g-loadsharing", make_g_load_sharing, {migration});
   registry.register_policy(
       "v-reconf", make_v_reconfiguration,
       {migration,
@@ -250,8 +234,7 @@ void register_builtins(PolicyRegistry& registry) {
        {"blocking_resolve_timeout", "duration", "10s",
         "quiet period after which a draining reservation is cancelled"},
        {"reserve_timeout", "duration", "120s", "abandon a reserving period after this long"},
-       {"timeout_backoff", "duration", "120s", "pause after an abandoned reserving period"}},
-      {"vrecon", "v-reconfiguration"});
+       {"timeout_backoff", "duration", "120s", "pause after an abandoned reserving period"}});
   registry.register_policy(
       "m-reconfiguration", make_m_reconfiguration,
       {migration,
@@ -259,15 +242,13 @@ void register_builtins(PolicyRegistry& registry) {
         "how long a submission stays blocked before malleable jobs are shrunk"},
        {"regrow_free_slots", "int", "1", "slots kept free on a node after a re-grow"},
        {"resize_cooldown", "duration", "2s",
-        "min spacing between policy-initiated resizes per node"}},
-      {"mrecon", "m-reconf"});
-  registry.register_policy("local-only", make_local_only, {}, {"local"});
+        "min spacing between policy-initiated resizes per node"}});
+  registry.register_policy("local-only", make_local_only);
   registry.register_policy(
       "suspension", make_suspension,
       {migration,
-       {"min_runnable", "int", "1", "never suspend below this many runnable jobs per node"}},
-      {"suspend"});
-  registry.register_policy("oracle", make_oracle, {migration}, {"oracle-demands"});
+       {"min_runnable", "int", "1", "never suspend below this many runnable jobs per node"}});
+  registry.register_policy("oracle", make_oracle, {migration});
 }
 
 }  // namespace
@@ -282,22 +263,8 @@ PolicyRegistry& PolicyRegistry::instance() {
 }
 
 void PolicyRegistry::register_policy(const std::string& name, Factory factory,
-                                     std::vector<PolicyParamDoc> params,
-                                     std::vector<std::string> aliases) {
+                                     std::vector<PolicyParamDoc> params) {
   entries_[name] = Entry{std::move(factory), std::move(params)};
-  aliases_.erase(name);  // a full registration shadows any same-named alias
-  for (const std::string& alias : aliases) aliases_[alias] = name;
-}
-
-std::optional<std::string> PolicyRegistry::canonical_name(const std::string& name) const {
-  if (entries_.count(name) != 0) return name;
-  const auto alias = aliases_.find(name);
-  if (alias != aliases_.end() && entries_.count(alias->second) != 0) return alias->second;
-  return std::nullopt;
-}
-
-bool PolicyRegistry::contains(const std::string& name) const {
-  return canonical_name(name).has_value();
 }
 
 std::vector<std::string> PolicyRegistry::names() const {
@@ -308,15 +275,14 @@ std::vector<std::string> PolicyRegistry::names() const {
 }
 
 const std::vector<PolicyParamDoc>* PolicyRegistry::param_docs(const std::string& name) const {
-  const auto canonical = canonical_name(name);
-  if (!canonical) return nullptr;
-  return &entries_.at(*canonical).params;
+  const auto entry = entries_.find(name);
+  return entry == entries_.end() ? nullptr : &entry->second.params;
 }
 
 std::unique_ptr<cluster::SchedulerPolicy> PolicyRegistry::create(const PolicySpec& spec,
                                                                  std::string* error) const {
-  const auto canonical = canonical_name(spec.name);
-  if (!canonical) {
+  const auto entry = entries_.find(spec.name);
+  if (entry == entries_.end()) {
     if (error) {
       std::string known;
       for (const std::string& name : names()) known += (known.empty() ? "" : ", ") + name;
@@ -324,7 +290,7 @@ std::unique_ptr<cluster::SchedulerPolicy> PolicyRegistry::create(const PolicySpe
     }
     return nullptr;
   }
-  return entries_.at(*canonical).factory(spec.params, error);
+  return entry->second.factory(spec.params, error);
 }
 
 std::unique_ptr<cluster::SchedulerPolicy> make_policy(const PolicySpec& spec,

@@ -22,7 +22,7 @@
 //       {{"seed", "int", "7", "placement RNG seed"}});
 //
 // Registration is expected at startup, before any concurrent create() calls
-// (the sweep runner creates policies from worker threads).
+// (scenario cells create policies from worker threads).
 #pragma once
 
 #include <functional>
@@ -113,22 +113,15 @@ class PolicyRegistry {
   /// The process-wide registry, with the shipped policies pre-registered.
   static PolicyRegistry& instance();
 
-  /// Registers a policy under `name` (and optional alias names). Registering
-  /// an existing name replaces it (latest wins, so tests can stub).
+  /// Registers a policy under `name`, its only name. Registering an
+  /// existing name replaces it (latest wins, so tests can stub).
   void register_policy(const std::string& name, Factory factory,
-                       std::vector<PolicyParamDoc> params = {},
-                       std::vector<std::string> aliases = {});
+                       std::vector<PolicyParamDoc> params = {});
 
-  /// True if `name` is a registered policy or alias.
-  bool contains(const std::string& name) const;
-
-  /// Canonical name for `name` (resolving aliases); std::nullopt if unknown.
-  std::optional<std::string> canonical_name(const std::string& name) const;
-
-  /// Sorted canonical names of every registered policy.
+  /// Sorted names of every registered policy.
   std::vector<std::string> names() const;
 
-  /// Parameter docs of `name` (alias-resolved); nullptr if unknown.
+  /// Parameter docs of `name`; nullptr if unknown.
   const std::vector<PolicyParamDoc>* param_docs(const std::string& name) const;
 
   /// Constructs a policy from `spec`. On failure returns nullptr and fills
@@ -144,7 +137,6 @@ class PolicyRegistry {
   };
 
   std::map<std::string, Entry> entries_;
-  std::map<std::string, std::string> aliases_;  // alias -> canonical
 };
 
 /// Constructs a policy from a spec via the registry (nullptr + *error on

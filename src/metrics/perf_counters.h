@@ -10,9 +10,9 @@
 //     plus a branch; no atomics, no locks, no allocation.
 //   - `ScopedPerfCapture` (installed by core::run_experiment) binds a local
 //     PerfCounters to the thread for the duration of a run and merges it
-//     into a process-wide, mutex-protected aggregate at destruction. Sweep
-//     cells run on ThreadPool workers, so per-thread locals + one merge per
-//     run keeps the counters data-race-free under TSan.
+//     into a process-wide, mutex-protected aggregate at destruction. Scenario
+//     cells run on worker threads, so per-thread locals + one merge per run
+//     keeps the counters data-race-free under TSan.
 //   - Capture only activates when `set_perf_capture_enabled(true)` was called
 //     (the `vrc_run --perf-counters` flag); otherwise ScopedPerfCapture is a
 //     no-op and every counting site stays on the null-pointer fast path.

@@ -1,13 +1,14 @@
 #include "runner/scenario.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <atomic>
+#include <exception>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
-#include "core/experiment.h"
 #include "util/units.h"
 
 namespace vrc::runner {
@@ -38,27 +39,36 @@ std::vector<std::string> split_trimmed(const std::string& text, char separator) 
   }
 }
 
-bool parse_positive_int(const std::string& value, long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' || errno == ERANGE || parsed <= 0) {
-    return false;
+/// Runs body(0) .. body(n - 1) on min(n, jobs) threads (jobs <= 0: one per
+/// hardware thread) and joins them all. Each thread claims the next index
+/// from a shared counter, so the order is nondeterministic: a body must
+/// write only to its own slot of any shared output. The first exception a
+/// body throws stops further claims and is rethrown here once all threads
+/// have joined.
+template <typename Body>
+void parallel_for(std::size_t n, int jobs, const Body& body) {
+  if (jobs <= 0) jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const std::size_t count = std::min(n, static_cast<std::size_t>(jobs));
+  std::atomic<std::size_t> next{0};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  {
+    // A jthread joins when destroyed, also when starting a later one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(count);
+    for (std::size_t t = 0; t < count; ++t) {
+      threads.emplace_back([n, &body, &next, &failure_mutex, &failure] {
+        try {
+          for (std::size_t i = next++; i < n; i = next++) body(i);
+        } catch (...) {
+          next = n;
+          const std::lock_guard<std::mutex> lock(failure_mutex);
+          if (!failure) failure = std::current_exception();
+        }
+      });
+    }
   }
-  *out = parsed;
-  return true;
-}
-
-bool parse_uint64(const std::string& value, std::uint64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' || errno == ERANGE ||
-      value.front() == '-') {
-    return false;
-  }
-  *out = parsed;
-  return true;
+  if (failure) std::rethrow_exception(failure);
 }
 
 constexpr const char* kKnownDirectives =
@@ -116,17 +126,17 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     return true;
   }
   if (directive == "nodes") {
-    long value = 0;
-    if (!parse_positive_int(arg, &value)) {
+    std::size_t value = 0;
+    if (!parse_integer(arg, &value, 1)) {
       return fail(error, "nodes '" + arg + "' is not a positive int (e.g. nodes 32)");
     }
     // Node ids are NodeId; a wider count would wrap the traces' home range.
     constexpr workload::NodeId kMaxNodes = std::numeric_limits<workload::NodeId>::max();
-    if (static_cast<unsigned long>(value) > kMaxNodes) {
+    if (value > kMaxNodes) {
       return fail(error, "nodes '" + arg + "' exceeds the node id range (at most " +
                              std::to_string(kMaxNodes) + ")");
     }
-    nodes = static_cast<std::size_t>(value);
+    nodes = value;
     return true;
   }
   if (directive == "set") {
@@ -164,12 +174,10 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       if (key == "node") {
-        std::uint64_t index = 0;
-        if (!parse_uint64(value, &index)) {
+        if (!parse_integer(value, &entry.node)) {
           return fail(error, "fault node '" + value +
                                  "' is not a non-negative int (e.g. node=2)");
         }
-        entry.node = static_cast<workload::NodeId>(index);
         have_node = true;
       } else if (key == "at") {
         double at = 0.0;
@@ -210,19 +218,15 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     return true;
   }
   if (directive == "trials") {
-    long value = 0;
-    if (!parse_positive_int(arg, &value) || value > std::numeric_limits<int>::max()) {
+    if (!parse_integer(arg, &trials, 1)) {
       return fail(error, "trials '" + arg + "' is not a positive int (e.g. trials 3)");
     }
-    trials = static_cast<int>(value);
     return true;
   }
   if (directive == "base_seed") {
-    std::uint64_t value = 0;
-    if (!parse_uint64(arg, &value)) {
+    if (!parse_integer(arg, &base_seed)) {
       return fail(error, "base_seed '" + arg + "' is not a uint64 (e.g. base_seed 7)");
     }
-    base_seed = value;
     return true;
   }
   if (directive == "sampling_interval") {
@@ -384,7 +388,7 @@ const CellResult& ScenarioRun::cell(int trial, std::size_t trace, std::size_t co
   return cells[(axis * num_configs + config) * num_policies + policy];
 }
 
-std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
+std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
   std::string nested;
   if (!spec.validate(&nested)) {
     fail(error, nested);
@@ -418,7 +422,7 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
   }
 
   // One config per sweep value: the `set` overrides plus KEY=value.
-  SweepGrid grid;
+  ScenarioGrid grid;
   const std::vector<std::string> no_sweep = {""};
   for (const std::string& value : spec.sweep_key.empty() ? no_sweep : spec.sweep_values) {
     std::map<std::string, std::string> overrides = spec.config_overrides;
@@ -448,8 +452,6 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
     }
   }
 
-  grid.policies = spec.policies;
-  grid.base_seed = spec.base_seed;
   grid.experiment.collector.sampling_intervals = {spec.sampling_interval};
   grid.experiment.max_sim_time = spec.max_sim_time;
   grid.experiment.fault_entries = spec.faults;
@@ -490,23 +492,37 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
       if (trial > 0 && !varied.is_swf()) {
         varied.seed = varied.to_params(default_nodes).seed + static_cast<std::uint64_t>(trial);
       }
-      grid.traces.push_back(SweepTrace::from_spec(std::move(varied), default_nodes));
+      grid.traces.push_back(std::move(varied));
     }
   }
   return grid;
 }
 
 std::optional<ScenarioRun> run_scenario(const ScenarioSpec& spec, int jobs, std::string* error) {
-  std::optional<SweepGrid> grid = to_grid(spec, error);
+  std::optional<ScenarioGrid> grid = to_grid(spec, error);
   if (!grid) return std::nullopt;
 
-  SweepRunner runner(jobs);
   ScenarioRun run;
   run.num_trials = spec.trials;
   run.num_traces = spec.traces.size();
   run.num_configs = grid->configs.size();
   run.num_policies = spec.policies.size();
-  run.cells = runner.run(*grid);
+  run.cells.resize(grid->traces.size() * run.num_configs * run.num_policies);
+  const auto default_nodes = static_cast<std::uint32_t>(spec.nodes);
+  parallel_for(run.cells.size(), jobs, [&spec, &grid, &run, default_nodes](std::size_t index) {
+    // The seed keys on the (trace axis, config) pair, so every policy of a
+    // pair runs under identical stochastic conditions.
+    const std::size_t pair = index / run.num_policies;
+    cluster::ClusterConfig config = grid->configs[pair % run.num_configs];
+    config.seed = derive_seed(spec.base_seed, pair);
+    std::unique_ptr<workload::ArrivalSource> source =
+        grid->traces[pair / run.num_configs].make_source(default_nodes);
+    CellResult& cell = run.cells[index];
+    cell.seed = config.seed;
+    // to_grid validated every policy spec, so creation cannot fail here.
+    cell.report = *core::run_policy_on_source(spec.policies[index % run.num_policies], *source,
+                                              config, grid->experiment);
+  });
   return run;
 }
 

@@ -19,8 +19,9 @@
 //   auto run = runner::run_scenario(*spec, /*jobs=*/0, &error);
 //
 // Determinism contract: every cell pumps a fresh ArrivalSource built from its
-// TraceSpec, so a scenario's report depends only on the spec — never on the
-// worker count or the order cells finish in.
+// TraceSpec and runs an isolated Simulator / Cluster / policy with a seed
+// derived from its grid coordinates, so a scenario's report depends only on
+// the spec — never on the worker count or the order cells finish in.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,11 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/config.h"
+#include "core/experiment.h"
 #include "core/policy_registry.h"
 #include "faults/fault_plan.h"
+#include "metrics/report.h"
 #include "runner/sweep_runner.h"
 #include "workload/trace_spec.h"
 
@@ -114,8 +118,14 @@ struct ScenarioSpec {
                                           std::string* error = nullptr);
 };
 
+/// One completed cell of a scenario.
+struct CellResult {
+  std::uint64_t seed = 0;  // the derived ClusterConfig::seed the cell ran with
+  metrics::RunReport report;
+};
+
 /// A completed scenario. Cells are indexed (trial, trace, config, policy);
-/// the flat `cells` vector is the SweepRunner grid order (trial-major trace
+/// the flat `cells` vector is row-major in that order (trial-major trace
 /// axis, then the sweep's configs, policy fastest).
 struct ScenarioRun {
   int num_trials = 0;
@@ -127,17 +137,32 @@ struct ScenarioRun {
   const CellResult& cell(int trial, std::size_t trace, std::size_t config, std::size_t policy) const;
 };
 
-/// Turns the scenario into a SweepGrid: one TraceSpec entry per (trial,
-/// trace) — each cell builds its own source from it — plus the resolved
-/// cluster with config overrides applied, once per sweep value (a cell's
-/// seed is derive_seed(base_seed, trace_axis * configs + config), so a
-/// sweep-free scenario keeps its seeds); every policy spec and SWF log is
-/// validated up front. Returns std::nullopt + *error on any invalid piece —
-/// nothing throws, so drivers can report the message and exit cleanly.
-std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error = nullptr);
+/// A validated scenario's plan: what every cell runs besides its policy.
+struct ScenarioGrid {
+  /// One entry per (trial, trace), trial-major; each cell builds its own
+  /// source from its entry (sources are single-pass iterators, and live
+  /// JobSpec storage stays O(concurrent jobs) per cell, DESIGN.md §14).
+  std::vector<workload::TraceSpec> traces;
+  /// The resolved cluster with the `set` overrides applied, one per sweep
+  /// value (one in all when the scenario has no sweep).
+  std::vector<cluster::ClusterConfig> configs;
+  core::ExperimentOptions experiment;
+};
 
-/// to_grid + SweepRunner::run on `jobs` workers (0 = one per hardware
-/// thread).
+/// Validates the scenario and plans its cells: one TraceSpec per (trial,
+/// trace) plus the resolved cluster, once per sweep value. Every policy spec,
+/// config override and SWF log is checked up front. Returns std::nullopt +
+/// *error on any invalid piece — nothing throws, so drivers can report the
+/// message and exit cleanly.
+std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error = nullptr);
+
+/// Runs every (trial, trace, config, policy) cell of the scenario on at most
+/// `jobs` threads, never more threads than cells (jobs <= 0: one per
+/// hardware thread). A cell's seed is derive_seed(base_seed, trace_axis *
+/// configs + config): policies of one (trial, trace, config) share it, so
+/// comparisons are matched pairs, and a sweep-free scenario keys on the
+/// trace axis alone. An exception a cell throws (an allocation failure, say)
+/// reaches the caller once every worker has stopped.
 std::optional<ScenarioRun> run_scenario(const ScenarioSpec& spec, int jobs = 0,
                                         std::string* error = nullptr);
 

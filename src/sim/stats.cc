@@ -15,56 +15,9 @@ void RunningStats::add(double value) {
   max_ = std::max(max_, value);
 }
 
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double RunningStats::population_stddev() const {
   if (count_ == 0) return 0.0;
   return std::sqrt(m2_ / static_cast<double>(count_));
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void TimeWeightedStats::record(double time, double value) {
-  if (!started_) {
-    started_ = true;
-    start_time_ = time;
-    last_time_ = time;
-  } else if (time > last_time_) {
-    weighted_sum_ += last_value_ * (time - last_time_);
-    last_time_ = time;
-  }
-  // An out-of-order sample must not roll last_time_ backwards: doing so
-  // would double-count [time, last_time_] on the next in-order record. The
-  // late value is clamped to take effect at last_time_ instead.
-  last_value_ = value;
-}
-
-double TimeWeightedStats::average_until(double time) const {
-  if (!started_ || time <= start_time_) return 0.0;
-  double total = weighted_sum_;
-  if (time > last_time_) total += last_value_ * (time - last_time_);
-  return total / (time - start_time_);
 }
 
 double Percentiles::quantile(double q) const {
@@ -80,31 +33,5 @@ double Percentiles::quantile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   return values_[lo] * (1.0 - frac) + values_[hi] * frac;
 }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins) {}
-
-void Histogram::add(double value) {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (value >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  double pos = (value - lo_) / span * static_cast<double>(counts_.size());
-  long bin = static_cast<long>(pos);
-  // Rounding at the upper edge can still land one past the end.
-  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t bin) const { return bin_low(bin + 1); }
 
 }  // namespace vrc::sim

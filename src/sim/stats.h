@@ -14,18 +14,12 @@ class RunningStats {
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
   /// Population standard deviation (n denominator); the paper's "job balance
   /// skew" is a population stddev over the 32 workstations at an instant.
   double population_stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one (parallel-merge formula).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t count_ = 0;
@@ -34,28 +28,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Time-weighted average of a piecewise-constant signal, e.g. "number of
-/// active jobs" integrated over simulation time.
-class TimeWeightedStats {
- public:
-  /// Records that the signal held `value` starting at `time` until the next
-  /// call. The first call only sets the starting point.
-  void record(double time, double value);
-
-  /// Closes the observation window at `time` and returns the time average.
-  double average_until(double time) const;
-
-  double last_value() const { return last_value_; }
-  bool started() const { return started_; }
-
- private:
-  bool started_ = false;
-  double last_time_ = 0.0;
-  double last_value_ = 0.0;
-  double weighted_sum_ = 0.0;
-  double start_time_ = 0.0;
 };
 
 /// Exact percentile over a stored sample set (linear interpolation between
@@ -71,35 +43,6 @@ class Percentiles {
  private:
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples are counted in
-/// explicit underflow/overflow tallies rather than silently polluting the
-/// edge bins. Used by workload characterization benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-  std::size_t bin_count(std::size_t bin) const { return counts_[bin]; }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-  /// All samples ever added, including out-of-range ones.
-  std::size_t total() const { return total_; }
-  /// Samples below lo / at or above hi; excluded from every bin count.
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  /// Samples that landed in a bin (total minus under/overflow).
-  std::size_t in_range() const { return total_ - underflow_ - overflow_; }
-
- private:
-  double lo_ = 0.0;
-  double hi_ = 0.0;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 }  // namespace vrc::sim

@@ -2,29 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/units.h"
 
 namespace vrc::util {
-
-namespace {
-
-bool parse_int64(const std::string& text, long long* out) {
-  try {
-    size_t pos = 0;
-    long long v = std::stoll(text, &pos);
-    if (pos != text.size()) return false;
-    *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
 
 void FlagSet::add(const std::string& name, Flag flag) {
   if (!flags_.emplace(name, std::move(flag)).second) {
@@ -36,15 +18,7 @@ void FlagSet::add(const std::string& name, Flag flag) {
 void FlagSet::add_int(const std::string& name, int* target, std::string help) {
   Flag f;
   f.help = std::move(help);
-  f.set = [target](const std::string& v) {
-    long long tmp = 0;
-    if (!parse_int64(v, &tmp) || tmp < std::numeric_limits<int>::min() ||
-        tmp > std::numeric_limits<int>::max()) {
-      return false;
-    }
-    *target = static_cast<int>(tmp);
-    return true;
-  };
+  f.set = [target](const std::string& v) { return parse_integer(v, target); };
   f.default_value = [target] { return std::to_string(*target); };
   add(name, std::move(f));
 }
@@ -52,7 +26,7 @@ void FlagSet::add_int(const std::string& name, int* target, std::string help) {
 void FlagSet::add_int64(const std::string& name, long long* target, std::string help) {
   Flag f;
   f.help = std::move(help);
-  f.set = [target](const std::string& v) { return parse_int64(v, target); };
+  f.set = [target](const std::string& v) { return parse_integer(v, target); };
   f.default_value = [target] { return std::to_string(*target); };
   add(name, std::move(f));
 }

@@ -6,11 +6,14 @@
 #pragma once
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 namespace vrc {
 
@@ -71,6 +74,23 @@ inline bool parse_finite_double(const std::string& text, double* out,
     *suffix = std::string(end);
   }
   *out = parsed;
+  return true;
+}
+
+/// Parses a base-10 integer spanning all of `text` into the integer type T.
+/// Rejects empty text, anything but digits after an optional '-' (for signed
+/// T), values that overflow T and values outside [lo, hi], so a wide value
+/// can never wrap into range. Returns false without touching `*out` on
+/// failure.
+template <typename T>
+bool parse_integer(const std::string& text, T* out,
+                   std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+                   std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const std::from_chars_result parsed = std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || value < lo || value > hi) return false;
+  *out = value;
   return true;
 }
 

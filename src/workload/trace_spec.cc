@@ -1,11 +1,10 @@
 #include "workload/trace_spec.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
+#include "util/units.h"
 #include "workload/swf_source.h"
 
 namespace vrc::workload {
@@ -137,8 +136,6 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
       if (!parse_key_values(text.substr(colon + 1), text, &params, error)) return std::nullopt;
     }
     for (const auto& [key, value] : params) {
-      errno = 0;
-      char* end = nullptr;
       if (key == "file") {
         if (value.empty()) {
           value_error(error, text, key, value, "path", "tests/data/swf/NASA-iPSC-1993-3.swf");
@@ -153,12 +150,10 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
         }
         spec.swf_scale = scale;
       } else if (key == "max_jobs") {
-        const long max_jobs = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || end == value.c_str() || *end != '\0' || max_jobs <= 0) {
+        if (!parse_integer(value, &spec.swf_max_jobs, 1)) {
           value_error(error, text, key, value, "positive int", "200");
           return std::nullopt;
         }
-        spec.swf_max_jobs = static_cast<std::size_t>(max_jobs);
       } else if (key == "min_runtime") {
         if (!parse_duration(value, &spec.swf_min_runtime) || spec.swf_min_runtime < 0.0) {
           value_error(error, text, key, value, "non-negative duration", "10");
@@ -176,12 +171,10 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
         }
         spec.swf_profile = value;
       } else if (key == "nodes") {
-        const long nodes = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || end == value.c_str() || *end != '\0' || nodes <= 0) {
+        if (!parse_integer(value, &spec.num_nodes, 1)) {
           value_error(error, text, key, value, "positive int", "32");
           return std::nullopt;
         }
-        spec.num_nodes = static_cast<std::uint32_t>(nodes);
       } else if (key == "name") {
         if (value.empty()) {
           value_error(error, text, key, value, "non-empty string", "nasa-replay");
@@ -213,22 +206,16 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
   }
 
   for (const auto& [key, value] : params) {
-    errno = 0;
-    char* end = nullptr;
     if (key == "trace") {
-      const long index = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0') {
+      if (!parse_integer(value, &spec.standard_index)) {
         value_error(error, text, key, value, "int 1..5", "3");
         return std::nullopt;
       }
-      spec.standard_index = static_cast<int>(index);
     } else if (key == "jobs") {
-      const long jobs = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || jobs <= 0) {
+      if (!parse_integer(value, &spec.num_jobs, 1)) {
         value_error(error, text, key, value, "positive int", "400");
         return std::nullopt;
       }
-      spec.num_jobs = static_cast<std::size_t>(jobs);
     } else if (key == "duration") {
       if (!parse_duration(value, &spec.duration) || spec.duration <= 0.0) {
         value_error(error, text, key, value, "positive duration", "1800");
@@ -242,12 +229,10 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
       }
       spec.arrival_scale = scale;
     } else if (key == "seed") {
-      const unsigned long long seed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || value.front() == '-') {
+      if (!parse_integer(value, &spec.seed)) {
         value_error(error, text, key, value, "uint64", "9");
         return std::nullopt;
       }
-      spec.seed = seed;
     } else if (key == "malleable") {
       double fraction = 0.0;
       if (!parse_finite_double(value, &fraction) || fraction < 0.0 || fraction > 1.0) {
@@ -256,19 +241,15 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
       }
       spec.malleable_fraction = fraction;
     } else if (key == "malleable_min") {
-      const long width = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || width < 1) {
+      if (!parse_integer(value, &spec.malleable_min_width, 1)) {
         value_error(error, text, key, value, "int >= 1", "1");
         return std::nullopt;
       }
-      spec.malleable_min_width = static_cast<int>(width);
     } else if (key == "malleable_max") {
-      const long width = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || width < 1) {
+      if (!parse_integer(value, &spec.malleable_max_width, 1)) {
         value_error(error, text, key, value, "int >= 1", "3");
         return std::nullopt;
       }
-      spec.malleable_max_width = static_cast<int>(width);
     } else if (key == "malleable_alpha") {
       double alpha = 0.0;
       if (!parse_finite_double(value, &alpha) || alpha < 0.0 || alpha > 1.0) {
@@ -284,12 +265,10 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
       }
       spec.big_share = share;
     } else if (key == "nodes") {
-      const long nodes = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || nodes <= 0) {
+      if (!parse_integer(value, &spec.num_nodes, 1)) {
         value_error(error, text, key, value, "positive int", "32");
         return std::nullopt;
       }
-      spec.num_nodes = static_cast<std::uint32_t>(nodes);
     } else if (key == "name") {
       if (value.empty()) {
         value_error(error, text, key, value, "non-empty string", "my-trace");

@@ -114,6 +114,21 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
       << error;
 }
 
+TEST(ApplyOverridesTest, IntKeysRejectValuesBeyondInt) {
+  // cpu_threshold=4294967297 used to run as 1, nodes=4294967297 to build a
+  // 1-node cluster.
+  for (const std::string key : {"cpu_threshold", "nodes"}) {
+    ClusterConfig config = ClusterConfig::paper_cluster1(4);
+    std::string error;
+    EXPECT_FALSE(config.apply_overrides({{key, "4294967297"}}, &error)) << key;
+    EXPECT_NE(error.find("config override '" + key + "': invalid value '4294967297'"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(config.nodes.size(), 4u);
+    EXPECT_EQ(config.cpu_threshold, ClusterConfig::paper_cluster1(4).cpu_threshold);
+  }
+}
+
 TEST(ApplyOverridesTest, BadNodeKeysAreRejectedPrecisely) {
   ClusterConfig config = ClusterConfig::paper_cluster1(4);
   std::string error;

@@ -97,18 +97,6 @@ TEST(ExperimentTest, MaxSimTimeCapsRun) {
   EXPECT_LT(report.jobs_completed, report.jobs_submitted);
 }
 
-TEST(ExperimentTest, ComparisonComputesReductions) {
-  const auto trace = workload::generate_trace(tiny_params(30, workload::WorkloadGroup::kSpec));
-  const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto comparison =
-      *compare_policies(PolicySpec("local-only"), PolicySpec("g-loadsharing"), trace, config);
-  EXPECT_EQ(comparison.baseline.policy, "Local-Only");
-  EXPECT_EQ(comparison.ours.policy, "G-Loadsharing");
-  const double expected = metrics::reduction(comparison.baseline.total_execution,
-                                             comparison.ours.total_execution);
-  EXPECT_DOUBLE_EQ(comparison.execution_reduction(), expected);
-}
-
 TEST(ExperimentTest, MultipleSamplingIntervalsReported) {
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   ExperimentOptions options;
@@ -131,7 +119,7 @@ TEST(ExperimentTest, PolicyStatsLandInReport) {
 }
 
 // Regression: attach() must reset every statistic, so a policy object
-// reused across experiments (safe reuse under the sweep runner) reports
+// reused across experiments (as a caller of run_experiment may) reports
 // per-run counters instead of carrying totals over.
 TEST(ExperimentTest, ReusedPolicyObjectDoesNotCarryStatsOver) {
   const auto params = tiny_params(40, workload::WorkloadGroup::kSpec);

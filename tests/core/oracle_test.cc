@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 
 namespace vrc::core {
@@ -91,11 +92,12 @@ TEST(OracleDemandsTest, AtLeastMatchesBaselinePagingOnRealWorkload) {
   params.seed = 77;
   const auto trace = workload::generate_trace(params);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto runs = compare_policies(PolicySpec("g-loadsharing"), PolicySpec("oracle"), trace,
-                                     config);
-  ASSERT_TRUE(runs.has_value());
-  const metrics::RunReport& baseline = runs->baseline;
-  const metrics::RunReport& oracle = runs->ours;
+  workload::MaterializedTraceSource baseline_source(trace);
+  const metrics::RunReport baseline =
+      *run_policy_on_source(PolicySpec("g-loadsharing"), baseline_source, config);
+  workload::MaterializedTraceSource oracle_source(trace);
+  const metrics::RunReport oracle =
+      *run_policy_on_source(PolicySpec("oracle"), oracle_source, config);
   EXPECT_EQ(oracle.jobs_completed, oracle.jobs_submitted);
   // Perfect demand knowledge eliminates (almost) all paging.
   EXPECT_LE(oracle.total_page, baseline.total_page);

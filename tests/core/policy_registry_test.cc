@@ -1,11 +1,14 @@
-// The string-keyed policy registry: spec parse/print round-trips, alias
-// resolution, param validation, and the precise error text the declarative
+// The string-keyed policy registry: spec parse/print round-trips, one name
+// per policy, param validation, and the precise error text the declarative
 // scenario layer relies on.
 #include "core/policy_registry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace vrc::core {
 namespace {
@@ -70,20 +73,17 @@ TEST(PolicyRegistryTest, EveryRegisteredPolicyConstructsWithDefaults) {
   }
 }
 
-TEST(PolicyRegistryTest, AliasesResolveToCanonicalNames) {
-  auto& registry = PolicyRegistry::instance();
-  EXPECT_EQ(registry.canonical_name("gls"), "g-loadsharing");
-  EXPECT_EQ(registry.canonical_name("vrecon"), "v-reconf");
-  EXPECT_EQ(registry.canonical_name("v-reconfiguration"), "v-reconf");
-  EXPECT_EQ(registry.canonical_name("local"), "local-only");
-  EXPECT_EQ(registry.canonical_name("suspend"), "suspension");
-  EXPECT_EQ(registry.canonical_name("oracle-demands"), "oracle");
-  EXPECT_FALSE(registry.canonical_name("first-fit").has_value());
-  EXPECT_TRUE(registry.contains("gls"));
-
-  std::string error;
-  const auto via_alias = make_policy(PolicySpec("vrecon", {{"early_release", "0"}}), &error);
-  ASSERT_NE(via_alias, nullptr) << error;
+TEST(PolicyRegistryTest, FormerAliasesAreUnknownPolicies) {
+  // Each policy has exactly one name: `policy gls` next to `policy
+  // g-loadsharing` used to run one policy twice under two labels.
+  for (const char* alias : {"gls", "vrecon", "v-reconfiguration", "mrecon", "m-reconf", "local",
+                            "suspend", "oracle-demands"}) {
+    std::string error;
+    EXPECT_EQ(make_policy(PolicySpec(alias), &error), nullptr) << alias;
+    EXPECT_NE(error.find("unknown policy '" + std::string(alias) + "'"), std::string::npos)
+        << error;
+    EXPECT_EQ(PolicyRegistry::instance().param_docs(alias), nullptr) << alias;
+  }
 }
 
 TEST(PolicyRegistryTest, UnknownPolicyErrorListsRegisteredNames) {
@@ -122,6 +122,21 @@ TEST(PolicyRegistryTest, MalformedValueErrorGivesTypeAndExample) {
   EXPECT_NE(error.find("expected duration"), std::string::npos) << error;
 }
 
+TEST(PolicyRegistryTest, IntParamsRejectValuesBeyondInt) {
+  // max_reservations=4294967298 used to wrap to 2 and run without a word.
+  const std::pair<const char*, const char*> params[] = {{"v-reconf", "max_reservations"},
+                                                       {"m-reconfiguration", "regrow_free_slots"},
+                                                       {"suspension", "min_runnable"}};
+  for (const auto& [policy, key] : params) {
+    std::string error;
+    EXPECT_EQ(make_policy(PolicySpec(policy, {{key, "4294967298"}}), &error), nullptr) << key;
+    EXPECT_NE(error.find(std::string("invalid value '4294967298' for param '") + key + "'"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(make_policy(PolicySpec(policy, {{key, "2147483647"}}), &error), nullptr) << error;
+  }
+}
+
 TEST(PolicyRegistryTest, DurationParamsAcceptUnitSuffixes) {
   std::string error;
   EXPECT_NE(make_policy(PolicySpec("v-reconf", {{"reserve_timeout", "2min"},
@@ -140,12 +155,11 @@ TEST(PolicyRegistryTest, CustomRegistrationIsCreatableLikeBuiltins) {
         ParamReader reader("test-stub", params);
         if (!reader.finish(error)) return nullptr;
         return make_policy(PolicySpec("local-only"), error);
-      },
-      {}, {"stub"});
-  EXPECT_TRUE(registry.contains("test-stub"));
-  EXPECT_EQ(registry.canonical_name("stub"), "test-stub");
+      });
+  const std::vector<std::string> names = registry.names();
+  EXPECT_NE(std::find(names.begin(), names.end(), "test-stub"), names.end());
   std::string error;
-  EXPECT_NE(make_policy(PolicySpec("stub"), &error), nullptr) << error;
+  EXPECT_NE(make_policy(PolicySpec("test-stub"), &error), nullptr) << error;
 }
 
 TEST(PolicyRegistryTest, NonFiniteDoubleAndDurationParamsAreRejected) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+
+#include "core/experiment.h"
+#include "workload/trace_spec.h"
 
 namespace vrc::core {
 namespace {
@@ -257,6 +262,45 @@ TEST(VReconfigurationTest, NeverReservesThePressuredNode) {
   EXPECT_EQ(policy.reservations_started(), 0u);
   EXPECT_EQ(stat(policy, "declined_candidate"), 1.0);
   EXPECT_FALSE(cluster.node(0).reserved());
+}
+
+// Counts the migrations that complete onto a reserved workstation, per host.
+class ReservedServiceCounter : public VReconfiguration {
+ public:
+  void on_migration_complete(Cluster& cluster, RunningJob& job) override {
+    if (cluster.node(job.node).reserved()) ++served_by_node[job.node];
+    VReconfiguration::on_migration_complete(cluster, job);
+  }
+
+  std::map<NodeId, int> served_by_node;
+};
+
+TEST(VReconfigurationTest, ReservesLargeMemoryWorkstationsInAHeterogeneousCluster) {
+  // §2.3: "a reserved workstation will be the one with relatively large
+  // physical memory space". Nodes 0-15 keep paper cluster 1's 400 MHz /
+  // 384 MB hardware; nodes 16-31 are older 233 MHz / 192 MB machines.
+  ClusterConfig config = ClusterConfig::paper_cluster1(32);
+  std::map<std::string, std::string> overrides;
+  for (int i = 16; i < 32; ++i) {
+    const std::string prefix = "node." + std::to_string(i) + ".";
+    overrides[prefix + "cpu_mhz"] = "233";
+    overrides[prefix + "memory"] = "192MB";
+    overrides[prefix + "swap"] = "192MB";
+  }
+  std::string error;
+  ASSERT_TRUE(config.apply_overrides(overrides, &error)) << error;
+  const auto trace = workload::TraceSpec::parse("spec:jobs=450,duration=1800,seed=11", &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+
+  ReservedServiceCounter policy;
+  run_experiment(*trace->make_source(32), config, policy);
+  int on_large = 0;
+  int on_small = 0;
+  for (const auto& [node, count] : policy.served_by_node) {
+    (node < 16 ? on_large : on_small) += count;
+  }
+  EXPECT_GE(on_large, 1);
+  EXPECT_EQ(on_small, 0);
 }
 
 TEST(VReconfigurationTest, StatsIncludeReconfigurationCounters) {

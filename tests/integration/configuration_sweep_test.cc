@@ -1,11 +1,9 @@
 // Configuration-space property tests: the simulator's invariants must hold
 // under heterogeneous hardware, network contention, stochastic faults, and
-// different tick sizes — not just the paper's default setup. The
-// multi-config sweeps fan out across the parallel sweep runner.
+// different tick sizes — not just the paper's default setup.
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "runner/sweep_runner.h"
 #include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 
@@ -52,13 +50,8 @@ TEST(HeterogeneousClusterTest, MixedMemoryNodesStillCompleteEverything) {
   for (int i = 0; i < 4; ++i) {
     config.nodes.push_back({300.0, megabytes(256), megabytes(256), megabytes(16)});
   }
-  runner::SweepGrid grid;
-  grid.traces = {workload::generate_trace(small_trace(102))};
-  grid.configs = {config};
-  grid.policies = {core::PolicySpec("g-loadsharing"), core::PolicySpec("v-reconf")};
-  runner::SweepRunner sweep(2);
-  for (const auto& cell : sweep.run(grid)) {
-    const auto& report = cell.report;
+  for (const char* policy : {"g-loadsharing", "v-reconf"}) {
+    const auto report = run(policy, small_trace(102), config);
     EXPECT_EQ(report.jobs_completed, report.jobs_submitted) << report.policy;
     for (const auto& job : report.jobs) {
       EXPECT_NEAR(job.t_cpu + job.t_page + job.t_queue + job.t_mig, job.wall_clock(), 0.05);
@@ -118,12 +111,7 @@ INSTANTIATE_TEST_SUITE_P(Granularity, TickSizeSweep,
                          });
 
 TEST(ClusterSizeSweepTest, PoliciesScaleFromFourToSixtyFourNodes) {
-  // Each size needs its own (trace, config) pair, so this is not a plain
-  // cross product: run_indexed fans the cells out instead.
-  const std::vector<std::size_t> sizes = {4, 16, 64};
-  runner::SweepRunner sweep(static_cast<int>(sizes.size()));
-  const auto reports = sweep.run_indexed(sizes.size(), [&sizes](std::size_t i) {
-    const std::size_t nodes = sizes[i];
+  for (const std::size_t nodes : {4u, 16u, 64u}) {
     workload::TraceParams params;
     params.name = "scale";
     params.group = workload::WorkloadGroup::kSpec;
@@ -132,10 +120,8 @@ TEST(ClusterSizeSweepTest, PoliciesScaleFromFourToSixtyFourNodes) {
     params.num_nodes = static_cast<std::uint32_t>(nodes);
     params.seed = 200 + nodes;
     const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, nodes);
-    return run("v-reconf", params, config);
-  });
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(reports[i].jobs_completed, reports[i].jobs_submitted) << sizes[i] << " nodes";
+    const auto report = run("v-reconf", params, config);
+    EXPECT_EQ(report.jobs_completed, report.jobs_submitted) << nodes << " nodes";
   }
 }
 

@@ -25,24 +25,31 @@ workload::Trace scaled_trace(workload::WorkloadGroup group, double sigma_mu,
   return workload::generate_trace(params);
 }
 
+/// Replays `trace` under the registry policy `policy`.
+metrics::RunReport run(const char* policy, const workload::Trace& trace,
+                       const cluster::ClusterConfig& config) {
+  workload::MaterializedTraceSource source(trace);
+  return *core::run_policy_on_source(core::PolicySpec(policy), source, config);
+}
+
 TEST(PaperShapeTest, VReconNeverLosesBadlyOnModerateLoad) {
   const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 3.0, 120, 42);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto c = *core::compare_policies(core::PolicySpec("g-loadsharing"),
-                                         core::PolicySpec("v-reconf"), trace, config);
-  EXPECT_EQ(c.baseline.jobs_completed, c.baseline.jobs_submitted);
-  EXPECT_EQ(c.ours.jobs_completed, c.ours.jobs_submitted);
-  EXPECT_GT(c.execution_reduction(), -0.08);
+  const auto baseline = run("g-loadsharing", trace, config);
+  const auto ours = run("v-reconf", trace, config);
+  EXPECT_EQ(baseline.jobs_completed, baseline.jobs_submitted);
+  EXPECT_EQ(ours.jobs_completed, ours.jobs_submitted);
+  EXPECT_GT(metrics::reduction(baseline.total_execution, ours.total_execution), -0.08);
 }
 
 TEST(PaperShapeTest, LoadSharingBeatsLocalOnly) {
   // Sanity anchor predating the paper: any load sharing beats none.
   const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 3.0, 120, 43);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto c = *core::compare_policies(core::PolicySpec("local-only"),
-                                         core::PolicySpec("g-loadsharing"), trace, config);
-  EXPECT_GT(c.execution_reduction(), 0.10);
-  EXPECT_GT(c.slowdown_reduction(), 0.10);
+  const auto local = run("local-only", trace, config);
+  const auto shared = run("g-loadsharing", trace, config);
+  EXPECT_GT(metrics::reduction(local.total_execution, shared.total_execution), 0.10);
+  EXPECT_GT(metrics::reduction(local.avg_slowdown, shared.avg_slowdown), 0.10);
 }
 
 TEST(PaperShapeTest, PagingTimeDropsUnderVRecon) {
@@ -52,10 +59,8 @@ TEST(PaperShapeTest, PagingTimeDropsUnderVRecon) {
   double base_page = 0.0, ours_page = 0.0;
   for (std::uint64_t seed : {50u, 51u, 52u}) {
     const auto trace = scaled_trace(workload::WorkloadGroup::kSpec, 2.0, 170, seed);
-    const auto c = *core::compare_policies(core::PolicySpec("g-loadsharing"),
-                                           core::PolicySpec("v-reconf"), trace, config);
-    base_page += c.baseline.total_page;
-    ours_page += c.ours.total_page;
+    base_page += run("g-loadsharing", trace, config).total_page;
+    ours_page += run("v-reconf", trace, config).total_page;
   }
   EXPECT_LT(ours_page, base_page);
 }
@@ -65,9 +70,9 @@ TEST(PaperShapeTest, CpuTimeIdenticalAcrossPolicies) {
   // environment, so that T_cpu = T̂_cpu."
   const auto trace = scaled_trace(workload::WorkloadGroup::kApps, 3.0, 100, 44);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kApps, 8);
-  const auto c = *core::compare_policies(core::PolicySpec("g-loadsharing"),
-                                         core::PolicySpec("v-reconf"), trace, config);
-  EXPECT_NEAR(c.baseline.total_cpu, c.ours.total_cpu, 0.01 * c.baseline.total_cpu + 1.0);
+  const auto baseline = run("g-loadsharing", trace, config);
+  const auto ours = run("v-reconf", trace, config);
+  EXPECT_NEAR(baseline.total_cpu, ours.total_cpu, 0.01 * baseline.total_cpu + 1.0);
 }
 
 TEST(PaperShapeTest, SamplingIntervalInsensitivity) {

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "../common/report_fingerprint.h"
+#include "core/baselines.h"
 #include "core/experiment.h"
 
 namespace vrc::runner {
@@ -122,6 +128,17 @@ TEST(ScenarioSpecTest, FaultDirectiveRejectsEachFailureClassPrecisely) {
   EXPECT_TRUE(spec.faults.empty());
 }
 
+TEST(ScenarioSpecTest, FaultNodeRejectsValuesBeyondTheNodeIdRange) {
+  // node=4294967298 used to wrap to node 2 and crash it.
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_FALSE(spec.apply_line("fault crash node=4294967298 at=10 for=5", &error));
+  EXPECT_NE(error.find("fault node '4294967298' is not a non-negative int"), std::string::npos)
+      << error;
+  EXPECT_TRUE(spec.faults.empty());
+  EXPECT_TRUE(spec.apply_line("fault crash node=4294967295 at=10 for=5", &error)) << error;
+}
+
 TEST(ScenarioSpecTest, MalleableDirectiveDefaultsGeneratedTracesOnly) {
   ScenarioSpec spec;
   std::string error;
@@ -143,19 +160,17 @@ TEST(ScenarioSpecTest, MalleableDirectiveDefaultsGeneratedTracesOnly) {
   ASSERT_EQ(grid->traces.size(), 2u);
   // The directive defaults only traces WITHOUT their own malleable= fraction:
   // the first trace becomes all-malleable (width [1,2] ⇒ every job submits at
-  // width 2), the second keeps its explicit 0.25. Each grid entry carries the
+  // width 2), the second keeps its explicit 0.25. Each grid entry is the
   // TraceSpec its cells build their sources from.
-  ASSERT_TRUE(grid->traces[0].spec && grid->traces[1].spec);
-  const workload::Trace all_malleable =
-      grid->traces[0].spec->build(grid->traces[0].default_nodes);
+  const auto nodes = static_cast<std::uint32_t>(spec.nodes);
+  const workload::Trace all_malleable = grid->traces[0].build(nodes);
   std::size_t wide = 0;
   for (const workload::JobSpec& job : all_malleable.jobs()) {
     EXPECT_TRUE(job.malleable());
     wide += job.initial_width() > 1 ? 1u : 0u;
   }
   EXPECT_EQ(wide, all_malleable.size());
-  const workload::Trace partly_malleable =
-      grid->traces[1].spec->build(grid->traces[1].default_nodes);
+  const workload::Trace partly_malleable = grid->traces[1].build(nodes);
   std::size_t fraction_malleable = 0;
   for (const workload::JobSpec& job : partly_malleable.jobs()) {
     fraction_malleable += job.malleable() ? 1u : 0u;
@@ -205,8 +220,9 @@ TEST(ToGridTest, FaultEntriesReachTheExperimentOptions) {
 
 TEST(ScenarioSpecTest, ParseReportsTheOffendingLineNumber) {
   std::string error;
-  EXPECT_FALSE(ScenarioSpec::parse("trace spec:trace=1\n\npolicy gls\nnodes zero\n", &error)
-                   .has_value());
+  EXPECT_FALSE(
+      ScenarioSpec::parse("trace spec:trace=1\n\npolicy g-loadsharing\nnodes zero\n", &error)
+          .has_value());
   EXPECT_NE(error.find("line 4:"), std::string::npos) << error;
 }
 
@@ -473,6 +489,118 @@ TEST(ScenarioRunTest, SweepValuesRideTheConfigAxis) {
     }
   }
   EXPECT_NE(fingerprint(run->cell(0, 0, 0, 0).report), fingerprint(run->cell(0, 0, 1, 0).report));
+}
+
+TEST(ScenarioRunTest, OneThreadAndManyThreadsProduceIdenticalReports) {
+  // Stochastic faults make the runs consume the derived per-cell seeds, so
+  // the check also covers seed derivation.
+  const std::string text =
+      "cluster paper1\n"
+      "nodes 8\n"
+      "trace spec:jobs=40,duration=600,seed=31\n"
+      "trace spec:jobs=40,duration=600,seed=32\n"
+      "policy g-loadsharing\n"
+      "policy v-reconf\n"
+      "set stochastic_faults=1\n"
+      "base_seed 99\n";
+  std::string error;
+  const auto spec = ScenarioSpec::parse(text, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  const auto serial = run_scenario(*spec, /*jobs=*/1, &error);
+  ASSERT_TRUE(serial.has_value()) << error;
+  const auto parallel = run_scenario(*spec, /*jobs=*/4, &error);
+  ASSERT_TRUE(parallel.has_value()) << error;
+  ASSERT_EQ(serial->cells.size(), 4u);
+  ASSERT_EQ(parallel->cells.size(), serial->cells.size());
+  for (std::size_t i = 0; i < serial->cells.size(); ++i) {
+    EXPECT_EQ(serial->cells[i].seed, parallel->cells[i].seed) << "cell " << i;
+    EXPECT_EQ(fingerprint(serial->cells[i].report), fingerprint(parallel->cells[i].report))
+        << "cell " << i;
+  }
+}
+
+/// Threads of this process right now (one /proc/self/task entry each).
+std::size_t process_threads() {
+  std::error_code ec;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++count;
+  }
+  return count;
+}
+
+std::atomic<std::size_t> peak_threads{0};
+
+/// Local-Only, except that every arrival records the process's thread count.
+class ThreadCountingPolicy : public core::LocalOnly {
+ public:
+  void on_job_arrival(cluster::Cluster& cluster, cluster::RunningJob& job) override {
+    const std::size_t now = process_threads();
+    std::size_t peak = peak_threads.load();
+    while (now > peak && !peak_threads.compare_exchange_weak(peak, now)) {
+    }
+    core::LocalOnly::on_job_arrival(cluster, job);
+  }
+};
+
+TEST(ScenarioRunTest, StartsNoMoreThreadsThanCells) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "needs /proc/self/task";
+  core::PolicyRegistry::instance().register_policy(
+      "thread-counting",
+      [](const core::PolicyParams& params,
+         std::string* error) -> std::unique_ptr<cluster::SchedulerPolicy> {
+        core::ParamReader reader("thread-counting", params);
+        if (!reader.finish(error)) return nullptr;
+        return std::make_unique<ThreadCountingPolicy>();
+      });
+  std::string error;
+  const auto spec = ScenarioSpec::parse(
+      "nodes 4\n"
+      "trace spec:jobs=10,duration=60,seed=3\n"
+      "trials 2\n"
+      "policy thread-counting\n",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+
+  // Two cells at jobs=64: two workers besides the threads already running
+  // (this one, plus any a sanitizer runtime keeps), not 64.
+  const std::size_t before = process_threads();
+  peak_threads = 0;
+  const auto run = run_scenario(*spec, /*jobs=*/64, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  ASSERT_EQ(run->cells.size(), 2u);
+  EXPECT_GT(peak_threads.load(), before);
+  EXPECT_LE(peak_threads.load(), before + 2);
+}
+
+/// Local-Only, except that the first arrival throws.
+class ThrowingPolicy : public core::LocalOnly {
+ public:
+  void on_job_arrival(cluster::Cluster& /*cluster*/, cluster::RunningJob& /*job*/) override {
+    throw std::runtime_error("cell failed");
+  }
+};
+
+TEST(ScenarioRunTest, CellExceptionReachesTheCaller) {
+  // An exception escaping a worker thread used to terminate the process.
+  core::PolicyRegistry::instance().register_policy(
+      "throwing",
+      [](const core::PolicyParams& params,
+         std::string* error) -> std::unique_ptr<cluster::SchedulerPolicy> {
+        core::ParamReader reader("throwing", params);
+        if (!reader.finish(error)) return nullptr;
+        return std::make_unique<ThrowingPolicy>();
+      });
+  std::string error;
+  const auto spec = ScenarioSpec::parse(
+      "nodes 4\n"
+      "trace spec:jobs=10,duration=60,seed=3\n"
+      "trials 3\n"
+      "policy throwing\n",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_THROW(run_scenario(*spec, /*jobs=*/2, &error), std::runtime_error);
 }
 
 }  // namespace

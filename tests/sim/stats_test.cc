@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
-#include "sim/rng.h"
-
 namespace vrc::sim {
 namespace {
 
@@ -14,7 +9,7 @@ TEST(RunningStatsTest, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.population_stddev(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
 }
@@ -24,7 +19,7 @@ TEST(RunningStatsTest, SingleValue) {
   s.add(5.0);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.population_stddev(), 0.0);
   EXPECT_EQ(s.min(), 5.0);
   EXPECT_EQ(s.max(), 5.0);
   EXPECT_EQ(s.sum(), 5.0);
@@ -34,104 +29,9 @@ TEST(RunningStatsTest, KnownMeanAndVariance) {
   RunningStats s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);       // sample variance
-  EXPECT_NEAR(s.population_stddev(), 2.0, 1e-12);     // population stddev
+  EXPECT_NEAR(s.population_stddev(), 2.0, 1e-12);  // population variance 4
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    double v = std::sin(i) * 10.0;
-    all.add(v);
-    (i % 2 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-// Property test: merging an arbitrary partition of a stream must match
-// adding the whole stream to a single accumulator — the guarantee the
-// parallel sweep runner relies on when folding per-cell stats together.
-TEST(RunningStatsTest, MergeOverArbitraryPartitionsMatchesSingleStream) {
-  Rng rng(20260806);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t values = 1 + rng.uniform_index(400);
-    const std::size_t parts = 1 + rng.uniform_index(8);
-    RunningStats whole;
-    std::vector<RunningStats> partition(parts);
-    for (std::size_t i = 0; i < values; ++i) {
-      // Mixed magnitudes to stress the merge formula numerically.
-      const double v = rng.normal(0.0, 1.0) * (1.0 + 1000.0 * rng.uniform());
-      whole.add(v);
-      partition[rng.uniform_index(parts)].add(v);
-    }
-    RunningStats merged;
-    for (const RunningStats& part : partition) merged.merge(part);
-    ASSERT_EQ(merged.count(), whole.count());
-    EXPECT_NEAR(merged.mean(), whole.mean(), 1e-9 * (1.0 + std::abs(whole.mean())));
-    EXPECT_NEAR(merged.variance(), whole.variance(), 1e-9 * (1.0 + whole.variance()));
-    EXPECT_DOUBLE_EQ(merged.min(), whole.min());
-    EXPECT_DOUBLE_EQ(merged.max(), whole.max());
-    EXPECT_NEAR(merged.sum(), whole.sum(), 1e-9 * (1.0 + std::abs(whole.sum())));
-  }
-}
-
-TEST(RunningStatsTest, MergeWithEmptyIsNoop) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_EQ(empty.mean(), 2.0);
-}
-
-TEST(TimeWeightedStatsTest, ConstantSignal) {
-  TimeWeightedStats s;
-  s.record(0.0, 5.0);
-  EXPECT_DOUBLE_EQ(s.average_until(10.0), 5.0);
-}
-
-TEST(TimeWeightedStatsTest, StepSignalWeightsByDuration) {
-  TimeWeightedStats s;
-  s.record(0.0, 0.0);
-  s.record(8.0, 10.0);  // value 0 held for 8s, then 10
-  EXPECT_DOUBLE_EQ(s.average_until(10.0), (0.0 * 8.0 + 10.0 * 2.0) / 10.0);
-}
-
-TEST(TimeWeightedStatsTest, BeforeStartIsZero) {
-  TimeWeightedStats s;
-  EXPECT_EQ(s.average_until(5.0), 0.0);
-  s.record(10.0, 3.0);
-  EXPECT_EQ(s.average_until(10.0), 0.0);  // zero-length window
-}
-
-// Regression: an out-of-order sample used to roll last_time_ backwards,
-// double-counting the interval on the next in-order record.
-TEST(TimeWeightedStatsTest, OutOfOrderSampleDoesNotDoubleCount) {
-  TimeWeightedStats s;
-  s.record(0.0, 10.0);
-  s.record(5.0, 20.0);   // 10 held for [0, 5)
-  s.record(3.0, 30.0);   // late sample: clamped to t=5, must not rewind time
-  // Pre-fix this was (10*5 + 30*7) / 10 = 26: the [3, 5) interval charged
-  // twice. Correct: 10 over [0,5), 30 over [5,10).
-  EXPECT_DOUBLE_EQ(s.average_until(10.0), (10.0 * 5.0 + 30.0 * 5.0) / 10.0);
-}
-
-TEST(TimeWeightedStatsTest, OutOfOrderSampleStillUpdatesValue) {
-  TimeWeightedStats s;
-  s.record(2.0, 4.0);
-  s.record(1.0, 8.0);  // non-monotone; value takes effect at t=2
-  EXPECT_DOUBLE_EQ(s.last_value(), 8.0);
-  EXPECT_DOUBLE_EQ(s.average_until(4.0), 8.0);
 }
 
 TEST(PercentilesTest, EmptyQuantileIsZero) {
@@ -168,50 +68,6 @@ TEST(PercentilesTest, AddAfterQuantileStillWorks) {
   EXPECT_DOUBLE_EQ(p.quantile(1.0), 2.0);
   p.add(3.0);
   EXPECT_DOUBLE_EQ(p.quantile(1.0), 3.0);
-}
-
-TEST(HistogramTest, BinsCountCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  h.add(9.9);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 2u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-// Regression: out-of-range samples used to clamp into the first/last bin,
-// silently polluting the tails of the distribution.
-TEST(HistogramTest, OutOfRangeGoesToUnderOverflowNotEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  h.add(10.0);  // hi is exclusive: exactly hi counts as overflow
-  EXPECT_EQ(h.bin_count(0), 0u);
-  EXPECT_EQ(h.bin_count(4), 0u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.in_range(), 0u);
-}
-
-TEST(HistogramTest, InRangeExcludesOutOfRangeSamples) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(5.0);
-  h.add(-1.0);
-  EXPECT_EQ(h.in_range(), 1u);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-}
-
-TEST(HistogramTest, BinBoundsArePartition) {
-  Histogram h(2.0, 12.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 4.5);
-  EXPECT_DOUBLE_EQ(h.bin_low(3), 9.5);
-  EXPECT_DOUBLE_EQ(h.bin_high(3), 12.0);
 }
 
 }  // namespace

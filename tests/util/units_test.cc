@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace vrc {
 namespace {
 
@@ -100,6 +103,27 @@ TEST(ParseFiniteDoubleTest, RejectsNonFiniteAndOutOfRangeNumbers) {
   EXPECT_DOUBLE_EQ(out, 2.5);
   EXPECT_EQ(suffix, "GB");
   EXPECT_FALSE(parse_finite_double("infMB", &out, &suffix));
+}
+
+TEST(ParseIntegerTest, RejectsGarbageOverflowAndValuesOutsideTheRange) {
+  int out = 7;
+  for (const char* text : {"", "x", "5x", "5 ", " 5", "+5", "1.5", "2147483648", "4294967297",
+                           "-2147483649", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_integer(text, &out)) << text;
+  }
+  EXPECT_FALSE(parse_integer("0", &out, 1));
+  EXPECT_FALSE(parse_integer("6", &out, 1, 5));
+  EXPECT_EQ(out, 7);  // untouched on failure
+  EXPECT_TRUE(parse_integer("-2147483648", &out));
+  EXPECT_EQ(out, -2147483647 - 1);
+  EXPECT_TRUE(parse_integer("5", &out, 1, 5));
+  EXPECT_EQ(out, 5);
+
+  std::uint64_t wide = 3;
+  EXPECT_FALSE(parse_integer("-1", &wide));  // no wrap to 2^64 - 1
+  EXPECT_FALSE(parse_integer("18446744073709551616", &wide));
+  EXPECT_TRUE(parse_integer("18446744073709551615", &wide));
+  EXPECT_EQ(wide, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ParseBytesTest, RejectsNonFiniteAndValuesBeyondBytes) {

@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "workload/catalog.h"
 #include "workload/trace_generator.h"
@@ -230,6 +231,37 @@ TEST(TraceSpecTest, NumericParamsRejectNonFiniteValues) {
           << key << "=" << value;
       EXPECT_NE(error.find("for '" + key + "'"), std::string::npos) << error;
     }
+  }
+}
+
+TEST(TraceSpecTest, IntegerParamsRejectValuesBeyondTheirTypes) {
+  // Each used to wrap into range: trace=4294967299 ran SPEC-Trace-3,
+  // malleable_max=4294967298 parsed as 2, nodes=4294967297 as 1.
+  const std::pair<const char*, const char*> cases[] = {
+      {"spec:trace=4294967299", "trace"},
+      {"spec:jobs=10,malleable=1,malleable_max=4294967298", "malleable_max"},
+      {"spec:jobs=10,malleable=1,malleable_min=4294967297", "malleable_min"},
+      {"spec:jobs=10,nodes=4294967297", "nodes"},
+      {"swf:file=log.swf,nodes=4294967297", "nodes"}};
+  for (const auto& [text, key] : cases) {
+    std::string error;
+    EXPECT_FALSE(TraceSpec::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(std::string("for '") + key + "'"), std::string::npos) << error;
+  }
+}
+
+TEST(TraceSpecTest, JobCountsRejectOverflow) {
+  // strtol's ERANGE was ignored, so both parsed as 9223372036854775807 (and
+  // the generated trace never ended). Parsed only: nothing is generated.
+  const std::pair<const char*, const char*> cases[] = {
+      {"spec:jobs=99999999999999999999", "jobs"},
+      {"swf:file=log.swf,max_jobs=99999999999999999999", "max_jobs"}};
+  for (const auto& [text, key] : cases) {
+    std::string error;
+    EXPECT_FALSE(TraceSpec::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(std::string("invalid value '99999999999999999999' for '") + key + "'"),
+              std::string::npos)
+        << error;
   }
 }
 
