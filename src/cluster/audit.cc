@@ -1,6 +1,8 @@
 #include "cluster/audit.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "util/log.h"
@@ -50,6 +52,28 @@ void check_board(const LoadInfoBoard& board,
   std::string why;
   if (!board.audit_verify(&why)) {
     VRC_LOG(kError) << "VRC_AUDIT failed (" << context << "): " << why;
+    std::abort();
+  }
+}
+
+void check_skip(const NodeActivity& activity, std::uint64_t min_wake, std::uint64_t round) {
+  ++counters().skips_checked;
+  std::size_t parked = 0;
+  std::uint64_t wake = std::numeric_limits<std::uint64_t>::max();
+  for (NodeId node = 0; node < activity.parked.size(); ++node) {
+    if (!activity.is_parked(node)) continue;
+    ++parked;
+    wake = std::min(wake, activity.parked[node].wake);
+    if (!activity.ticking.contains(node)) {
+      VRC_LOG(kError) << "VRC_AUDIT failed (tick skip): parked node " << node
+                      << " is not ticking";
+      std::abort();
+    }
+  }
+  if (parked != activity.parked_count || wake != min_wake || wake <= round) {
+    VRC_LOG(kError) << "VRC_AUDIT failed (tick skip) after round " << round << ": a scan counts "
+                    << parked << " parked nodes waking at round " << wake << ", the cluster "
+                    << activity.parked_count << " waking at round " << min_wake;
     std::abort();
   }
 }

@@ -7,7 +7,8 @@
 // hook to compare the incremental answers against brute-force recomputation
 // and abort loudly on the first divergence. Workstation::replay likewise
 // re-integrates every replayed stretch of a parked node tick by tick
-// (Workstation::audit_replay) and counts it here.
+// (Workstation::audit_replay) and counts it here, and Cluster recounts the
+// parked set before every skip of empty tick rounds (check_skip).
 //
 // Everything here is compiled in every build so the default build can
 // unit-test the checkers; only the *call sites* in cluster.cc and
@@ -20,6 +21,7 @@
 #include <optional>
 
 #include "cluster/load_index.h"
+#include "cluster/node_activity.h"
 #include "workload/job.h"
 
 namespace vrc::cluster::audit {
@@ -30,6 +32,7 @@ struct Counters {
   std::uint64_t board_audits = 0;  // board-vs-live diff sweeps run
   std::uint64_t rows_checked = 0;  // board rows compared across all sweeps
   std::uint64_t replays_checked = 0;  // parked-tick replays re-integrated tick by tick
+  std::uint64_t skips_checked = 0;    // tick-round skips whose parked set was recounted
 };
 
 /// Process-wide counters. A singleton, not a Cluster member, so enabling the
@@ -51,5 +54,12 @@ void reset_counters();
 void check_board(const LoadInfoBoard& board,
                  const std::function<std::optional<LoadInfo>(NodeId)>& fresh,
                  const char* context);
+
+/// Verifies the parked set before a tick-round skip after round `round`
+/// (DESIGN.md §12.6): a scan over every node must count `parked_count`
+/// parked nodes, each of them ticking, and find their earliest wake equal
+/// to `min_wake` (the maximum value when none is parked) and after `round`.
+/// Aborts on the first divergence.
+void check_skip(const NodeActivity& activity, std::uint64_t min_wake, std::uint64_t round);
 
 }  // namespace vrc::cluster::audit

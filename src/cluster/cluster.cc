@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "metrics/perf_counters.h"
@@ -539,6 +540,24 @@ void Cluster::handle_tick(SimTime now) {
     policy_.on_node_pressure(*this, target);
   });
   maybe_finish(now);
+  if (!finished_ && activity_.parked_count == activity_.ticking.count()) skip_parked_rounds();
+}
+
+void Cluster::skip_parked_rounds() {
+  // The rounds before the earliest wake and before the next other event
+  // would only pass over parked nodes: they tick nothing, raise no hook, and
+  // maybe_finish re-reads state no event changed (DESIGN.md §12.6). With no
+  // node ticking, only that event bounds them.
+  constexpr std::uint64_t kNoWake = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t wake = kNoWake;
+  activity_.ticking.for_each([&](NodeId id) { wake = std::min(wake, activity_.parked[id].wake); });
+#ifdef VRC_AUDIT
+  audit::check_skip(activity_, wake, tick_round_);
+#endif
+  const std::uint64_t skipped =
+      tick_task_->skip(wake == kNoWake ? kNoWake : wake - tick_round_ - 1);
+  tick_round_ += skipped;
+  metrics::perf_add(&metrics::PerfCounters::tick_rounds_skipped, skipped);
 }
 
 void Cluster::settle(NodeId id, std::uint64_t round) {

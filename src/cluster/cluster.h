@@ -173,6 +173,10 @@ class Cluster {
   void handle_tick(SimTime now);
   /// Replays a parked node's skipped ticks through tick round `round`.
   void settle(NodeId id, std::uint64_t round);
+  /// Called at the end of a round in which every ticking node is parked:
+  /// moves the tick task's next firing past the rounds that would change
+  /// nothing, and counts them as fired.
+  void skip_parked_rounds();
   void handle_exchange(SimTime now);
   /// The one board-publish funnel: writes `node`'s snapshot to the board and
   /// clears its dirty bit, so an immediate (out-of-band) broadcast cannot
@@ -216,7 +220,8 @@ class Cluster {
   /// config.resize_min_interval.
   std::vector<SimTime> last_resize_start_;
 
-  /// Tick events fired so far; the round a parked node is settled through.
+  /// Tick rounds fired or skipped so far; the round a parked node is settled
+  /// through.
   std::uint64_t tick_round_ = 0;
   /// The node the tick pass is visiting; past every id outside that pass.
   NodeId tick_cursor_ = ~NodeId{0};

@@ -123,7 +123,7 @@ class DirtyNodeSet {
 
 /// A parked workstation: steady, so the tick pass skips it and its ticks are
 /// replayed on demand (DESIGN.md §12.6). Counted in tick rounds, the 1-based
-/// number of the tick event that fired.
+/// number of the tick round, fired or skipped.
 struct ParkedNode {
   std::uint64_t wake = 0;     // round of its next normal tick; 0 = not parked
   std::uint64_t through = 0;  // last round integrated
@@ -138,6 +138,9 @@ struct NodeActivity {
   /// Per node. A parked node keeps its `ticking` bit: for_each reads each
   /// word once, so a bit re-inserted mid-pass would be skipped.
   std::vector<ParkedNode> parked;
+  /// Nodes parked now. Every parked node is ticking, so the tick pass would
+  /// only pass over parked nodes when this equals `ticking.count()`.
+  std::size_t parked_count = 0;
 
   explicit NodeActivity(std::size_t num_nodes)
       : ticking(num_nodes), dirty(num_nodes), parked(num_nodes) {}
@@ -147,10 +150,15 @@ struct NodeActivity {
   /// Parks `node` after its normal tick of `round` at `time`, for the
   /// `ticks` rounds that follow.
   void park(NodeId node, std::uint64_t round, SimTime time, std::uint64_t ticks) {
+    if (!is_parked(node)) ++parked_count;
     parked[node] = {round + ticks + 1, round, time};
   }
 
-  void unpark(NodeId node) { parked[node].wake = 0; }
+  void unpark(NodeId node) {
+    if (!is_parked(node)) return;
+    --parked_count;
+    parked[node].wake = 0;
+  }
 
   /// Every mutation unparks: the accessor that reached the node settled it.
   void note_mutation(NodeId node, bool needs_tick) {

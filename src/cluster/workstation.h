@@ -220,8 +220,10 @@ class Workstation {
   };
   /// The per-job integrand of tick() and replay().
   inline JobStep step(const RunningJob& job, SimTime wall, const Sharing& share) const;
-  /// Adds one tick's step to the job's accumulators.
-  static inline void accumulate(RunningJob& job, const JobStep& step);
+  /// Adds one tick's step to a job's accumulators: the job's own, or the
+  /// replay's copies of them.
+  template <typename Sums>
+  static inline void accumulate(Sums& sums, const JobStep& step);
 
   /// Shadow check of one replay (called under VRC_AUDIT): re-integrates the
   /// stretch tick by tick from `before` and `busy_before` through step()

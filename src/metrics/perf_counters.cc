@@ -32,6 +32,7 @@ void PerfCounters::merge(const PerfCounters& other) {
   snapshots_published += other.snapshots_published;
   immediate_publishes += other.immediate_publishes;
   tick_rounds += other.tick_rounds;
+  tick_rounds_skipped += other.tick_rounds_skipped;
   node_ticks += other.node_ticks;
   ticks_replayed += other.ticks_replayed;
   pressure_callbacks += other.pressure_callbacks;
@@ -59,6 +60,7 @@ std::vector<std::pair<const char*, std::uint64_t>> PerfCounters::entries() const
       {"snapshots_published", snapshots_published},
       {"immediate_publishes", immediate_publishes},
       {"tick_rounds", tick_rounds},
+      {"tick_rounds_skipped", tick_rounds_skipped},
       {"node_ticks", node_ticks},
       {"ticks_replayed", ticks_replayed},
       {"pressure_callbacks", pressure_callbacks},

@@ -44,6 +44,7 @@ struct PerfCounters {
   std::uint64_t immediate_publishes = 0;      // fail/recover out-of-band broadcasts
   // Tick loop (active-set path).
   std::uint64_t tick_rounds = 0;
+  std::uint64_t tick_rounds_skipped = 0;      // passed over while every ticking node was parked
   std::uint64_t node_ticks = 0;               // workstation ticks actually executed
   std::uint64_t ticks_replayed = 0;           // parked-node ticks replayed instead
   std::uint64_t pressure_callbacks = 0;

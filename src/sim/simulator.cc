@@ -5,6 +5,12 @@
 #include <memory>
 #include <utility>
 
+#ifdef VRC_AUDIT
+#include <cstdlib>
+
+#include "util/log.h"
+#endif
+
 namespace vrc::sim {
 
 std::uint32_t Simulator::alloc_slot_slow() {
@@ -116,7 +122,7 @@ bool Simulator::settle_top() {
   return !heap_.empty();
 }
 
-bool Simulator::step() {
+bool Simulator::fire_next() {
   for (;;) {
     if (heap_.empty()) return false;
     const HeapKey top = heap_[0];
@@ -144,20 +150,57 @@ bool Simulator::step() {
   }
 }
 
+bool Simulator::step() {
+  horizon_ = now_;  // the caller regains control after this one event
+  return fire_next();
+}
+
 std::uint64_t Simulator::run() {
+  horizon_ = kNever;
   std::uint64_t executed = 0;
-  while (step()) ++executed;
+  while (fire_next()) ++executed;
   return executed;
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
+  horizon_ = deadline;
   std::uint64_t executed = 0;
   while (settle_top() && key_time(heap_[0]) <= deadline) {
-    step();
+    fire_next();
     ++executed;
   }
   if (now_ < deadline) now_ = deadline;
   return executed;
+}
+
+SimTime Simulator::next_time_except(EventId id) {
+  SimTime next = kNever;
+  if (settle_top()) {
+    const HeapKey top = heap_[0];
+    if (make_id(key_slot(top), key_seq(top)) != id) {
+      next = key_time(top);
+    } else {
+      // Keys are unique, so popping the excluded entry and pushing the same
+      // key back leaves the pop order unchanged.
+      heap_pop_min();
+      if (settle_top()) next = key_time(heap_[0]);
+      heap_push(top);
+    }
+  }
+#ifdef VRC_AUDIT
+  SimTime scanned = kNever;
+  for (const HeapKey entry : heap_) {
+    if (entry_live(entry) && make_id(key_slot(entry), key_seq(entry)) != id) {
+      scanned = std::min(scanned, key_time(entry));
+    }
+  }
+  if (scanned != next) {
+    VRC_LOG(kError) << "VRC_AUDIT failed (next_time_except): heap top says " << next
+                    << ", a scan of every live entry says " << scanned;
+    std::abort();
+  }
+#endif
+  return next;
 }
 
 PeriodicTask::PeriodicTask(Simulator& sim, SimTime start, SimTime period, Callback callback)
@@ -168,12 +211,28 @@ PeriodicTask::PeriodicTask(Simulator& sim, SimTime start, SimTime period, Callba
 PeriodicTask::~PeriodicTask() { stop(); }
 
 void PeriodicTask::arm(SimTime when) {
+  pending_time_ = when;
   pending_ = sim_.schedule_at(when, [this] {
     if (!running_) return;
     const SimTime fired_at = sim_.now();
     arm(fired_at + period_);
     callback_(fired_at);
   });
+}
+
+std::uint64_t PeriodicTask::skip(std::uint64_t max_periods) {
+  if (!running_) return 0;
+  const SimTime bound = std::min(sim_.next_time_except(pending_), sim_.horizon());
+  SimTime when = pending_time_;
+  std::uint64_t periods = 0;
+  while (periods < max_periods && when < bound) {
+    when += period_;  // as arm() steps
+    ++periods;
+  }
+  if (periods == 0) return 0;  // re-arming at the same time would lose its tie order
+  sim_.cancel(pending_);
+  arm(when);
+  return periods;
 }
 
 void PeriodicTask::stop() {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -36,6 +37,9 @@ inline constexpr EventId kInvalidEventId = 0;
 class Simulator {
  public:
   using Callback = EventCallback;
+
+  /// A time no event reaches.
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -89,6 +93,15 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t executed_events() const { return executed_; }
 
+  /// Time of the earliest live event other than `id`, or kNever. Does not
+  /// change the order in which events fire.
+  SimTime next_time_except(EventId id);
+
+  /// The latest time the running call fires events up to before it returns
+  /// to its caller: kNever under run(), the deadline under run_until(), and
+  /// no later than the fired event's time under step().
+  SimTime horizon() const { return horizon_; }
+
  private:
   /// EventId / heap-key bit budget: 24 bits of slot index (16.7M concurrent
   /// events, ~1 GiB of slab) and 40 bits of sequence number (1.1e12 events
@@ -101,7 +114,7 @@ class Simulator {
   /// Set in Slot::state while the slot holds a pending event.
   static constexpr std::uint64_t kLiveBit = std::uint64_t{1} << 63;
   /// Slots per slab chunk (16 KiB chunks). Chunking keeps slot addresses
-  /// stable across growth, which is what lets step() fire callbacks in place
+  /// stable across growth, which is what lets fire_next() fire callbacks in place
   /// instead of moving them out first.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
@@ -190,7 +203,11 @@ class Simulator {
   /// when the heap drains.
   bool settle_top();
 
+  /// Pops and fires the earliest live event; false when none is left.
+  bool fire_next();
+
   SimTime now_ = 0.0;
+  SimTime horizon_ = kNever;
   std::uint64_t next_seq_ = 1;  // 0 is reserved so make_id never returns 0
   std::uint64_t live_events_ = 0;
   std::uint64_t executed_ = 0;
@@ -216,6 +233,15 @@ class PeriodicTask {
   /// Stops future firings. Idempotent.
   void stop();
 
+  /// Called from the task's own callback: passes over the firings that
+  /// would come before any other event, at most `max_periods` of them, and
+  /// returns how many. The next firing time steps T <- T + period as arm()
+  /// makes it, up to the first T at or after the earliest other event (or
+  /// the simulator's horizon()). With at least one step, the pending firing
+  /// is re-armed at T, after every event that exists now and before any
+  /// created later; with none, nothing is touched. 0 once stopped.
+  std::uint64_t skip(std::uint64_t max_periods);
+
   bool running() const { return running_; }
   SimTime period() const { return period_; }
 
@@ -226,6 +252,7 @@ class PeriodicTask {
   SimTime period_ = 0.0;
   Callback callback_;
   EventId pending_ = kInvalidEventId;
+  SimTime pending_time_ = 0.0;  // when the pending firing fires
   bool running_ = true;
 };
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "../common/report_fingerprint.h"
+#include "metrics/perf_counters.h"
 #include "workload/arrival_source.h"
 
 namespace vrc::cluster {
@@ -483,6 +486,108 @@ TEST(ClusterTest, CompletionPlacesOnNodeAheadOfTheTickPass) {
 TEST(ClusterTest, CompletionPlacesOnNodeBehindTheTickPass) {
   const std::uint64_t fingerprint = late_placement_fingerprint(2);
   EXPECT_EQ(fingerprint, 0xd79ad77afa21426eull)
+      << "actual fingerprint: 0x" << std::hex << fingerprint;
+}
+
+// --- skipping empty tick rounds (DESIGN.md §12.6) ---
+
+/// What a run of hand-placed jobs leaves behind, with perf capture on.
+struct CapturedRun {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t events = 0;
+  metrics::PerfCounters counters;
+};
+
+/// Runs `specs` to the end on a 4-node cluster that places each job on its
+/// home node, and returns the fingerprint of every job record.
+CapturedRun run_captured(const std::vector<JobSpec>& specs) {
+  metrics::set_perf_capture_enabled(true);
+  (void)metrics::take_perf_aggregate();
+  CapturedRun run;
+  {
+    metrics::ScopedPerfCapture capture;
+    sim::Simulator sim;
+    ScriptedPolicy policy;
+    Cluster cluster(sim, small_config(), policy);
+    for (const JobSpec& spec : specs) cluster.submit_job(spec);
+    sim.run();
+    EXPECT_TRUE(cluster.finished());
+    EXPECT_EQ(cluster.completed().size(), specs.size());
+    run.fingerprint = testutil::record_fingerprint(cluster.completed());
+    run.events = sim.executed_events();
+  }
+  run.counters = metrics::take_perf_aggregate();
+  metrics::set_perf_capture_enabled(false);
+  return run;
+}
+
+/// The time of tick round `round` of a tick task started at t = 0, by the
+/// additions sim::PeriodicTask makes.
+SimTime tick_time(std::uint64_t round) {
+  const SimTime dt = small_config().tick;
+  SimTime when = 0.0;
+  for (std::uint64_t i = 0; i < round; ++i) when += dt;
+  return when;
+}
+
+// Long flat jobs that never page: every busy node parks, so a tick round
+// fires only where another event (an arrival, a completion, an exchange or
+// a policy pulse) or a node's wake round needs one, and the skipped rounds
+// account for every round an unskipped run fires.
+TEST(ClusterTest, ParkedClusterFiresAtMostOneTickRoundPerOtherEvent) {
+  std::vector<JobSpec> specs;
+  const NodeId homes[] = {0, 1, 2, 0, 3};
+  for (JobId id = 1; id <= 5; ++id) {
+    const double index = static_cast<double>(id);
+    specs.push_back(
+        make_spec(id, 7.5 * index, 300.0 + 50.0 * index, megabytes(40), homes[id - 1]));
+  }
+  const CapturedRun run = run_captured(specs);
+  EXPECT_EQ(run.fingerprint, 0x9a3442681a75085dull)
+      << "actual fingerprint: 0x" << std::hex << run.fingerprint;
+  const std::uint64_t rounds = run.counters.tick_rounds;
+  EXPECT_LE(rounds, run.events - rounds + 1);
+  EXPECT_GT(run.counters.ticks_replayed, 0u);
+  // Firing every round, the run fired 85,657 rounds and 89,944 events.
+  EXPECT_EQ(rounds + run.counters.tick_rounds_skipped, 85657u);
+  EXPECT_EQ(run.events + run.counters.tick_rounds_skipped, 89944u);
+}
+
+// A hand-placed job whose arrival lands exactly on a tick round that the
+// skip resumes, on the node that is parked. The arrival event exists before
+// the resumed round is armed, so it runs first, as it did when every round
+// fired: the node is settled through the round before, and the resumed
+// round ticks it with the new job on board.
+TEST(ClusterTest, HandPlacedJobOnAResumedTickTime) {
+  const SimTime arrival = tick_time(12345);
+  std::vector<JobSpec> specs = {make_spec(1, 0.0, 600.0, megabytes(40), 0),
+                                make_spec(2, arrival, 50.0, megabytes(40), 0)};
+  const CapturedRun run = run_captured(specs);
+  EXPECT_GT(run.counters.tick_rounds_skipped, 0u);
+  EXPECT_EQ(run.fingerprint, 0x5b31ff3a3e7cb753ull)
+      << "actual fingerprint: 0x" << std::hex << run.fingerprint;
+}
+
+// run_until returns between two events. The rounds skipped by then are ones
+// that run_until would have fired, so a parked node read or mutated right
+// after it is settled exactly as when every round fired.
+TEST(ClusterTest, RunUntilInsideAParkedStretchSettlesAsEveryRoundFired) {
+  sim::Simulator sim;
+  ScriptedPolicy policy;
+  Cluster cluster(sim, small_config(), policy);
+  cluster.submit_job(make_spec(1, 0.0, 600.0, megabytes(40), 0));
+  const SimTime deadline = 77.777;
+  sim.run_until(deadline);
+  const RunningJob& job = *cluster.node(0).jobs()[0];
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(job.cpu_done), 0x40537147ae147bacull)
+      << "actual bits: 0x" << std::hex << std::bit_cast<std::uint64_t>(job.cpu_done);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(job.accounted_until), 0x40537147ae147bacull)
+      << "actual bits: 0x" << std::hex << std::bit_cast<std::uint64_t>(job.accounted_until);
+  cluster.submit_job(make_spec(2, deadline, 30.0, megabytes(40), 0));
+  sim.run();
+  ASSERT_EQ(cluster.completed().size(), 2u);
+  const std::uint64_t fingerprint = testutil::record_fingerprint(cluster.completed());
+  EXPECT_EQ(fingerprint, 0x85059bcaf273358bull)
       << "actual fingerprint: 0x" << std::hex << fingerprint;
 }
 

@@ -439,7 +439,9 @@ void expect_same_state(const Workstation& ticked, const Workstation& replayed) {
 
 TEST(SteadyReplayTest, ReplayMatchesTicksBitForBit) {
   for (const double mhz : {400.0, 233.0}) {  // the reference speed, then a slower node
-    for (std::size_t jobs = 1; jobs <= 3; ++jobs) {
+    // 1-5 jobs: the replay sums jobs in pairs, then an odd job out with the
+    // busy-time charge, or the charge alone.
+    for (std::size_t jobs = 1; jobs <= 5; ++jobs) {
       SCOPED_TRACE(testing::Message() << mhz << " MHz, " << jobs << " jobs");
       ClusterConfig config = test_config();
       config.nodes[0].cpu_mhz = mhz;

@@ -124,6 +124,29 @@ TEST(AuditSurfaceTest, BoardVerifiesAndCheckersCount) {
   cluster::audit::reset_counters();
 }
 
+TEST(AuditSurfaceTest, SkipCheckRecountsTheParkedSet) {
+  cluster::NodeActivity activity(70);
+  for (const NodeId node : {3u, 64u, 69u}) activity.ticking.insert(node);
+  activity.park(3, 10, 0.1, 50);  // wakes at round 61
+  activity.park(64, 12, 0.12, 20);  // wakes at round 33
+  activity.park(69, 12, 0.12, 40);
+  activity.unpark(69);
+  activity.park(69, 12, 0.12, 40);  // re-parking counts once
+  ASSERT_EQ(activity.parked_count, 3u);
+
+  cluster::audit::reset_counters();
+  cluster::audit::check_skip(activity, 33, 12);
+  EXPECT_EQ(cluster::audit::counters().skips_checked, 1u);
+  cluster::audit::reset_counters();
+  EXPECT_DEATH(cluster::audit::check_skip(activity, 61, 12), "tick skip");  // wrong wake
+  EXPECT_DEATH(cluster::audit::check_skip(activity, 33, 33), "tick skip");  // wake not ahead
+  activity.parked_count = 2;  // drifted count
+  EXPECT_DEATH(cluster::audit::check_skip(activity, 33, 12), "tick skip");
+  activity.parked_count = 3;
+  activity.ticking.erase(64);  // parked but not ticking
+  EXPECT_DEATH(cluster::audit::check_skip(activity, 33, 12), "not ticking");
+}
+
 TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
   cluster::audit::reset_counters();
 
@@ -163,7 +186,8 @@ TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
 TEST(AuditScenarioTest, SwfReplayChecksEveryReplay) {
   cluster::audit::reset_counters();
   // Hour-long flat SWF jobs: nearly every busy workstation parks, so the
-  // run replays skipped ticks throughout (DESIGN.md §12.6).
+  // run replays skipped ticks and skips empty tick rounds throughout
+  // (DESIGN.md §12.6).
   const std::optional<workload::TraceSpec> trace = workload::TraceSpec::parse(
       std::string("swf:file=") + VRC_TEST_DATA_DIR +
       "/swf/NASA-iPSC-1993-3.swf,scale=0.1,min_runtime=1,max_jobs=80");
@@ -176,10 +200,13 @@ TEST(AuditScenarioTest, SwfReplayChecksEveryReplay) {
 
   const cluster::audit::Counters& counters = cluster::audit::counters();
 #ifdef VRC_AUDIT
-  // Every replay was re-integrated tick by tick and matched bit for bit.
+  // Every replay was re-integrated tick by tick and matched bit for bit, and
+  // every skip of empty tick rounds recounted the parked set.
   EXPECT_GT(counters.replays_checked, 0u);
+  EXPECT_GT(counters.skips_checked, 0u);
 #else
   EXPECT_EQ(counters.replays_checked, 0u);
+  EXPECT_EQ(counters.skips_checked, 0u);
 #endif
   cluster::audit::reset_counters();
 }

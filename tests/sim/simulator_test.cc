@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -347,6 +350,69 @@ TEST(SimulatorTest, StressMatchesReferenceModel) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(SimulatorTest, NextTimeExceptOnAnEmptyHeapIsNever) {
+  Simulator sim;
+  EXPECT_EQ(sim.next_time_except(kInvalidEventId), Simulator::kNever);
+  const EventId only = sim.schedule_at(1.0, [] {});
+  EXPECT_EQ(sim.next_time_except(only), Simulator::kNever);
+  EXPECT_EQ(sim.next_time_except(kInvalidEventId), 1.0);
+  EXPECT_EQ(sim.run(), 1u);
+}
+
+TEST(SimulatorTest, NextTimeExceptSkipsTheExcludedTopAndKeepsItsOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId first = sim.schedule_at(1.0, [&] { order.push_back(1); });
+  const EventId second = sim.schedule_at(2.0, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.next_time_except(first), 2.0);
+  EXPECT_EQ(sim.next_time_except(second), 1.0);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimulatorTest, NextTimeExceptPassesCancelledEntries) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId cancelled_top = sim.schedule_at(0.5, [&] { order.push_back(0); });
+  const EventId first = sim.schedule_at(1.0, [&] { order.push_back(1); });
+  const EventId cancelled_next = sim.schedule_at(1.5, [&] { order.push_back(9); });
+  sim.schedule_at(2.0, [&] { order.push_back(2); });
+  ASSERT_TRUE(sim.cancel(cancelled_top));
+  ASSERT_TRUE(sim.cancel(cancelled_next));
+  // The cancelled top is purged, the excluded event popped, and the
+  // cancelled entry under it purged before the time is read.
+  EXPECT_EQ(sim.next_time_except(first), 2.0);
+  EXPECT_EQ(sim.next_time_except(cancelled_top), 1.0);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimulatorTest, NextTimeExceptKeepsATieInInsertionOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId first = sim.schedule_at(1.0, [&] { order.push_back(1); });
+  const EventId second = sim.schedule_at(1.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.next_time_except(first), 1.0);
+  EXPECT_EQ(sim.next_time_except(second), 1.0);
+  EXPECT_EQ(sim.next_time_except(first), 1.0);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorTest, HorizonFollowsTheRunCall) {
+  Simulator sim;
+  std::vector<SimTime> seen;
+  sim.schedule_at(1.0, [&] { seen.push_back(sim.horizon()); });
+  sim.schedule_at(2.0, [&] { seen.push_back(sim.horizon()); });
+  sim.schedule_at(3.0, [&] { seen.push_back(sim.horizon()); });
+  sim.run_until(1.5);
+  ASSERT_TRUE(sim.step());
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<SimTime>{1.5, 1.5, Simulator::kNever}));
+}
+
 TEST(PeriodicTaskTest, FiresAtFixedPeriod) {
   Simulator sim;
   std::vector<SimTime> fires;
@@ -383,6 +449,156 @@ TEST(PeriodicTaskTest, DestructorCancelsPendingEvent) {
     EXPECT_EQ(sim.pending_events(), 1u);
   }
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+/// The firing time `periods` periods after `start`, by the additions a
+/// PeriodicTask makes.
+SimTime stepped(SimTime start, SimTime period, int periods) {
+  SimTime when = start;
+  for (int i = 0; i < periods; ++i) when += period;
+  return when;
+}
+
+TEST(PeriodicTaskTest, SkipStopsAtTheNextOtherEvent) {
+  Simulator sim;
+  std::vector<SimTime> fires;
+  std::uint64_t skipped = 0;
+  sim.schedule_at(1.0, [] {});
+  PeriodicTask task(sim, 0.1, 0.1, [&](SimTime now) {
+    fires.push_back(now);
+    if (fires.size() == 1) skipped = task.skip(1000);
+    if (fires.size() == 2) task.stop();
+  });
+  sim.run();
+  // Firings 0.2 .. 0.9 come before the event at 1.0; the first firing at or
+  // after it is the tenth.
+  int periods = 0;
+  while (stepped(0.2, 0.1, periods) < 1.0) ++periods;
+  EXPECT_EQ(skipped, static_cast<std::uint64_t>(periods));
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(fires[1], stepped(0.2, 0.1, periods));
+  EXPECT_GE(fires[1], 1.0);
+}
+
+TEST(PeriodicTaskTest, SkipStopsAfterMaxPeriods) {
+  Simulator sim;
+  std::vector<SimTime> fires;
+  std::uint64_t skipped = 0;
+  sim.schedule_at(100.0, [] {});
+  PeriodicTask task(sim, 1.0, 1.0, [&](SimTime now) {
+    fires.push_back(now);
+    if (fires.size() == 1) skipped = task.skip(3);
+    if (fires.size() == 2) task.stop();
+  });
+  sim.run();
+  EXPECT_EQ(skipped, 3u);
+  EXPECT_EQ(fires, (std::vector<SimTime>{1.0, 5.0}));
+}
+
+TEST(PeriodicTaskTest, BlockedSkipTouchesNothing) {
+  // The callback creates an event at exactly the next firing time. That
+  // firing was armed before the callback ran, so it must still fire first,
+  // which a re-arm at the same time would reverse.
+  Simulator sim;
+  std::vector<std::string> order;
+  std::uint64_t skipped = 99;
+  std::uint64_t zero_max = 99;
+  PeriodicTask task(sim, 1.0, 1.0, [&](SimTime now) {
+    order.push_back("tick@" + std::to_string(static_cast<int>(now)));
+    if (order.size() > 1) {
+      task.stop();
+      return;
+    }
+    sim.schedule_at(2.0, [&] { order.push_back("event@2"); });
+    skipped = task.skip(10);
+    zero_max = task.skip(0);
+  });
+  sim.run();
+  EXPECT_EQ(skipped, 0u);
+  EXPECT_EQ(zero_max, 0u);
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@1", "tick@2", "event@2"}));
+}
+
+TEST(PeriodicTaskTest, ResumedFiringTiesAfterOlderEventsAndBeforeNewerOnes) {
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.schedule_at(5.0, [&] { order.push_back("older@5"); });
+  std::uint64_t skipped = 0;
+  PeriodicTask task(sim, 1.0, 1.0, [&](SimTime now) {
+    order.push_back("tick@" + std::to_string(static_cast<int>(now)));
+    if (order.size() == 1) {
+      skipped = task.skip(100);
+      sim.schedule_at(5.0, [&] { order.push_back("newer@5"); });
+    } else {
+      task.stop();
+    }
+  });
+  sim.run();
+  EXPECT_EQ(skipped, 3u);  // 2, 3 and 4
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@1", "older@5", "tick@5", "newer@5"}));
+}
+
+TEST(PeriodicTaskTest, SkipLandsOnTheBitsOfRepeatedAddition) {
+  // A 10 ms period is inexact in binary: the resumed time must be the one
+  // the unskipped task reaches, not start + n * period.
+  const SimTime period = 0.01;
+  const auto first_firing_from = [&](bool skip) {
+    Simulator sim;
+    sim.schedule_at(123.456, [] {});
+    SimTime landed = 0.0;
+    PeriodicTask task(sim, period, period, [&](SimTime now) {
+      if (now >= 123.456) {
+        landed = now;
+        task.stop();
+      } else if (skip) {
+        task.skip(std::numeric_limits<std::uint64_t>::max());
+      }
+    });
+    sim.run();
+    return landed;
+  };
+  const SimTime resumed = first_firing_from(true);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(resumed),
+            std::bit_cast<std::uint64_t>(first_firing_from(false)));
+  EXPECT_NE(std::bit_cast<std::uint64_t>(resumed),
+            std::bit_cast<std::uint64_t>(period * 12346.0));
+}
+
+TEST(PeriodicTaskTest, SkipStopsAtTheHorizon) {
+  Simulator sim;
+  std::vector<SimTime> fires;
+  std::uint64_t skipped = 0;
+  PeriodicTask task(sim, 1.0, 1.0, [&](SimTime now) {
+    fires.push_back(now);
+    if (fires.size() == 1) skipped = task.skip(100);
+  });
+  // No other event: run_until's deadline is the only bound, so the rounds
+  // skipped are ones the call would have fired.
+  sim.run_until(4.5);
+  EXPECT_EQ(skipped, 3u);
+  EXPECT_EQ(fires, (std::vector<SimTime>{1.0}));
+  sim.run_until(5.0);
+  EXPECT_EQ(fires, (std::vector<SimTime>{1.0, 5.0}));
+  // Under step() control returns after each event, so nothing is skipped.
+  fires.clear();
+  PeriodicTask stepped_task(sim, 6.0, 1.0, [&](SimTime now) {
+    fires.push_back(now);
+    skipped = stepped_task.skip(100);
+  });
+  task.stop();
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(skipped, 0u);
+  EXPECT_EQ(fires, (std::vector<SimTime>{6.0}));
+  stepped_task.stop();
+}
+
+TEST(PeriodicTaskTest, StoppedTaskSkipsNothing) {
+  Simulator sim;
+  sim.schedule_at(10.0, [] {});
+  PeriodicTask task(sim, 1.0, 1.0, [](SimTime) {});
+  task.stop();
+  EXPECT_EQ(task.skip(5), 0u);
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 }  // namespace
