@@ -9,6 +9,10 @@
 //   ./vrc_run --traces "spec:trace=1;spec:trace=2"
 //             --policies "v-reconf:early_release=0;v-reconf"
 //             --set memory_threshold=0.9 --nodes 8 --trials 3 --csv
+//   ./vrc_run --scenario examples/scenarios/blocking_episode.scn --jobs 1 --log
+//
+// --log narrates the scheduler's decisions on stderr and ends each cell with
+// its metrics::describe() summary; stdout stays byte-identical.
 //
 // List-valued flags are ';'-separated because ',' separates params inside a
 // single trace/policy spec. Exits non-zero with the registry's message on an
@@ -31,6 +35,7 @@
 #include "metrics/report.h"
 #include "runner/scenario.h"
 #include "util/flags.h"
+#include "util/log.h"
 #include "util/table.h"
 #include "util/units.h"
 #include "workload/catalog.h"
@@ -98,6 +103,7 @@ int run(int argc, char** argv) {
   bool csv = false;
   bool malleable = false;
   bool perf_counters = false;
+  bool log = false;
   bool list_policies = false;
   bool list_overrides = false;
   bool list_traces = false;
@@ -123,6 +129,9 @@ int run(int argc, char** argv) {
                  "malleable= fraction, and print resize columns");
   flags.add_bool("perf-counters", &perf_counters,
                  "print the exact work counters summed over all runs to stderr");
+  flags.add_bool("log", &log,
+                 "narrate scheduler decisions on stderr and end each cell with its summary "
+                 "(use --jobs 1 for one cell's lines at a time)");
   flags.add_bool("list-policies", &list_policies,
                  "print every registered policy with its parameters, then exit");
   flags.add_bool("list-overrides", &list_overrides,
@@ -168,6 +177,7 @@ int run(int argc, char** argv) {
     std::printf(
         "  swf:file=PATH[,scale=S,max_jobs=J,min_runtime=R,group=spec|apps,nodes=N,name=X]\n");
     std::printf("  scenario-file form: trace swf file=PATH scale=S ...\n");
+    std::printf("  vrc:file=PATH replays a saved '# vrc-trace v1' file (trace vrc file=PATH)\n");
     print_catalogs();
     return 0;
   }
@@ -206,8 +216,10 @@ int run(int argc, char** argv) {
   }
 
   // Enable before run_scenario so every cell's run_experiment captures; the
-  // counters are write-only observability and cannot change any result.
+  // counters and the log are write-only observability and cannot change any
+  // result.
   if (perf_counters) metrics::set_perf_capture_enabled(true);
+  if (log) util::set_log_level(util::LogLevel::kInfo);
 
   std::optional<runner::ScenarioRun> run = runner::run_scenario(spec, jobs, &error);
   if (!run) {

@@ -277,7 +277,6 @@ bool Cluster::suspend_job(NodeId node_id, JobId job_id) {
   job->t_queue += now - job->accounted_until;
   job->accounted_until = now;
   host.set_job_phase(*job, JobPhase::kSuspended);
-  ++job->suspensions;
   return true;
 }
 
@@ -326,11 +325,7 @@ bool Cluster::resize_job(NodeId node_id, JobId job_id, int new_width) {
   VRC_LOG(kInfo) << "t=" << now << " resize job " << job_id << " on node " << node_id << ": "
                  << old_width << " -> " << new_width << " slots";
 
-  const SimTime fixed =
-      config_.resize_fixed_cost >= 0.0 ? config_.resize_fixed_cost : contract.resize_fixed_cost;
-  const SimTime per_slot = config_.resize_per_slot_cost >= 0.0 ? config_.resize_per_slot_cost
-                                                               : contract.resize_per_slot_cost;
-  const SimTime cost = fixed + per_slot * std::abs(new_width - old_width);
+  const SimTime cost = resize_pause(contract, old_width, new_width);
   owned_events_.push_back(sim_.schedule_at(now + cost, [this, node_id, job_id, incarnation] {
     Workstation& owner = node(node_id);
     RunningJob* live = owner.find_job(job_id);
@@ -352,6 +347,14 @@ bool Cluster::resize_job(NodeId node_id, JobId job_id, int new_width) {
     policy_.on_resize_complete(*this, *live);
   }));
   return true;
+}
+
+SimTime Cluster::resize_pause(const workload::Malleability& contract, int from, int to) const {
+  const SimTime fixed =
+      config_.resize_fixed_cost >= 0.0 ? config_.resize_fixed_cost : contract.resize_fixed_cost;
+  const SimTime per_slot = config_.resize_per_slot_cost >= 0.0 ? config_.resize_per_slot_cost
+                                                               : contract.resize_per_slot_cost;
+  return fixed + per_slot * std::abs(to - from);
 }
 
 void Cluster::set_reserved(NodeId node_id, bool reserved) {

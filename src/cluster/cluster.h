@@ -69,13 +69,17 @@ class Cluster {
   bool suspend_job(NodeId node, JobId job_id);
   bool resume_job(NodeId node, JobId job_id);
   /// Starts an M-Reconfiguration of a running malleable job to `new_width`
-  /// slots on its current node (DESIGN.md §15). The job pauses for the
-  /// spec's resize cost (charged to t_mig like a migration pause) and holds
+  /// slots on its current node (DESIGN.md §15). The job pauses for
+  /// resize_pause() (charged to t_mig like a migration pause) and holds
   /// max(old, new) slots while in flight: growth reserves up front, a shrink
   /// releases only at completion. Returns false when the job is missing, not
   /// running, not resizable, `new_width` is outside [min_width, max_width] or
   /// unchanged, or growth would overflow the node's slot threshold.
   bool resize_job(NodeId node, JobId job_id, int new_width);
+  /// The pause a resize from `from` to `to` slots costs: the
+  /// resize.fixed_cost and resize.per_slot_cost overrides where set, the
+  /// job's `contract` otherwise.
+  SimTime resize_pause(const workload::Malleability& contract, int from, int to) const;
   /// Sets the virtual-reconfiguration reservation flag on a node.
   void set_reserved(NodeId node, bool reserved);
 

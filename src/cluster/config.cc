@@ -20,7 +20,6 @@ ClusterConfig ClusterConfig::paper_cluster1(std::size_t count) {
   NodeConfig node;
   node.cpu_mhz = 400.0;
   node.memory = megabytes(384);
-  node.swap = megabytes(380);
   return homogeneous(count, node, 400.0);
 }
 
@@ -28,7 +27,6 @@ ClusterConfig ClusterConfig::paper_cluster2(std::size_t count) {
   NodeConfig node;
   node.cpu_mhz = 233.0;
   node.memory = megabytes(128);
-  node.swap = megabytes(128);
   ClusterConfig config = homogeneous(count, node, 233.0);
   config.admission_demand_estimate = megabytes(18);
   return config;
@@ -83,7 +81,7 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
   if (dot == std::string::npos || dot == 0 || dot + 1 >= rest.size()) {
     *error = "config override '" + key +
              "': per-node keys are node.<index>.<field> or node.*.<field> "
-             "(fields: cpu_mhz, memory, swap, kernel_reserved)";
+             "(fields: cpu_mhz, memory, kernel_reserved)";
     return false;
   }
   const std::string index_text = rest.substr(0, dot);
@@ -118,13 +116,11 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
       }
     } else if (field == "memory") {
       ok = set_bytes(value, &node.memory, &expected);
-    } else if (field == "swap") {
-      ok = set_bytes(value, &node.swap, &expected);
     } else if (field == "kernel_reserved") {
       ok = set_bytes(value, &node.kernel_reserved, &expected);
     } else {
       *error = "config override '" + key + "': unknown node field '" + field +
-               "' (known fields: cpu_mhz, memory, swap, kernel_reserved)";
+               "' (known fields: cpu_mhz, memory, kernel_reserved)";
       return false;
     }
     if (!ok) {
@@ -182,8 +178,6 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     } else if (key == "reference_mhz") {
       ok = set_double(value, &updated.reference_mhz, &expected);
       reject_if(updated.reference_mhz <= 0.0, "positive double, e.g. 400");
-    } else if (key == "page_size") {
-      ok = set_bytes(value, &updated.page_size, &expected);
     } else if (key == "page_fault_service") {
       ok = set_duration(value, &updated.page_fault_service, &expected);
     } else if (key == "context_switch") {
@@ -293,7 +287,6 @@ const std::vector<ClusterConfig::OverrideKeyDoc>& ClusterConfig::override_keys()
   static const std::vector<OverrideKeyDoc>* keys = new std::vector<OverrideKeyDoc>{
       {"nodes", "int", "workstation count (replicates the first node's hardware)"},
       {"reference_mhz", "double", "CPU speed the workload lifetimes were measured at"},
-      {"page_size", "bytes", "VM page size (paper: 4KB)"},
       {"page_fault_service", "duration", "page-fault service time (paper: 10ms)"},
       {"context_switch", "duration", "context-switch cost (paper: 0.1ms)"},
       {"quantum", "duration", "round-robin quantum of the local scheduler"},
@@ -323,7 +316,6 @@ const std::vector<ClusterConfig::OverrideKeyDoc>& ClusterConfig::override_keys()
       {"fault.restart", "string", "restart policy for killed jobs: lose | resubmit"},
       {"node.<i>.cpu_mhz", "double", "per-node CPU speed; <i> is an index or '*'"},
       {"node.<i>.memory", "bytes", "per-node physical memory, e.g. node.3.memory=128MB"},
-      {"node.<i>.swap", "bytes", "per-node swap space"},
       {"node.<i>.kernel_reserved", "bytes", "per-node kernel/daemon memory"},
   };
   return *keys;

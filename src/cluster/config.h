@@ -1,10 +1,11 @@
 // Cluster configuration and the paper's two simulated testbeds.
 //
 // Section 3.3.1: two homogeneous 32-workstation clusters. Cluster 1 (for the
-// SPEC group): 400 MHz CPUs, 384 MB memory, 380 MB swap. Cluster 2 (for the
-// application group): 233 MHz, 128 MB, 128 MB swap. Both: 4 KB pages, 10 ms
-// page-fault service, 0.1 ms context switch, 10 Mbps Ethernet, 0.1 s remote
-// submission cost, migration cost r + D/B.
+// SPEC group): 400 MHz CPUs, 384 MB memory. Cluster 2 (for the application
+// group): 233 MHz, 128 MB. Both: 10 ms page-fault service, 0.1 ms context
+// switch, 10 Mbps Ethernet, 0.1 s remote submission cost, migration cost
+// r + D/B. The paper's swap sizes and 4 KB pages are not modelled: paging
+// costs a fixed service time per fault (DESIGN.md §5 substitution 2).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,6 @@ std::optional<RestartPolicy> parse_restart_policy(const std::string& text);
 struct NodeConfig {
   double cpu_mhz = 400.0;
   Bytes memory = megabytes(384);
-  Bytes swap = megabytes(380);
   /// Memory held by the kernel and system daemons; user space is
   /// memory - kernel_reserved.
   Bytes kernel_reserved = megabytes(16);
@@ -47,7 +47,6 @@ struct ClusterConfig {
   double reference_mhz = 400.0;
 
   // --- OS cost model (paper §3.3.1) ---
-  Bytes page_size = 4 * kKiB;
   SimTime page_fault_service = milliseconds(10);
   SimTime context_switch = milliseconds(0.1);
   /// Round-robin quantum of the intra-workstation scheduler.
@@ -133,10 +132,10 @@ struct ClusterConfig {
   static ClusterConfig homogeneous(std::size_t count, const NodeConfig& node,
                                    double reference_mhz);
 
-  /// Paper testbed 1: 32 x (400 MHz, 384 MB, 380 MB swap) for the SPEC group.
+  /// Paper testbed 1: 32 x (400 MHz, 384 MB) for the SPEC group.
   static ClusterConfig paper_cluster1(std::size_t count = 32);
 
-  /// Paper testbed 2: 32 x (233 MHz, 128 MB, 128 MB swap) for the app group.
+  /// Paper testbed 2: 32 x (233 MHz, 128 MB) for the app group.
   static ClusterConfig paper_cluster2(std::size_t count = 32);
 
   /// Applies text-form `key=value` overrides to this config — the cluster

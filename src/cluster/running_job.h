@@ -46,7 +46,6 @@ struct RunningJob {
   double faults = 0.0;   // total page faults generated
   int migrations = 0;    // completed preemptive migrations
   int remote_submits = 0;
-  int suspensions = 0;
   int restarts = 0;      // times killed by a node failure and restarted
   int resizes = 0;       // completed width changes (DESIGN.md §15)
 

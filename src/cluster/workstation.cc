@@ -268,12 +268,10 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
 
   // Sharing state at the start of the interval, from the O(1) aggregates.
   const Sharing share = sharing();
-  const int runnable = runnable_count_;
   const SimTime interval_start = now - dt;
 
   double tick_faults = 0.0;
-  double busy_wall = 0.0;      // wall time actually spent computing or paging
-  Bytes resident_delta = 0;    // demand growth/shrink of running jobs this tick
+  Bytes resident_delta = 0;  // demand growth/shrink of running jobs this tick
   for (std::size_t i = 0; i < jobs_.size();) {
     RunningJob& job = *jobs_[i];
     const SimTime from = std::max(job.accounted_until, interval_start);
@@ -300,7 +298,6 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
       job_step.faults = static_cast<double>(rng.poisson(job_step.faults));
     }
     accumulate(job, job_step);
-    busy_wall += job_step.cpu_wall + job_step.page_wall;
     job.accounted_until = now;
     // A single-point profile's demand never moves off the value add_job
     // cached.
@@ -321,7 +318,6 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
       active_slots_ -= done->width;
       runnable_slots_ -= done->width;
       outcome.completed.push_back(std::move(done));
-      ++jobs_completed_;
       continue;  // do not advance i; element replaced by the next one
     }
     ++i;
@@ -331,15 +327,7 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   resident_bytes_ += resident_delta;
   assert(aggregates_consistent());
 
-  // CPU busy time prorated by the wall time jobs actually progressed: when
-  // the only runnable job finishes mid-tick the CPU goes idle for the rest
-  // of the interval, so charging the full dt would overstate utilization.
-  // Dividing by the round-robin efficiency folds the context-switch overhead
-  // (also busy time) back in; a fully-utilized tick charges exactly dt.
-  if (runnable > 0) cpu_busy_ += std::min<SimTime>(dt, busy_wall / share.efficiency);
-
   total_faults_ += tick_faults;
-  outcome.faults = tick_faults;
 
   // EMA of the fault rate with time constant fault_rate_tau. An EMA at
   // exactly 0 with no fault this tick stays exactly 0 (0 * decay +
@@ -416,19 +404,17 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
   std::vector<RunningJob> before;
   before.reserve(jobs_.size());
   for (const auto& job : jobs_) before.push_back(*job);
-  const SimTime busy_before = cpu_busy_;
 #endif
   const Sharing share = sharing();
   const std::size_t num_jobs = jobs_.size();
   // Job by job over blocks of ticks. Every job's accounted_until is the
   // previous tick, so each tick's wall is common to all of them, and walls
   // take only a couple of values per binade of T: each block memoizes every
-  // job's step() and the tick's busy-time charge on the wall's exact bits.
+  // job's step() on the wall's exact bits.
   constexpr std::size_t kBlock = 256;
   constexpr std::size_t kMaxWalls = 8;
   std::array<std::uint8_t, kBlock> wall_of{};
   std::array<std::uint64_t, kMaxWalls> wall_bits{};
-  std::array<SimTime, kMaxWalls> busy{};
   std::vector<JobStep> steps(kMaxWalls * num_jobs);
   SimTime t = last_tick;
   std::uint64_t left = ticks;
@@ -444,22 +430,17 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
       if (k == walls) {
         if (walls == kMaxWalls) break;
         wall_bits[k] = bits;
-        double busy_wall = 0.0;
         for (std::size_t j = 0; j < num_jobs; ++j) {
-          const JobStep job_step = step(*jobs_[j], wall, share);
-          busy_wall += job_step.cpu_wall + job_step.page_wall;
-          steps[k * num_jobs + j] = job_step;
+          steps[k * num_jobs + j] = step(*jobs_[j], wall, share);
         }
-        busy[k] = std::min<SimTime>(dt, busy_wall / share.efficiency);
         ++walls;
       }
       wall_of[block] = static_cast<std::uint8_t>(k);
       t = next;
     }
     // Two jobs per sweep: their twelve add chains are independent, so they
-    // overlap instead of each running at add latency. An odd job out sweeps
-    // with the busy-time charge; otherwise the charge gets its own sweep.
-    // Every accumulator still receives the same additions in the same order.
+    // overlap instead of each running at add latency. Every accumulator
+    // still receives the same additions in the same order.
     std::size_t j = 0;
     for (; j + 1 < num_jobs; j += 2) {
       JobSums first(*jobs_[j]);
@@ -472,29 +453,22 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
       first.store(*jobs_[j]);
       second.store(*jobs_[j + 1]);
     }
-    SimTime busy_sum = cpu_busy_;
     if (j < num_jobs) {
       JobSums last(*jobs_[j]);
-      for (std::size_t i = 0; i < block; ++i) {
-        accumulate(last, steps[wall_of[i] * num_jobs + j]);
-        busy_sum += busy[wall_of[i]];
-      }
+      for (std::size_t i = 0; i < block; ++i) accumulate(last, steps[wall_of[i] * num_jobs + j]);
       last.store(*jobs_[j]);
-    } else {
-      for (std::size_t i = 0; i < block; ++i) busy_sum += busy[wall_of[i]];
     }
-    cpu_busy_ = busy_sum;
     left -= block;
   }
   for (const auto& job : jobs_) job->accounted_until = t;
 #ifdef VRC_AUDIT
-  audit_replay(before, busy_before, last_tick, dt, ticks);
+  audit_replay(before, last_tick, dt, ticks);
 #endif
   return t;
 }
 
-void Workstation::audit_replay(const std::vector<RunningJob>& before, SimTime busy_before,
-                               SimTime last_tick, SimTime dt, std::uint64_t ticks) const {
+void Workstation::audit_replay(const std::vector<RunningJob>& before, SimTime last_tick,
+                               SimTime dt, std::uint64_t ticks) const {
   const auto fail = [&](const char* what, JobId job) {
     VRC_LOG(kError) << "VRC_AUDIT failed (replay): node " << id_ << ", job " << job << ", "
                     << ticks << " ticks after t=" << last_tick << ": " << what;
@@ -502,24 +476,19 @@ void Workstation::audit_replay(const std::vector<RunningJob>& before, SimTime bu
   };
   const Sharing share = sharing();
   std::vector<RunningJob> shadow = before;
-  SimTime busy = busy_before;
   SimTime t = last_tick;
   for (std::uint64_t tick = 0; tick < ticks; ++tick) {
     t += dt;
-    double busy_wall = 0.0;
     for (RunningJob& job : shadow) {
       const SimTime wall = t - std::max(job.accounted_until, t - dt);
       if (wall <= 0.0) fail("a tick with no wall time to integrate", job.id());
-      const JobStep job_step = step(job, wall, share);
-      accumulate(job, job_step);
+      accumulate(job, step(job, wall, share));
       job.accounted_until = t;
-      busy_wall += job_step.cpu_wall + job_step.page_wall;
       if (job.finished()) fail("a job finished inside the stretch", job.id());
       if (job.demand_now() != job.demand) {
         fail("a job's demand changed inside the stretch", job.id());
       }
     }
-    busy += std::min<SimTime>(dt, busy_wall / share.efficiency);
   }
   const auto same = [](double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -534,7 +503,6 @@ void Workstation::audit_replay(const std::vector<RunningJob>& before, SimTime bu
       fail("the replay diverged from tick-by-tick integration", got.id());
     }
   }
-  if (!same(cpu_busy_, busy)) fail("cpu_busy diverged from tick-by-tick integration", 0);
   ++audit::counters().replays_checked;
 }
 

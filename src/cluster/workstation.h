@@ -135,7 +135,6 @@ class Workstation {
   // --- simulation ---
   struct TickOutcome {
     std::vector<std::unique_ptr<RunningJob>> completed;
-    double faults = 0.0;
     /// steady_ticks() after a tick that completed nothing and changed no
     /// published value; 0 otherwise.
     std::uint64_t steady_ticks = 0;
@@ -177,10 +176,6 @@ class Workstation {
 
   // --- lifetime statistics ---
   double total_faults() const { return total_faults_; }
-  /// Wall time the CPU spent computing or servicing faults, prorated within
-  /// ticks where jobs finish (or arrive) mid-interval.
-  SimTime cpu_busy_time() const { return cpu_busy_; }
-  std::uint64_t jobs_completed() const { return jobs_completed_; }
 
  private:
   /// Shared lookup for the const and non-const find_job overloads.
@@ -226,11 +221,11 @@ class Workstation {
   static inline void accumulate(Sums& sums, const JobStep& step);
 
   /// Shadow check of one replay (called under VRC_AUDIT): re-integrates the
-  /// stretch tick by tick from `before` and `busy_before` through step()
-  /// without the memo and aborts on the first bit difference, or if a job
-  /// finished or changed demand inside the stretch.
-  void audit_replay(const std::vector<RunningJob>& before, SimTime busy_before,
-                    SimTime last_tick, SimTime dt, std::uint64_t ticks) const;
+  /// stretch tick by tick from `before` through step() without the memo and
+  /// aborts on the first bit difference, or if a job finished or changed
+  /// demand inside the stretch.
+  void audit_replay(const std::vector<RunningJob>& before, SimTime last_tick, SimTime dt,
+                    std::uint64_t ticks) const;
 
   /// Marks this node in the bound NodeActivity (no-op when unbound).
   void publish_index();  // vrc:publish-fn
@@ -272,8 +267,6 @@ class Workstation {
 
   double fault_rate_ = 0.0;  // vrc:board-visible
   double total_faults_ = 0.0;
-  SimTime cpu_busy_ = 0.0;
-  std::uint64_t jobs_completed_ = 0;
 
   /// Cluster-owned active/dirty sets; null in isolation unit tests.
   NodeActivity* activity_ = nullptr;

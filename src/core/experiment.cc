@@ -2,6 +2,8 @@
 
 #include "faults/injector.h"
 #include "metrics/perf_counters.h"
+#include "metrics/report.h"
+#include "util/log.h"
 
 namespace vrc::core {
 
@@ -35,6 +37,8 @@ metrics::RunReport run_experiment(workload::ArrivalSource& source,
   report.streamed = true;
   report.peak_live_specs = cluster.peak_live_specs();
   report.policy_stats = policy.stats();
+  // Closes the run's narration (`vrc_run --log`).
+  VRC_LOG(kInfo) << metrics::describe(report);
   return report;
 }
 

@@ -98,7 +98,7 @@ bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
     missing -= old_width - target;
     ++shrinks_started_;
     shrunk_.push_back({best_node, victim->id()});
-    if (!any) first_pause = contract.resize_cost(old_width, target);
+    if (!any) first_pause = cluster.resize_pause(contract, old_width, target);
     any = true;
   }
   if (any) {

@@ -101,9 +101,6 @@ struct RunReport {
   std::vector<std::pair<std::string, double>> policy_stats;
 
   std::vector<cluster::CompletedJob> jobs;  // per-job records (completion order)
-
-  /// Average of per-job t_queue — the paper's "queuing times" series.
-  SimTime total_queuing_time() const { return total_queue; }
 };
 
 /// Relative reduction of `ours` versus `baseline` (positive = improvement),

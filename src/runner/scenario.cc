@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <sstream>
@@ -92,14 +93,17 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
   }
 
   if (directive == "trace") {
-    // The SWF replay form reads naturally with spaces —
+    // The file replay forms read naturally with spaces —
     //   trace swf file=tests/data/swf/NASA-iPSC-1993-3.swf scale=0.1
-    // — normalize it to the canonical colon/comma TraceSpec text.
+    //   trace vrc file=blocking_episode.trace
+    // — normalize them to the canonical colon/comma TraceSpec text.
     std::string text = arg;
-    if (text == "swf" || text.rfind("swf ", 0) == 0 || text.rfind("swf\t", 0) == 0) {
+    const std::string kind = text.substr(0, 3);
+    if ((kind == "swf" || kind == "vrc") &&
+        (text.size() == 3 || text[3] == ' ' || text[3] == '\t')) {
       std::istringstream in(text.substr(3));
       std::string token;
-      text = "swf";
+      text = kind;
       bool first = true;
       while (in >> token) {
         text += (first ? ':' : ',');
@@ -367,16 +371,14 @@ std::optional<ScenarioSpec> ScenarioSpec::load(const std::string& path, std::str
     fail(error, path + ": " + nested);
     return std::nullopt;
   }
-  // Rebase relative SWF paths against the scenario file's directory, so a
+  // Rebase relative replay paths against the scenario file's directory, so a
   // checked-in scenario works regardless of the process's working directory
   // (ctest runs from the build tree, CI from the repo root).
   const std::size_t slash = path.find_last_of("/\\");
   if (slash != std::string::npos) {
     const std::string dir = path.substr(0, slash + 1);
     for (workload::TraceSpec& trace : spec->traces) {
-      if (trace.is_swf() && !trace.swf_file.empty() && trace.swf_file.front() != '/') {
-        trace.swf_file = dir + trace.swf_file;
-      }
+      if (trace.is_replay() && trace.file.front() != '/') trace.file = dir + trace.file;
     }
   }
   return spec;
@@ -401,6 +403,30 @@ std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error
     }
   }
 
+  // Every cell builds its own source from its TraceSpec, so replayed files
+  // are read per cell; read each one end to end here so an unreadable or
+  // malformed file surfaces as one clean error before any cell runs — a
+  // source throwing mid-pump on a worker thread would otherwise tear down the
+  // whole sweep. The drain also yields each trace's workload group: an SWF
+  // spec's group=, a trace file's group line.
+  std::vector<workload::WorkloadGroup> groups;
+  for (const workload::TraceSpec& trace : spec.traces) {
+    if (!trace.is_replay()) {
+      groups.push_back(trace.group);
+      continue;
+    }
+    try {
+      std::unique_ptr<workload::ArrivalSource> probe =
+          trace.make_source(static_cast<std::uint32_t>(spec.nodes));
+      while (probe->next()) {
+      }
+      groups.push_back(probe->group());
+    } catch (const std::exception& e) {
+      fail(error, "trace spec '" + trace.print() + "': " + e.what());
+      return std::nullopt;
+    }
+  }
+
   // Resolve the cluster. "auto" picks the paper testbed of the traces'
   // workload group, which must therefore be unambiguous.
   cluster::ClusterConfig base;
@@ -409,16 +435,13 @@ std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error
   } else if (spec.cluster == "paper2") {
     base = cluster::ClusterConfig::paper_cluster2(spec.nodes);
   } else {
-    const workload::WorkloadGroup group = spec.traces.front().group;
-    for (const workload::TraceSpec& trace : spec.traces) {
-      if (trace.group != group) {
-        fail(error,
-             "cluster 'auto' needs all traces in one workload group; mixing spec and apps "
-             "traces requires an explicit `cluster paper1` or `cluster paper2`");
-        return std::nullopt;
-      }
+    if (std::adjacent_find(groups.begin(), groups.end(), std::not_equal_to<>()) != groups.end()) {
+      fail(error,
+           "cluster 'auto' needs all traces in one workload group; mixing spec and apps "
+           "traces requires an explicit `cluster paper1` or `cluster paper2`");
+      return std::nullopt;
     }
-    base = core::paper_cluster_for(group, spec.nodes);
+    base = core::paper_cluster_for(groups.front(), spec.nodes);
   }
 
   // One config per sweep value: the `set` overrides plus KEY=value.
@@ -442,7 +465,7 @@ std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error
   // silently ends at max_sim_time. `malleable on` makes every generated
   // trace malleable.
   for (const workload::TraceSpec& trace : spec.traces) {
-    const bool malleable = trace.malleable_fraction > 0.0 || (spec.malleable && !trace.is_swf());
+    const bool malleable = trace.malleable_fraction > 0.0 || (spec.malleable && !trace.is_replay());
     if (malleable && trace.malleable_max_width > cpu_threshold) {
       fail(error, "trace spec '" + trace.print() +
                       "': malleable jobs submit at their widest width " +
@@ -456,40 +479,22 @@ std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error
   grid.experiment.max_sim_time = spec.max_sim_time;
   grid.experiment.fault_entries = spec.faults;
 
-  // Every cell builds its own source from its TraceSpec, so SWF logs are read
-  // per cell; validate each one end to end here so an unreadable or
-  // malformed file surfaces as one clean error before any cell runs — a
-  // source throwing mid-pump on a worker thread would otherwise tear down the
-  // whole sweep.
-  for (const workload::TraceSpec& trace : spec.traces) {
-    if (!trace.is_swf()) continue;
-    try {
-      std::unique_ptr<workload::ArrivalSource> probe =
-          trace.make_source(static_cast<std::uint32_t>(spec.nodes));
-      while (probe->next()) {
-      }
-    } catch (const std::exception& e) {
-      fail(error, "trace spec '" + trace.print() + "': " + e.what());
-      return std::nullopt;
-    }
-  }
-
   // Trial expansion on the trace axis, trial-major. Trial 0 is the trace
   // exactly as specified (byte-identical to a trial-free run); trial t > 0
-  // regenerates it with the effective seed shifted by t. SWF replays have no
-  // generation seed, so every trial replays the same log (trial variation
+  // regenerates it with the effective seed shifted by t. Replayed files have
+  // no generation seed, so every trial replays the same jobs (trial variation
   // still reaches the cluster seed via derive_seed).
   const std::uint32_t default_nodes = static_cast<std::uint32_t>(spec.nodes);
   for (int trial = 0; trial < spec.trials; ++trial) {
     for (const workload::TraceSpec& base : spec.traces) {
       workload::TraceSpec varied = base;
       // `malleable on` defaults generated traces without their own malleable=
-      // fraction to all-malleable [1, 2] jobs; SWF replays stay rigid (their
-      // widths come from the log, not the generator).
-      if (spec.malleable && !varied.is_swf() && varied.malleable_fraction == 0.0) {
+      // fraction to all-malleable [1, 2] jobs; replays stay rigid (their
+      // widths come from the file, not the generator).
+      if (spec.malleable && !varied.is_replay() && varied.malleable_fraction == 0.0) {
         varied.malleable_fraction = 1.0;
       }
-      if (trial > 0 && !varied.is_swf()) {
+      if (trial > 0 && !varied.is_replay()) {
         varied.seed = varied.to_params(default_nodes).seed + static_cast<std::uint64_t>(trial);
       }
       grid.traces.push_back(std::move(varied));

@@ -45,8 +45,9 @@ namespace vrc::runner {
 struct ScenarioSpec {
   std::vector<workload::TraceSpec> traces;
   std::vector<core::PolicySpec> policies;
-  /// "auto" (the paper testbed matching the traces' workload group),
-  /// "paper1", or "paper2".
+  /// "auto" (the paper testbed matching the traces' workload group: a
+  /// generated trace's group, an SWF replay's group=, a trace file's group
+  /// line), "paper1", or "paper2".
   std::string cluster = "auto";
   /// Workstations in the cluster; also the default node count traces are
   /// generated for (a trace's own nodes= override wins).
@@ -67,7 +68,8 @@ struct ScenarioSpec {
   /// `set resize.fixed_cost=... / resize.per_slot_cost=...` (DESIGN.md §15).
   bool malleable = false;
   /// Independent repetitions. Trial 0 runs each trace exactly as specified;
-  /// trial t > 0 regenerates it with its effective seed shifted by t.
+  /// trial t > 0 regenerates it with its effective seed shifted by t (a
+  /// replayed file repeats unchanged).
   int trials = 1;
   /// Folded into each cell's cluster seed via derive_seed (matched pairs:
   /// policies of the same (trial, trace) share stochastic conditions).
@@ -151,7 +153,7 @@ struct ScenarioGrid {
 
 /// Validates the scenario and plans its cells: one TraceSpec per (trial,
 /// trace) plus the resolved cluster, once per sweep value. Every policy spec,
-/// config override and SWF log is checked up front. Returns std::nullopt +
+/// replayed file and config override is checked up front. Returns std::nullopt +
 /// *error on any invalid piece — nothing throws, so drivers can report the
 /// message and exit cleanly.
 std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error = nullptr);

@@ -5,8 +5,9 @@
 
 namespace vrc::util {
 
+std::atomic<int> internal::g_log_level{static_cast<int>(LogLevel::kWarn)};
+
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -25,12 +26,12 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
+void set_log_level(LogLevel level) { internal::g_log_level.store(static_cast<int>(level)); }
 
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
+LogLevel log_level() { return static_cast<LogLevel>(internal::g_log_level.load()); }
 
 void log_line(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < g_level.load()) return;
+  if (!log_enabled(level)) return;
   std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
 }
 

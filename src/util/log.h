@@ -1,10 +1,12 @@
 // Lightweight leveled logging used by the simulator for event tracing.
 //
-// Logging defaults to kWarn so simulations are silent; examples raise the
-// level to narrate scheduler decisions (blocking detection, reservations,
-// migrations) on a timeline.
+// Logging defaults to kWarn so simulations are silent; `vrc_run --log`
+// raises the level to narrate scheduler decisions (blocking detection,
+// reservations, migrations) on a timeline. A VRC_LOG below the level costs
+// one load and a branch: its operands are not evaluated.
 #pragma once
 
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -20,6 +22,9 @@ LogLevel log_level();
 void log_line(LogLevel level, const std::string& message);
 
 namespace internal {
+
+/// The global level, read inline by log_enabled().
+extern std::atomic<int> g_log_level;
 
 class LogMessage {
  public:
@@ -39,7 +44,25 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
+/// Turns the streamed LogMessage into a void operand of VRC_LOG's `?:`.
+/// `&` binds looser than `<<`, so the whole chain lands on the right.
+struct LogVoidify {
+  void operator&(const LogMessage&) const {}
+};
+
 }  // namespace internal
+
+/// True when a message at `level` would be emitted.
+inline bool log_enabled(LogLevel level) {
+  return static_cast<int>(level) >= internal::g_log_level.load(std::memory_order_relaxed);
+}
+
 }  // namespace vrc::util
 
-#define VRC_LOG(level) ::vrc::util::internal::LogMessage(::vrc::util::LogLevel::level)
+// Tests the level before the message object exists, so a disabled VRC_LOG
+// neither builds a stream nor evaluates its operands.
+#define VRC_LOG(level)                                    \
+  !::vrc::util::log_enabled(::vrc::util::LogLevel::level) \
+      ? (void)0                                           \
+      : ::vrc::util::internal::LogVoidify() &             \
+            ::vrc::util::internal::LogMessage(::vrc::util::LogLevel::level)

@@ -50,11 +50,6 @@ struct Malleability {
   double speedup(int width) const {
     return std::pow(static_cast<double>(width), speedup_alpha);
   }
-
-  /// Pause a resize from `from` to `to` slots costs, in seconds.
-  double resize_cost(int from, int to) const {
-    return resize_fixed_cost + resize_per_slot_cost * std::abs(to - from);
-  }
 };
 
 /// One job of a workload trace. Immutable during simulation; runtime state

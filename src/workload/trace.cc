@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/units.h"
 
 namespace vrc::workload {
 
@@ -22,12 +25,13 @@ SimTime Trace::total_cpu_seconds() const {
 }
 
 void Trace::save(std::ostream& out) const {
+  // Enough digits that every double reads back bit for bit.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "# vrc-trace v1\n";
   out << "name " << name_ << '\n';
   out << "group " << to_string(group_) << '\n';
   out << "duration " << duration_ << '\n';
   out << "jobs " << jobs_.size() << '\n';
-  out.precision(9);
   for (const JobSpec& job : jobs_) {
     out << "job " << job.id << ' ' << job.submit_time << ' ' << job.home_node << ' '
         << job.program << ' ' << job.cpu_seconds << ' ' << job.touch_rate << ' '
@@ -88,15 +92,17 @@ Trace Trace::load(std::istream& in) {
       expected_jobs = static_cast<std::size_t>(count);
     } else if (key == "job") {
       JobSpec job;
-      long long id = -1;
-      long long home = -1;
+      std::string id;
+      std::string home;
       long long npoints = -1;
       if (!(ls >> id >> job.submit_time >> home >> job.program >> job.cpu_seconds >>
             job.touch_rate >> npoints)) {
         fail("malformed job line: " + line);
       }
-      if (id < 0) fail("negative job id: " + line);
-      if (home < 0) fail("negative home node: " + line);
+      // parse_integer checks the 32-bit range; a wider read and a cast would
+      // wrap 2^32 + 1 to 1.
+      if (!parse_integer(id, &job.id)) fail("job id is not a uint32: " + line);
+      if (!parse_integer(home, &job.home_node)) fail("home node is not a uint32: " + line);
       if (!std::isfinite(job.submit_time) || job.submit_time < 0.0) {
         fail("bad submit time: " + line);
       }
@@ -106,15 +112,18 @@ Trace Trace::load(std::istream& in) {
       if (!std::isfinite(job.touch_rate) || job.touch_rate < 0.0) {
         fail("bad touch rate: " + line);
       }
-      job.id = static_cast<JobId>(id);
-      job.home_node = static_cast<NodeId>(home);
       if (npoints <= 0 || npoints > 1024) fail("bad profile point count");
       std::vector<MemoryProfile::Point> points(static_cast<std::size_t>(npoints));
-      for (auto& p : points) {
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        MemoryProfile::Point& p = points[i];
         long long demand = -1;
         if (!(ls >> p.progress >> demand)) fail("malformed profile point");
         if (!std::isfinite(p.progress) || p.progress < 0.0 || p.progress > 1.0) {
           fail("profile progress out of [0, 1]: " + line);
+        }
+        // MemoryProfile aborts on points out of order; reject them here.
+        if (i > 0 && p.progress <= points[i - 1].progress) {
+          fail("profile progress not strictly increasing: " + line);
         }
         if (demand < 0) fail("negative profile demand: " + line);
         p.demand = static_cast<Bytes>(demand);

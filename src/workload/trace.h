@@ -29,7 +29,8 @@ class Trace {
   /// Sum of dedicated CPU demand over all jobs.
   SimTime total_cpu_seconds() const;
 
-  /// Serializes to the "vrc-trace v1" text format.
+  /// Serializes to the "vrc-trace v1" text format, with enough digits that
+  /// load() reproduces every double bit for bit.
   void save(std::ostream& out) const;
   bool save_to_file(const std::string& path) const;
 

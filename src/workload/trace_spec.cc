@@ -18,14 +18,21 @@ TraceSpec TraceSpec::standard(WorkloadGroup group, int index) {
 
 TraceSpec TraceSpec::swf(std::string file) {
   TraceSpec spec;
-  spec.swf_file = std::move(file);
+  spec.file = std::move(file);
+  return spec;
+}
+
+TraceSpec TraceSpec::vrc(std::string file) {
+  TraceSpec spec;
+  spec.file = std::move(file);
+  spec.file_format = FileFormat::kVrc;
   return spec;
 }
 
 std::string TraceSpec::print() const {
   std::ostringstream out;
   if (is_swf()) {
-    out << "swf:file=" << swf_file;
+    out << "swf:file=" << file;
     if (swf_scale != 1.0) {
       std::ostringstream scale;
       scale << swf_scale;
@@ -43,6 +50,7 @@ std::string TraceSpec::print() const {
     if (!name.empty()) out << ",name=" << name;
     return out.str();
   }
+  if (is_replay()) return "vrc:file=" + file;
   out << to_string(group);
   // Canonical key order; only non-default fields are emitted.
   std::vector<std::pair<std::string, std::string>> items;
@@ -130,6 +138,26 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
   const std::size_t colon = text.find(':');
   const std::string group_name = text.substr(0, colon);
   TraceSpec spec;
+  if (group_name == "vrc") {
+    std::map<std::string, std::string> params;
+    if (colon != std::string::npos &&
+        !parse_key_values(text.substr(colon + 1), text, &params, error)) {
+      return std::nullopt;
+    }
+    for (const auto& [key, value] : params) {
+      if (key != "file") {
+        fail(error, "trace spec '" + text + "': unknown key '" + key +
+                        "' (a vrc trace file takes only file=)");
+        return std::nullopt;
+      }
+    }
+    const std::string file = params["file"];
+    if (file.empty()) {
+      value_error(error, text, "file", file, "path", "examples/scenarios/blocking_episode.trace");
+      return std::nullopt;
+    }
+    return vrc(file);
+  }
   if (group_name == "swf") {
     std::map<std::string, std::string> params;
     if (colon != std::string::npos) {
@@ -141,7 +169,7 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
           value_error(error, text, key, value, "path", "tests/data/swf/NASA-iPSC-1993-3.swf");
           return std::nullopt;
         }
-        spec.swf_file = value;
+        spec.file = value;
       } else if (key == "scale") {
         double scale = 0.0;
         if (!parse_finite_double(value, &scale) || scale <= 0.0) {
@@ -197,7 +225,7 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
   }
   if (!parse_workload_group(group_name, &spec.group)) {
     fail(error, "trace spec '" + text + "': unknown workload group '" + group_name +
-                    "' (expected spec, apps, or swf)");
+                    "' (expected spec, apps, swf, or vrc)");
     return std::nullopt;
   }
   std::map<std::string, std::string> params;
@@ -307,6 +335,11 @@ bool TraceSpec::validate(std::string* error) const {
     if (big_share) return fail(error, "big_share= applies to generated traces, not swf replays");
     return true;
   }
+  if (is_replay()) {
+    // The file carries everything else: name, group, jobs and home nodes.
+    if (*this != vrc(file)) return fail(error, "a vrc trace file takes only file=");
+    return true;
+  }
   if (swf_scale != 1.0 || swf_max_jobs != 0 || swf_min_runtime != 0.0 || !swf_profile.empty()) {
     return fail(error, "swf options need the swf group (swf:file=...)");
   }
@@ -411,16 +444,18 @@ TraceParams TraceSpec::to_params(std::uint32_t default_nodes) const {
 
 Trace TraceSpec::build(std::uint32_t default_nodes) const {
   if (is_swf()) {
-    SwfTraceSource source(swf_file, swf_options_of(*this, default_nodes));
+    SwfTraceSource source(file, swf_options_of(*this, default_nodes));
     return materialize(source);
   }
+  if (is_replay()) return Trace::load_from_file(file);
   return generate_trace(to_params(default_nodes));
 }
 
 std::unique_ptr<ArrivalSource> TraceSpec::make_source(std::uint32_t default_nodes) const {
   if (is_swf()) {
-    return std::make_unique<SwfTraceSource>(swf_file, swf_options_of(*this, default_nodes));
+    return std::make_unique<SwfTraceSource>(file, swf_options_of(*this, default_nodes));
   }
+  if (is_replay()) return std::make_unique<MaterializedTraceSource>(Trace::load_from_file(file));
   // build() above is a drain of this same source.
   return std::make_unique<GeneratedStreamSource>(to_params(default_nodes));
 }

@@ -2,9 +2,10 @@
 //
 // A TraceSpec names one of the paper's five published trace shapes
 // ("spec:trace=3"), a custom generated workload
-// ("apps:jobs=400,duration=1800,seed=9,arrival_scale=1.5"), or a real
+// ("apps:jobs=400,duration=1800,seed=9,arrival_scale=1.5"), a real
 // Standard Workload Format log replay
-// ("swf:file=tests/data/swf/NASA-iPSC-1993-3.swf,scale=0.1,max_jobs=200")
+// ("swf:file=tests/data/swf/NASA-iPSC-1993-3.swf,scale=0.1,max_jobs=200"), or
+// a saved trace file ("vrc:file=examples/scenarios/blocking_episode.trace")
 // as text, and builds the pull-based ArrivalSource a run pumps
 // (make_source(), DESIGN.md §14) — or, via build(), a drain of that source
 // into a Trace. TraceSpec::standard(group, index) is the one way to name a
@@ -24,7 +25,8 @@ namespace vrc::workload {
 
 /// Text-describable recipe for one trace.
 ///
-/// Text form: `<group>[:key=value,...]` with group `spec`, `apps`, or `swf`.
+/// Text form: `<group>[:key=value,...]` with group `spec`, `apps`, `swf`, or
+/// `vrc`.
 /// Keys for `spec` / `apps` (generated workloads):
 ///   trace          int 1..5: one of the published standard shapes
 ///   jobs           int: custom workload size (mutually exclusive with trace)
@@ -63,6 +65,10 @@ namespace vrc::workload {
 ///                  paging behavior differentiates on real-trace replays
 ///                  (DESIGN.md §14.4)
 ///   nodes, name    as above
+/// Key for `vrc` (a `# vrc-trace v1` file as Trace::save writes it; its
+/// name, group line, jobs and home nodes are replayed as written):
+///   file           path to the trace file (required, the only key; relative
+///                  paths are rebased like swf ones)
 struct TraceSpec {
   WorkloadGroup group = WorkloadGroup::kSpec;
   int standard_index = 0;      // 1..5 selects a published shape; 0 = custom
@@ -83,9 +89,12 @@ struct TraceSpec {
   // Program-mix override of generated traces; unset keeps the catalog mix.
   std::optional<double> big_share;
 
-  // SWF replay (group token `swf`). A non-empty file selects SWF mode and is
-  // mutually exclusive with trace=/jobs=.
-  std::string swf_file;
+  // File replay (group token `swf` or `vrc`). A non-empty file selects it and
+  // is mutually exclusive with trace=/jobs=; the swf_* options apply to SWF
+  // logs only.
+  enum class FileFormat { kSwf, kVrc };
+  std::string file;
+  FileFormat file_format = FileFormat::kSwf;
   double swf_scale = 1.0;
   std::size_t swf_max_jobs = 0;
   double swf_min_runtime = 0.0;
@@ -99,7 +108,13 @@ struct TraceSpec {
   /// An SWF log replay.
   static TraceSpec swf(std::string file);
 
-  bool is_swf() const { return !swf_file.empty(); }
+  /// A replay of a saved `# vrc-trace v1` file.
+  static TraceSpec vrc(std::string file);
+
+  /// True for both file kinds: the jobs are read, not generated, so there is
+  /// no seed to shift and no generator to make them malleable.
+  bool is_replay() const { return !file.empty(); }
+  bool is_swf() const { return is_replay() && file_format == FileFormat::kSwf; }
 
   /// Canonical text form; parse(print(spec)) == spec.
   std::string print() const;
@@ -120,14 +135,15 @@ struct TraceSpec {
   TraceParams to_params(std::uint32_t default_nodes = 32) const;
 
   /// Builds the trace: a drain of make_source(default_nodes). `default_nodes`
-  /// supplies the home-node range when the spec does not pin one. SWF specs
-  /// read the log eagerly (throws std::runtime_error on a missing or
+  /// supplies the home-node range when the spec does not pin one. File
+  /// replays read the file eagerly (throws std::runtime_error on a missing or
   /// malformed file, like Trace::load).
   Trace build(std::uint32_t default_nodes = 32) const;
 
   /// Builds the pull-based source a run pumps: a GeneratedStreamSource for
-  /// generated specs or an SwfTraceSource for SWF specs. Throws
-  /// std::runtime_error on an unreadable SWF file.
+  /// generated specs, an SwfTraceSource for SWF specs, or a
+  /// MaterializedTraceSource over Trace::load_from_file for trace files.
+  /// Throws std::runtime_error on an unreadable or malformed file.
   std::unique_ptr<ArrivalSource> make_source(std::uint32_t default_nodes = 32) const;
 };
 

@@ -51,14 +51,14 @@ TEST(ApplyOverridesTest, PerNodeOverridesHitOneOrAllNodes) {
       {
           {"node.3.memory", "128MB"},
           {"node.3.cpu_mhz", "233"},
-          {"node.*.swap", "200MB"},
+          {"node.*.kernel_reserved", "20MB"},
       },
       &error))
       << error;
   EXPECT_EQ(config.nodes[3].memory, megabytes(128));
   EXPECT_DOUBLE_EQ(config.nodes[3].cpu_mhz, 233.0);
   EXPECT_EQ(config.nodes[0].memory, megabytes(384));  // others untouched
-  for (const NodeConfig& node : config.nodes) EXPECT_EQ(node.swap, megabytes(200));
+  for (const NodeConfig& node : config.nodes) EXPECT_EQ(node.kernel_reserved, megabytes(20));
 }
 
 TEST(ApplyOverridesTest, NodesResizeAppliesBeforePerNodeKeys) {
@@ -141,7 +141,7 @@ TEST(ApplyOverridesTest, BadNodeKeysAreRejectedPrecisely) {
   EXPECT_NE(error.find("node.<index>.<field>"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"node.0.ram", "128MB"}}, &error));
   EXPECT_NE(error.find("unknown node field 'ram'"), std::string::npos) << error;
-  EXPECT_NE(error.find("cpu_mhz, memory, swap, kernel_reserved"), std::string::npos) << error;
+  EXPECT_NE(error.find("cpu_mhz, memory, kernel_reserved"), std::string::npos) << error;
 }
 
 TEST(ApplyOverridesTest, FailedBatchLeavesConfigUntouched) {

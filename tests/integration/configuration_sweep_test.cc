@@ -45,10 +45,10 @@ TEST(HeterogeneousClusterTest, MixedMemoryNodesStillCompleteEverything) {
   cluster::ClusterConfig config;
   config.reference_mhz = 400.0;
   for (int i = 0; i < 4; ++i) {
-    config.nodes.push_back({400.0, megabytes(384), megabytes(380), megabytes(16)});
+    config.nodes.push_back({400.0, megabytes(384), megabytes(16)});
   }
   for (int i = 0; i < 4; ++i) {
-    config.nodes.push_back({300.0, megabytes(256), megabytes(256), megabytes(16)});
+    config.nodes.push_back({300.0, megabytes(256), megabytes(16)});
   }
   for (const char* policy : {"g-loadsharing", "v-reconf"}) {
     const auto report = run(policy, small_trace(102), config);

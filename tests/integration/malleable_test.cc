@@ -5,6 +5,9 @@
 // shrinking running wide jobs cuts queueing on a slot-bound cluster.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "../common/report_fingerprint.h"
 #include "core/experiment.h"
 #include "workload/arrival_source.h"
@@ -101,6 +104,42 @@ TEST(MalleableTest, ReportSurfacesResizeOutcomes) {
   EXPECT_TRUE(has_saved);
   // The gated describe block only renders on malleable runs.
   EXPECT_NE(metrics::describe(report).find("malleable:"), std::string::npos);
+}
+
+double blocked_time_saved(const metrics::RunReport& report) {
+  for (const auto& [key, value] : report.policy_stats) {
+    if (key == "blocked_time_saved") return value;
+  }
+  return -1.0;
+}
+
+TEST(MalleableTest, BlockedTimeSavedCreditsTheConfiguredResizePause) {
+  // The resize.* overrides price every pause the cluster charges, so the
+  // policy's blocked_saved estimate must subtract that same pause. A run with
+  // the overrides and a run whose job contracts carry the same costs pause
+  // identically, and must report the same estimate.
+  const workload::Trace trace = malleable_spec().build(4);
+  auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
+  config.resize_fixed_cost = 3.0;
+  config.resize_per_slot_cost = 0.0;
+  std::string error;
+  workload::MaterializedTraceSource overridden(trace);
+  const auto by_config = core::run_policy_on_source(core::PolicySpec("m-reconfiguration"),
+                                                    overridden, config, {}, &error);
+  ASSERT_TRUE(by_config.has_value()) << error;
+
+  std::vector<workload::JobSpec> jobs = trace.jobs();
+  for (workload::JobSpec& job : jobs) {
+    job.malleability.resize_fixed_cost = 3.0;
+    job.malleability.resize_per_slot_cost = 0.0;
+  }
+  const workload::Trace priced(trace.name(), trace.group(), trace.duration(), std::move(jobs));
+  const auto by_contract = run_malleable("m-reconfiguration", priced);
+
+  EXPECT_GT(by_config->resizes, 0u);
+  EXPECT_EQ(fingerprint(*by_config), fingerprint(by_contract));
+  EXPECT_GT(blocked_time_saved(*by_config), 0.0);
+  EXPECT_EQ(blocked_time_saved(*by_config), blocked_time_saved(by_contract));
 }
 
 }  // namespace

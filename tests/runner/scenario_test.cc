@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -253,6 +255,76 @@ TEST(ToGridTest, UnknownPolicyAndBadOverrideFailBeforeTraceBuilding) {
   spec.config_overrides["bogus_knob"] = "1";
   EXPECT_FALSE(to_grid(spec, &error).has_value());
   EXPECT_NE(error.find("unknown config override 'bogus_knob'"), std::string::npos) << error;
+}
+
+/// Writes `body` to a fresh file under a per-test directory; returns its path.
+std::string write_file(const std::string& name, const std::string& body) {
+  const char* test = testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) / test;
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path path = dir / name;
+  std::ofstream(path) << body;
+  return path.string();
+}
+
+TEST(ToGridTest, MalformedTraceFileFailsWithItsSpecNamed) {
+  // Profile points out of order used to abort the process inside
+  // MemoryProfile; as scenario input they are one clean to_grid error.
+  const std::string body =
+      "# vrc-trace v1\nname bad\ngroup spec\nduration 1\njobs 1\n"
+      "job 1 0 0 x 10 0 2 0.5 100 0.2 200\n";
+  const std::string path = write_file("bad.trace", body);
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(spec.apply_line("trace vrc file=" + path, &error)) << error;
+  ASSERT_TRUE(spec.apply_line("policy g-loadsharing", &error)) << error;
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_NE(error.find("trace spec 'vrc:file=" + path + "'"), std::string::npos) << error;
+  EXPECT_NE(error.find("not strictly increasing"), std::string::npos) << error;
+
+  spec.traces = {workload::TraceSpec::vrc(path + ".missing")};
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_NE(error.find("trace spec 'vrc:file=" + path + ".missing'"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+TEST(ScenarioRunTest, TraceFileReplaysAsWrittenInEveryTrial) {
+  // An apps-group file next to the scenario: the relative path is rebased,
+  // `cluster auto` takes paper cluster 2 from the file's group line, and
+  // neither `malleable on` nor a trial seed shift touches the replayed jobs.
+  std::string error;
+  const auto generated = workload::TraceSpec::parse("apps:jobs=30,duration=300,name=few", &error);
+  ASSERT_TRUE(generated.has_value()) << error;
+  const workload::Trace saved = generated->build(4);
+  std::ostringstream body;
+  saved.save(body);
+  const std::string trace_path = write_file("few.trace", body.str());
+  const std::string scenario =
+      "trace vrc file=few.trace\nnodes 4\npolicy g-loadsharing\nmalleable on\ntrials 2\n";
+  const auto spec = ScenarioSpec::load(write_file("replay.scn", scenario), &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  ASSERT_EQ(spec->traces.size(), 1u);
+  EXPECT_EQ(spec->traces[0], workload::TraceSpec::vrc(trace_path));
+
+  const auto grid = to_grid(*spec, &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  EXPECT_EQ(grid->configs[0].nodes[0].memory,
+            cluster::ClusterConfig::paper_cluster2(4).nodes[0].memory);
+  ASSERT_EQ(grid->traces.size(), 2u);
+  for (const workload::TraceSpec& trace : grid->traces) EXPECT_EQ(trace, spec->traces[0]);
+
+  const auto run = run_scenario(*spec, 1, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  workload::MaterializedTraceSource source(saved);
+  const auto direct = core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source,
+                                                 grid->configs[0], grid->experiment, &error);
+  ASSERT_TRUE(direct.has_value()) << error;
+  EXPECT_EQ(run->cell(0, 0, 0, 0).report.trace, "few");
+  EXPECT_EQ(run->cell(0, 0, 0, 0).report.jobs_completed, 30u);
+  EXPECT_EQ(run->cell(0, 0, 0, 0).report.malleable_jobs, 0u);
+  EXPECT_EQ(fingerprint(run->cell(0, 0, 0, 0).report), fingerprint(*direct));
+  EXPECT_EQ(fingerprint(run->cell(1, 0, 0, 0).report), fingerprint(*direct));
 }
 
 TEST(ToGridTest, AutoClusterRejectsMixedWorkloadGroups) {

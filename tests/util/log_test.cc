@@ -36,6 +36,20 @@ TEST(LogTest, LevelChangeTakesEffect) {
   EXPECT_NE(output.find("[DEBUG]"), std::string::npos);
 }
 
+TEST(LogTest, DisabledLevelDoesNotEvaluateOperands) {
+  LogLevelGuard guard;
+  set_log_level(LogLevel::kWarn);
+  int evaluated = 0;
+  const auto operand = [&evaluated] { return ++evaluated; };
+  testing::internal::CaptureStderr();
+  VRC_LOG(kDebug) << "skipped " << operand();
+  VRC_LOG(kInfo) << operand() << operand();
+  EXPECT_EQ(evaluated, 0);
+  VRC_LOG(kWarn) << "counted " << operand();
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("counted 1"), std::string::npos);
+}
+
 TEST(LogTest, OffSilencesEverything) {
   LogLevelGuard guard;
   set_log_level(LogLevel::kOff);

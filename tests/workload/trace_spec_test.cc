@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -69,6 +72,55 @@ TEST(TraceSpecTest, PrintParseRoundTrips) {
     const auto reparsed = TraceSpec::parse(spec->print(), &error);
     ASSERT_TRUE(reparsed.has_value()) << spec->print() << ": " << error;
     EXPECT_EQ(*reparsed, *spec) << text << " vs " << spec->print();
+  }
+}
+
+TEST(TraceSpecTest, TraceFileSpecTakesOnlyAFile) {
+  std::string error;
+  const auto spec = TraceSpec::parse("vrc:file=episode.trace", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(*spec, TraceSpec::vrc("episode.trace"));
+  EXPECT_TRUE(spec->is_replay());
+  EXPECT_FALSE(spec->is_swf());
+  EXPECT_EQ(spec->print(), "vrc:file=episode.trace");
+  EXPECT_TRUE(TraceSpec::swf("log.swf").is_replay());
+
+  EXPECT_FALSE(TraceSpec::parse("vrc:file=episode.trace,scale=2", &error).has_value());
+  EXPECT_NE(error.find("unknown key 'scale'"), std::string::npos) << error;
+  EXPECT_FALSE(TraceSpec::parse("vrc", &error).has_value());
+  EXPECT_NE(error.find("for 'file'"), std::string::npos) << error;
+  EXPECT_FALSE(TraceSpec::parse("vrc:file=", &error).has_value());
+  EXPECT_NE(error.find("for 'file'"), std::string::npos) << error;
+
+  TraceSpec named = TraceSpec::vrc("episode.trace");
+  named.name = "renamed";
+  EXPECT_FALSE(named.validate(&error));
+  EXPECT_NE(error.find("only file="), std::string::npos) << error;
+}
+
+TEST(TraceSpecTest, TraceFileReplaysTheSavedTraceBitForBit) {
+  // A generated trace's submit times and profile points need all 17
+  // significant digits; the file must carry them.
+  const Trace saved = TraceSpec::standard(WorkloadGroup::kApps, 1).build(8);
+  const std::string path = testing::TempDir() + "/trace_spec_test_apps1.trace";
+  ASSERT_TRUE(saved.save_to_file(path));
+  const TraceSpec spec = TraceSpec::vrc(path);
+  EXPECT_EQ(serialize(spec.build(32)), serialize(saved));
+  std::unique_ptr<ArrivalSource> source = spec.make_source(32);
+  EXPECT_EQ(source->name(), "App-Trace-1");
+  EXPECT_EQ(source->group(), WorkloadGroup::kApps);
+  const Trace replayed = materialize(*source, saved.duration());
+  EXPECT_EQ(serialize(replayed), serialize(saved));
+  const auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    const JobSpec& a = replayed.jobs()[i];
+    const JobSpec& b = saved.jobs()[i];
+    EXPECT_EQ(bits(a.submit_time), bits(b.submit_time)) << "job " << b.id;
+    EXPECT_EQ(bits(a.cpu_seconds), bits(b.cpu_seconds)) << "job " << b.id;
+    ASSERT_EQ(a.memory.points().size(), b.memory.points().size());
+    for (std::size_t k = 0; k < a.memory.points().size(); ++k) {
+      EXPECT_EQ(bits(a.memory.points()[k].progress), bits(b.memory.points()[k].progress));
+    }
   }
 }
 

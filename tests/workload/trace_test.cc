@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace vrc::workload {
 namespace {
@@ -140,6 +141,29 @@ TEST(TraceTest, LoadRejectsProfileProgressOutOfRange) {
       "# vrc-trace v1\nname t\ngroup spec\nduration 10\njobs 1\n"
       "job 1 0.0 0 gcc 10 100 1 1.5 1000\n");
   EXPECT_THROW(Trace::load(buffer), std::runtime_error);
+}
+
+const std::string kOneJobHeader = "# vrc-trace v1\nname t\ngroup spec\nduration 10\njobs 1\n";
+
+TEST(TraceTest, LoadRejectsProfilePointsOutOfOrder) {
+  // MemoryProfile aborts the process on these; a trace file must get an
+  // error instead.
+  for (const char* points : {"2 0.5 100 0.2 200", "2 0.5 100 0.5 200"}) {
+    std::stringstream buffer(kOneJobHeader + "job 1 0 0 x 10 0 " + points + "\n");
+    EXPECT_THROW(Trace::load(buffer), std::runtime_error) << points;
+  }
+}
+
+TEST(TraceTest, LoadRejectsIdsAndHomesBeyondTheirTypes) {
+  // 2^32 + 1 must not wrap to job 1, nor 2^32 to node 0.
+  for (const char* fields : {"4294967297 0 0", "1 0 4294967296", "1.5 0 0", "1 0 x"}) {
+    std::stringstream buffer(kOneJobHeader + "job " + fields + " gcc 10 100 1 0.0 1000\n");
+    EXPECT_THROW(Trace::load(buffer), std::runtime_error) << fields;
+  }
+  std::stringstream widest(kOneJobHeader + "job 4294967295 0 4294967295 gcc 10 100 1 0.0 1000\n");
+  const Trace trace = Trace::load(widest);
+  EXPECT_EQ(trace.jobs()[0].id, 4294967295u);
+  EXPECT_EQ(trace.jobs()[0].home_node, 4294967295u);
 }
 
 TEST(TraceTest, LoadRejectsTruncatedProfilePoint) {
