@@ -23,6 +23,11 @@ using namespace vrc;
 
 namespace {
 
+/// Random-Fit's params, filled by the registry from "random-fit:seed=7".
+struct RandomFitOptions {
+  std::uint64_t seed = 7;
+};
+
 /// Random-fit: place each arrival on a random workstation that passes the
 /// live admission check; retry pending jobs periodically.
 class RandomFit : public cluster::SchedulerPolicy {
@@ -78,20 +83,16 @@ int main(int argc, char** argv) {
   flags.add_int("nodes", &nodes, "number of workstations");
   if (!flags.parse(argc, argv)) return 1;
 
-  // Register Random-Fit alongside the built-ins: the factory validates its
-  // params with a ParamReader, so "random-fit:sead=7" fails with the same
-  // precise diagnostics the shipped policies give.
-  core::PolicyRegistry::instance().register_policy(
+  // Register Random-Fit alongside the built-ins with its options table: the
+  // registry fills RandomFitOptions from the spec's params, so
+  // "random-fit:sead=7" fails with the same precise diagnostics the shipped
+  // policies give.
+  core::PolicyRegistry::instance().register_policy<RandomFitOptions>(
       "random-fit",
-      [](const core::PolicyParams& params,
-         std::string* error) -> std::unique_ptr<cluster::SchedulerPolicy> {
-        core::ParamReader reader("random-fit", params);
-        long long seed = 7;
-        reader.read_int64("seed", &seed);
-        if (!reader.finish(error)) return nullptr;
-        return std::make_unique<RandomFit>(static_cast<std::uint64_t>(seed));
-      },
-      {{"seed", "int", "7", "placement RNG seed"}});
+      util::ParamTable<RandomFitOptions>({{"seed", util::field<&RandomFitOptions::seed>,
+                                           util::ParamKind::kUint64, util::kAnyValue, "7",
+                                           "placement RNG seed"}}),
+      [](const RandomFitOptions& options) { return std::make_unique<RandomFit>(options.seed); });
 
   workload::TraceSpec trace_spec;
   trace_spec.group = workload::WorkloadGroup::kSpec;

@@ -144,21 +144,14 @@ int run(int argc, char** argv) {
   if (list_policies) {
     const core::PolicyRegistry& registry = core::PolicyRegistry::instance();
     for (const std::string& name : registry.names()) {
-      std::printf("%s\n", name.c_str());
-      const std::vector<core::PolicyParamDoc>* docs = registry.param_docs(name);
-      if (docs == nullptr) continue;
-      for (const core::PolicyParamDoc& doc : *docs) {
-        std::printf("  %-24s %-10s default %-8s %s\n", doc.key.c_str(), doc.type.c_str(),
-                    doc.default_value.c_str(), doc.help.c_str());
-      }
+      std::printf("%s\n%s", name.c_str(), registry.params(name)->listing().c_str());
     }
     return 0;
   }
   if (list_overrides) {
-    for (const cluster::ClusterConfig::OverrideKeyDoc& doc :
-         cluster::ClusterConfig::override_keys()) {
-      std::printf("%-28s %-10s %s\n", doc.key.c_str(), doc.type.c_str(), doc.help.c_str());
-    }
+    std::printf("config overrides, `set key=value` or --set (defaults: paper cluster 1):\n%s%s",
+                cluster::ClusterConfig::override_params().listing().c_str(),
+                cluster::ClusterConfig::node_override_params().listing().c_str());
     return 0;
   }
   if (list_traces) {
@@ -169,15 +162,13 @@ int run(int argc, char** argv) {
       std::printf("  %-6d %-6.1f %-6.1f %-6zu %-9.0f\n", index, shape.sigma, shape.mu,
                   shape.num_jobs, shape.duration);
     }
-    std::printf("\ngenerated workloads:\n");
-    std::printf("  <spec|apps>:trace=1..5[,seed=S,arrival_scale=A,big_share=F,nodes=N,name=X]\n");
-    std::printf(
-        "  <spec|apps>:jobs=J,duration=D[,seed=S,arrival_scale=A,big_share=F,nodes=N,name=X]\n");
-    std::printf("\nSWF log replay (Standard Workload Format):\n");
-    std::printf(
-        "  swf:file=PATH[,scale=S,max_jobs=J,min_runtime=R,group=spec|apps,nodes=N,name=X]\n");
-    std::printf("  scenario-file form: trace swf file=PATH scale=S ...\n");
-    std::printf("  vrc:file=PATH replays a saved '# vrc-trace v1' file (trace vrc file=PATH)\n");
+    const std::pair<const char*, const char*> grammars[] = {
+        {"spec", "generated workloads, <spec|apps>:key=value,... (one of trace= and jobs=)"},
+        {"swf", "SWF log replay, swf:file=PATH,... (scenario form: trace swf file=PATH ...)"},
+        {"vrc", "saved '# vrc-trace v1' file replay, vrc:file=PATH (trace vrc file=PATH)"}};
+    for (const auto& [group, title] : grammars) {
+      std::printf("\n%s:\n%s", title, workload::TraceSpec::grammar(group)->listing().c_str());
+    }
     print_catalogs();
     return 0;
   }

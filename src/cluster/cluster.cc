@@ -24,7 +24,6 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config, SchedulerPolicy& pol
       activity_(config_.num_nodes()),
       rng_(config_.seed),
       last_pressure_callback_(config_.num_nodes(), -1e18),
-      restart_policy_(parse_restart_policy(config_.fault_restart).value_or(RestartPolicy::kLose)),
       failed_since_(config_.num_nodes(), -1.0),
       last_resize_start_(config_.num_nodes(), -1e18) {
   nodes_.reserve(config_.num_nodes());
@@ -427,7 +426,7 @@ void Cluster::fail_node(NodeId node_id) {
   publish_to_board(target, now);  // immediate broadcast, not next exchange
   metrics::perf_add(&metrics::PerfCounters::immediate_publishes);
   policy_.on_node_failed(*this, node_id);
-  if (restart_policy_ == RestartPolicy::kResubmit) {
+  if (config_.fault_restart == RestartPolicy::kResubmit) {
     // Re-enter the arrival path right away; under kLose the jobs wait for
     // the policy's periodic pending retry instead.
     for (RunningJob* job : refs) {

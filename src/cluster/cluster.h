@@ -218,7 +218,6 @@ class Cluster {
   /// cancelled wholesale at destruction so no callback outlives the cluster.
   /// Cancelling an already-fired id is a no-op.
   std::vector<sim::EventId> owned_events_;
-  RestartPolicy restart_policy_ = RestartPolicy::kLose;
   std::vector<SimTime> failed_since_;  // per node; < 0 while the node is up
   /// Per-node stamp of the last resize start, enforcing
   /// config.resize_min_interval.

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/params.h"
 #include "util/units.h"
 
 namespace vrc::cluster {
@@ -23,9 +23,6 @@ enum class RestartPolicy {
   kLose,      // restart from zero work; re-placed via the periodic retry
   kResubmit,  // restart from zero work and re-enter the arrival path
 };
-
-/// Parses "lose" / "resubmit"; std::nullopt on anything else.
-std::optional<RestartPolicy> parse_restart_policy(const std::string& text);
 
 /// Per-workstation hardware description (heterogeneous clusters give each
 /// node its own entry).
@@ -122,8 +119,8 @@ struct ClusterConfig {
   /// Seed of the fault schedule's dedicated RNG stream; 0 derives it from
   /// `seed`, so matched-pairs policy comparisons see identical failures.
   std::uint64_t fault_seed = 0;
-  /// "lose" or "resubmit" — what happens to jobs killed by a failure.
-  std::string fault_restart = "lose";
+  /// What happens to jobs killed by a failure.
+  RestartPolicy fault_restart = RestartPolicy::kLose;
 
   /// Number of workstations.
   std::size_t num_nodes() const { return nodes.size(); }
@@ -139,28 +136,25 @@ struct ClusterConfig {
   static ClusterConfig paper_cluster2(std::size_t count = 32);
 
   /// Applies text-form `key=value` overrides to this config — the cluster
-  /// half of a declarative scenario. Covers every §3.3.1 knob (see
-  /// override_keys()), with unit suffixes on memory ("128MB") and time
-  /// ("10ms") values, plus per-node heterogeneous overrides:
+  /// half of a declarative scenario. Covers every §3.3.1 knob (the rows of
+  /// override_params()), with unit suffixes on memory ("128MB") and time
+  /// ("10ms") values, plus per-node heterogeneous overrides
+  /// (node_override_params()):
   ///
   ///   node.3.memory=128MB        one workstation
   ///   node.*.cpu_mhz=233        every workstation
   ///
   /// Strict: an unknown key or malformed value fails with a precise message
-  /// (key, expected type, an example) and *this is left unmodified.
+  /// (key, expected kind, an example) and *this is left unmodified.
   bool apply_overrides(const std::map<std::string, std::string>& overrides,
                        std::string* error = nullptr);
 
-  /// Documentation for one override key (drives error text and DESIGN.md §9).
-  struct OverrideKeyDoc {
-    std::string key;
-    std::string type;  // "int" | "double" | "bool" | "uint64" | "bytes" | "duration" | "string"
-    std::string help;
-  };
+  /// The scalar override keys, one row each, with paper cluster 1's values
+  /// as defaults. `nodes` resizes the cluster, replicating its first node.
+  static const util::ParamTable<ClusterConfig>& override_params();
 
-  /// Every key apply_overrides accepts, in a stable order. Per-node fields
-  /// are documented once under the "node.<i>." prefix.
-  static const std::vector<OverrideKeyDoc>& override_keys();
+  /// The per-node override keys, `node.<i>.<field>`; <i> is an index or '*'.
+  static const util::ParamTable<NodeConfig>& node_override_params();
 };
 
 }  // namespace vrc::cluster

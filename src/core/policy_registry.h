@@ -3,23 +3,13 @@
 // A scenario names a policy as text — `"v-reconf:early_release=0,
 // max_reservations=2"` — instead of wiring a C++ enum and an Options struct
 // by hand. PolicySpec is the parsed form (name + key=value params, with a
-// canonical print that round-trips); PolicyRegistry maps names to factories
-// that validate the params and construct a fresh SchedulerPolicy.
+// canonical print that round-trips); PolicyRegistry maps each name to its
+// options table (util/params.h) and a factory that receives the filled
+// options.
 //
-// The five shipped policies self-register on first use; custom policies (see
-// examples/custom_policy.cpp) register through the same mechanism:
-//
-//   core::PolicyRegistry::instance().register_policy(
-//       "random-fit",
-//       [](const core::PolicyParams& params, std::string* error)
-//           -> std::unique_ptr<cluster::SchedulerPolicy> {
-//         core::ParamReader reader("random-fit", params);
-//         long long seed = 7;
-//         reader.read_int64("seed", &seed);
-//         if (!reader.finish(error)) return nullptr;
-//         return std::make_unique<RandomFit>(seed);
-//       },
-//       {{"seed", "int", "7", "placement RNG seed"}});
+// The shipped policies self-register on first use; custom policies register
+// through the same mechanism (examples/custom_policy.cpp registers
+// "random-fit" with its seed).
 //
 // Registration is expected at startup, before any concurrent create() calls
 // (scenario cells create policies from worker threads).
@@ -30,9 +20,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/policy.h"
+#include "util/params.h"
 
 namespace vrc::core {
 
@@ -66,74 +59,61 @@ struct PolicySpec {
   static std::optional<PolicySpec> parse(const std::string& text, std::string* error = nullptr);
 };
 
-/// Documentation record for one policy parameter; drives error messages and
-/// the DESIGN.md §9 parameter table.
-struct PolicyParamDoc {
-  std::string key;
-  std::string type;           // "bool" | "int" | "double" | "duration"
-  std::string default_value;  // printed default, e.g. "1" or "120s"
-  std::string help;
-};
-
-/// Validating reader for a factory's PolicyParams. Each read_* records a
-/// precise error on a malformed value; finish() additionally rejects keys no
-/// read_* consumed. bool accepts 0/1/true/false/on/off; duration accepts
-/// unit suffixes ("10ms", "2min", plain seconds).
-class ParamReader {
- public:
-  ParamReader(std::string policy_name, const PolicyParams& params);
-
-  void read_bool(const std::string& key, bool* out);
-  void read_int(const std::string& key, int* out);
-  void read_int64(const std::string& key, long long* out);
-  void read_double(const std::string& key, double* out);
-  void read_duration(const std::string& key, SimTime* out);
-
-  /// True if every param parsed and none were left unconsumed; otherwise
-  /// fills *error with the first failure (key, expected type, an example).
-  bool finish(std::string* error);
-
- private:
-  const std::string* find(const std::string& key);
-  void fail(const std::string& key, const std::string& value, const std::string& type,
-            const std::string& example);
-
-  std::string policy_;
-  const PolicyParams& params_;
-  std::vector<std::string> consumed_;
-  std::string error_;
-};
-
-/// Name → factory map for every scheduler policy a scenario can reference.
+/// Name → options table and factory for every scheduler policy a scenario
+/// can reference.
 class PolicyRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<cluster::SchedulerPolicy>(
-      const PolicyParams& params, std::string* error)>;
+  /// Builds a policy from its filled options.
+  template <typename Options>
+  using Factory = std::function<std::unique_ptr<cluster::SchedulerPolicy>(const Options&)>;
 
   /// The process-wide registry, with the shipped policies pre-registered.
   static PolicyRegistry& instance();
 
-  /// Registers a policy under `name`, its only name. Registering an
-  /// existing name replaces it (latest wins, so tests can stub).
-  void register_policy(const std::string& name, Factory factory,
-                       std::vector<PolicyParamDoc> params = {});
+  /// Registers a policy under `name`, its only name. create() starts from
+  /// the table's defaults, sets the spec's params through the table and
+  /// hands the options to `factory`. Registering an existing name replaces
+  /// it (latest wins, so tests can stub).
+  template <typename Options>
+  void register_policy(const std::string& name, util::ParamTable<Options> params,
+                       std::type_identity_t<Factory<Options>> factory) {
+    auto table = std::make_shared<const util::ParamTable<Options>>(std::move(params));
+    entries_[name] = Entry{
+        [name, table, factory = std::move(factory)](
+            const PolicyParams& values,
+            std::string* error) -> std::unique_ptr<cluster::SchedulerPolicy> {
+          Options options = table->defaults();
+          std::string nested;
+          if (!table->apply(values, &options, "param", &nested)) {
+            if (error) *error = name + ": " + nested;
+            return nullptr;
+          }
+          return factory(options);
+        },
+        table};
+  }
+
+  /// Registers a policy that takes no params.
+  void register_policy(const std::string& name,
+                       std::function<std::unique_ptr<cluster::SchedulerPolicy>()> factory);
 
   /// Sorted names of every registered policy.
   std::vector<std::string> names() const;
 
-  /// Parameter docs of `name`; nullptr if unknown.
-  const std::vector<PolicyParamDoc>* param_docs(const std::string& name) const;
+  /// The param table of `name` with its defaults; nullptr if unknown.
+  const util::ParamList* params(const std::string& name) const;
 
   /// Constructs a policy from `spec`. On failure returns nullptr and fills
-  /// *error: unknown names list every registered policy, factory errors
-  /// (unknown key, malformed value) pass through verbatim.
+  /// *error: unknown names list every registered policy, unknown params and
+  /// malformed values name the policy, the param and the expected kind.
   std::unique_ptr<cluster::SchedulerPolicy> create(const PolicySpec& spec,
                                                    std::string* error) const;
 
  private:
   struct Entry {
-    Factory factory;
-    std::vector<PolicyParamDoc> params;
+    std::function<std::unique_ptr<cluster::SchedulerPolicy>(const PolicyParams&, std::string*)>
+        create;
+    std::shared_ptr<const util::ParamList> params;
   };
 
   std::map<std::string, Entry> entries_;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "util/params.h"
 #include "util/units.h"
 
 namespace vrc::runner {
@@ -212,14 +213,8 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     return true;
   }
   if (directive == "malleable") {
-    if (arg == "on") {
-      malleable = true;
-    } else if (arg == "off") {
-      malleable = false;
-    } else {
-      return fail(error, "malleable '" + arg + "' unknown (expected on or off)");
-    }
-    return true;
+    if (util::parse_bool(arg, &malleable)) return true;
+    return fail(error, "malleable '" + arg + "' unknown (expected on or off)");
   }
   if (directive == "trials") {
     if (!parse_integer(arg, &trials, 1)) {
@@ -407,20 +402,25 @@ std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error
   // are read per cell; read each one end to end here so an unreadable or
   // malformed file surfaces as one clean error before any cell runs — a
   // source throwing mid-pump on a worker thread would otherwise tear down the
-  // whole sweep. The drain also yields each trace's workload group: an SWF
-  // spec's group=, a trace file's group line.
+  // whole sweep. The drain also yields each trace's workload group (an SWF
+  // spec's group=, a trace file's group line) and its highest home node.
   std::vector<workload::WorkloadGroup> groups;
+  std::vector<std::size_t> home_ranges;  // home nodes each trace can name
   for (const workload::TraceSpec& trace : spec.traces) {
     if (!trace.is_replay()) {
       groups.push_back(trace.group);
+      home_ranges.push_back(trace.num_nodes != 0 ? trace.num_nodes : spec.nodes);
       continue;
     }
     try {
       std::unique_ptr<workload::ArrivalSource> probe =
           trace.make_source(static_cast<std::uint32_t>(spec.nodes));
-      while (probe->next()) {
+      std::size_t homes = 0;
+      while (const std::optional<workload::JobSpec> job = probe->next()) {
+        homes = std::max<std::size_t>(homes, std::size_t{job->home_node} + 1);
       }
       groups.push_back(probe->group());
+      home_ranges.push_back(homes);
     } catch (const std::exception& e) {
       fail(error, "trace spec '" + trace.print() + "': " + e.what());
       return std::nullopt;
@@ -457,8 +457,20 @@ std::optional<ScenarioGrid> to_grid(const ScenarioSpec& spec, std::string* error
     }
   }
   int cpu_threshold = grid.configs.front().cpu_threshold;
+  std::size_t cluster_nodes = grid.configs.front().num_nodes();
   for (const cluster::ClusterConfig& config : grid.configs) {
     cpu_threshold = std::min(cpu_threshold, config.cpu_threshold);
+    cluster_nodes = std::min(cluster_nodes, config.num_nodes());
+  }
+  // A job's home must be a workstation of the cluster; the cluster would
+  // otherwise fold it onto node `home % nodes` without a word.
+  for (std::size_t i = 0; i < spec.traces.size(); ++i) {
+    if (home_ranges[i] > cluster_nodes) {
+      fail(error, "trace spec '" + spec.traces[i].print() + "': home nodes reach node " +
+                      std::to_string(home_ranges[i] - 1) + ", but the cluster has " +
+                      std::to_string(cluster_nodes) + " nodes");
+      return std::nullopt;
+    }
   }
   // Malleable jobs submit at their widest width; wider than the slot
   // threshold of any config, no workstation can ever start them and the run

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/params.h"
 #include "util/units.h"
 
 namespace vrc::util {
@@ -23,34 +24,13 @@ void FlagSet::add_int(const std::string& name, int* target, std::string help) {
   add(name, std::move(f));
 }
 
-void FlagSet::add_int64(const std::string& name, long long* target, std::string help) {
-  Flag f;
-  f.help = std::move(help);
-  f.set = [target](const std::string& v) { return parse_integer(v, target); };
-  f.default_value = [target] { return std::to_string(*target); };
-  add(name, std::move(f));
-}
-
-void FlagSet::add_double(const std::string& name, double* target, std::string help) {
-  Flag f;
-  f.help = std::move(help);
-  f.set = [target](const std::string& v) { return parse_finite_double(v, target); };
-  f.default_value = [target] { return std::to_string(*target); };
-  add(name, std::move(f));
-}
-
 void FlagSet::add_bool(const std::string& name, bool* target, std::string help) {
   Flag f;
   f.help = std::move(help);
   f.is_bool = true;
   f.set = [target](const std::string& v) {
-    if (v == "" || v == "true" || v == "1") {
-      *target = true;
-    } else if (v == "false" || v == "0") {
-      *target = false;
-    } else {
-      return false;
-    }
+    if (!v.empty()) return parse_bool(v, target);
+    *target = true;  // --flag alone
     return true;
   };
   f.default_value = [target] { return *target ? "true" : "false"; };

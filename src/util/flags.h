@@ -8,6 +8,9 @@
 //   flags.add_bool("verbose", &verbose, "print per-job details");
 //   flags.parse(argc, argv);   // accepts --trace=4, --trace 4, --verbose
 //
+// A bool flag alone is true; with a value it takes the bool vocabulary of
+// util/params.h (--verbose=off, --verbose=0).
+//
 // Unknown flags are a hard error (they indicate a typo in an experiment
 // sweep); positional arguments are collected and available via positional().
 #pragma once
@@ -24,8 +27,6 @@ namespace vrc::util {
 class FlagSet {
  public:
   void add_int(const std::string& name, int* target, std::string help);
-  void add_int64(const std::string& name, long long* target, std::string help);
-  void add_double(const std::string& name, double* target, std::string help);
   void add_bool(const std::string& name, bool* target, std::string help);
   void add_string(const std::string& name, std::string* target, std::string help);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "util/units.h"
 #include "workload/swf_source.h"
@@ -29,73 +28,6 @@ TraceSpec TraceSpec::vrc(std::string file) {
   return spec;
 }
 
-std::string TraceSpec::print() const {
-  std::ostringstream out;
-  if (is_swf()) {
-    out << "swf:file=" << file;
-    if (swf_scale != 1.0) {
-      std::ostringstream scale;
-      scale << swf_scale;
-      out << ",scale=" << scale.str();
-    }
-    if (swf_max_jobs > 0) out << ",max_jobs=" << swf_max_jobs;
-    if (swf_min_runtime > 0.0) {
-      std::ostringstream min_rt;
-      min_rt << swf_min_runtime;
-      out << ",min_runtime=" << min_rt.str();
-    }
-    if (group != WorkloadGroup::kSpec) out << ",group=" << to_string(group);
-    if (!swf_profile.empty()) out << ",profile=" << swf_profile;
-    if (num_nodes != 0) out << ",nodes=" << num_nodes;
-    if (!name.empty()) out << ",name=" << name;
-    return out.str();
-  }
-  if (is_replay()) return "vrc:file=" + file;
-  out << to_string(group);
-  // Canonical key order; only non-default fields are emitted.
-  std::vector<std::pair<std::string, std::string>> items;
-  if (standard_index > 0) items.emplace_back("trace", std::to_string(standard_index));
-  if (num_jobs > 0) {
-    items.emplace_back("jobs", std::to_string(num_jobs));
-    std::ostringstream dur;
-    dur << duration;
-    items.emplace_back("duration", dur.str());
-  }
-  if (arrival_scale != 1.0) {
-    std::ostringstream scale;
-    scale << arrival_scale;
-    items.emplace_back("arrival_scale", scale.str());
-  }
-  if (seed != 0) items.emplace_back("seed", std::to_string(seed));
-  if (malleable_fraction > 0.0) {
-    std::ostringstream fraction;
-    fraction << malleable_fraction;
-    items.emplace_back("malleable", fraction.str());
-    if (malleable_min_width != 1) {
-      items.emplace_back("malleable_min", std::to_string(malleable_min_width));
-    }
-    if (malleable_max_width != 2) {
-      items.emplace_back("malleable_max", std::to_string(malleable_max_width));
-    }
-    if (malleable_speedup_alpha != 0.8) {
-      std::ostringstream alpha;
-      alpha << malleable_speedup_alpha;
-      items.emplace_back("malleable_alpha", alpha.str());
-    }
-  }
-  if (big_share) {
-    std::ostringstream share;
-    share << *big_share;
-    items.emplace_back("big_share", share.str());
-  }
-  if (num_nodes != 0) items.emplace_back("nodes", std::to_string(num_nodes));
-  if (!name.empty()) items.emplace_back("name", name);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out << (i == 0 ? ':' : ',') << items[i].first << '=' << items[i].second;
-  }
-  return out.str();
-}
-
 namespace {
 
 bool fail(std::string* error, const std::string& message) {
@@ -103,231 +35,133 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-bool parse_key_values(const std::string& text, const std::string& whole,
-                      std::map<std::string, std::string>* out, std::string* error) {
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(start, end - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return fail(error,
-                  "trace spec '" + whole + "': param '" + item + "' is not key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    if (out->count(key) != 0) {
-      return fail(error, "trace spec '" + whole + "': duplicate param '" + key + "'");
-    }
-    (*out)[key] = item.substr(eq + 1);
-    if (end == text.size()) break;
-    start = end + 1;
-  }
-  return true;
+// The three grammars, built once. Generated traces and SWF replays share
+// the nodes and name rows.
+struct Grammars {
+  util::ParamTable<TraceSpec> generated;
+  util::ParamTable<TraceSpec> swf;
+  util::ParamTable<TraceSpec> vrc;
+};
+
+const Grammars& grammars() {
+  static const Grammars* all = [] {
+    using enum util::ParamKind;
+    using util::field;
+    using util::kAnyValue;
+    using util::kNonNegative;
+    using util::kPositive;
+    using util::within;
+    using T = TraceSpec;
+    const util::Param<T> nodes{"nodes", field<&T::num_nodes>, kInt, kPositive, "32",
+                               "home-node range (default: the scenario's nodes)"};
+    const util::Param<T> name{"name", field<&T::name>, kString, kAnyValue, "my-trace",
+                              "report label"};
+    return new Grammars{
+        util::ParamTable<T>({
+            {"trace", field<&T::standard_index>, kInt, within(1, 5), "3",
+             "one of the paper's five standard shapes (light to highly intensive)"},
+            {"jobs", field<&T::num_jobs>, kInt, kPositive, "400",
+             "generated trace: jobs submitted in the window"},
+            {"duration", field<&T::duration>, kDuration, kPositive, "1800",
+             "generated trace: submission window"},
+            {"arrival_scale", field<&T::arrival_scale>, kDouble, kPositive, "1.5",
+             "multiplies the 60 s arrival time unit (>1 slower, <1 burstier)"},
+            {"seed", field<&T::seed>, kUint64, kAnyValue, "9",
+             "generation seed; 0: a standard shape's replayed seed"},
+            {"malleable", field<&T::malleable_fraction>, kDouble, within(0, 1), "0.5",
+             "fraction of jobs generated malleable (DESIGN.md §15)"},
+            {"malleable_min", field<&T::malleable_min_width>, kInt, kPositive, "1",
+             "narrowest width of a malleable job"},
+            {"malleable_max", field<&T::malleable_max_width>, kInt, kPositive, "3",
+             "widest width; malleable jobs submit at it"},
+            {"malleable_alpha", field<&T::malleable_speedup_alpha>, kDouble, within(0, 1), "0.9",
+             "per-width speedup exponent: s(w) = w^alpha"},
+            {"big_share", field<&T::big_share>, kDouble, within(0, 1), "0.15",
+             "arrival share of the large programs (unset: the catalog mix)"},
+            nodes,
+            name,
+        }),
+        util::ParamTable<T>({
+            {"file", field<&T::file>, kString, kAnyValue, "tests/data/swf/NASA-iPSC-1993-3.swf",
+             "the .swf log; a relative path rebases against the scenario file"},
+            {"scale", field<&T::swf_scale>, kDouble, kPositive, "0.1",
+             "multiplies every submit time"},
+            {"max_jobs", field<&T::swf_max_jobs>, kInt, kPositive, "200",
+             "stop after this many accepted jobs (default: all)"},
+            {"min_runtime", field<&T::swf_min_runtime>, kDuration, kNonNegative, "10",
+             "skip jobs shorter than this"},
+            // Word i is WorkloadGroup value i.
+            {"group", field<&T::group>, kChoice, kAnyValue, "apps",
+             "workload group the replay is billed to (cluster auto)", {"spec", "apps"}},
+            {"profile", field<&T::swf_profile>, kChoice, kAnyValue, "ramp",
+             "memory profile: the archive field flat, or a synthetic ramp (DESIGN.md §14.4)",
+             {"flat", "ramp"}},
+            nodes,
+            name,
+        }),
+        util::ParamTable<T>({
+            {"file", field<&T::file>, kString, kAnyValue,
+             "examples/scenarios/blocking_episode.trace",
+             "the trace file; a relative path rebases against the scenario file"},
+        })};
+  }();
+  return *all;
 }
 
-bool value_error(std::string* error, const std::string& whole, const std::string& key,
-                 const std::string& value, const std::string& type, const std::string& example) {
-  return fail(error, "trace spec '" + whole + "': invalid value '" + value + "' for '" + key +
-                         "' (expected " + type + ", e.g. " + key + "=" + example + ")");
+const util::ParamTable<TraceSpec>& grammar_of(const TraceSpec& spec) {
+  if (spec.is_swf()) return grammars().swf;
+  return spec.is_replay() ? grammars().vrc : grammars().generated;
 }
 
 }  // namespace
 
+const util::ParamTable<TraceSpec>* TraceSpec::grammar(std::string_view group) {
+  if (group == "spec" || group == "apps") return &grammars().generated;
+  if (group == "swf") return &grammars().swf;
+  return group == "vrc" ? &grammars().vrc : nullptr;
+}
+
+std::string TraceSpec::print() const {
+  const std::string params = grammar_of(*this).print(*this);
+  const std::string token = is_swf() ? "swf" : is_replay() ? "vrc" : to_string(group);
+  return params.empty() ? token : token + ":" + params;
+}
+
 std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* error) {
+  const auto failed = [error, &text](const std::string& message) {
+    fail(error, "trace spec '" + text + "': " + message);
+    return std::nullopt;
+  };
   const std::size_t colon = text.find(':');
   const std::string group_name = text.substr(0, colon);
+  const util::ParamTable<TraceSpec>* table = grammar(group_name);
+  if (table == nullptr) {
+    return failed("unknown workload group '" + group_name + "' (expected spec, apps, swf, or vrc)");
+  }
   TraceSpec spec;
-  if (group_name == "vrc") {
-    std::map<std::string, std::string> params;
-    if (colon != std::string::npos &&
-        !parse_key_values(text.substr(colon + 1), text, &params, error)) {
-      return std::nullopt;
-    }
-    for (const auto& [key, value] : params) {
-      if (key != "file") {
-        fail(error, "trace spec '" + text + "': unknown key '" + key +
-                        "' (a vrc trace file takes only file=)");
-        return std::nullopt;
-      }
-    }
-    const std::string file = params["file"];
-    if (file.empty()) {
-      value_error(error, text, "file", file, "path", "examples/scenarios/blocking_episode.trace");
-      return std::nullopt;
-    }
-    return vrc(file);
-  }
-  if (group_name == "swf") {
-    std::map<std::string, std::string> params;
-    if (colon != std::string::npos) {
-      if (!parse_key_values(text.substr(colon + 1), text, &params, error)) return std::nullopt;
-    }
-    for (const auto& [key, value] : params) {
-      if (key == "file") {
-        if (value.empty()) {
-          value_error(error, text, key, value, "path", "tests/data/swf/NASA-iPSC-1993-3.swf");
-          return std::nullopt;
-        }
-        spec.file = value;
-      } else if (key == "scale") {
-        double scale = 0.0;
-        if (!parse_finite_double(value, &scale) || scale <= 0.0) {
-          value_error(error, text, key, value, "positive double", "0.1");
-          return std::nullopt;
-        }
-        spec.swf_scale = scale;
-      } else if (key == "max_jobs") {
-        if (!parse_integer(value, &spec.swf_max_jobs, 1)) {
-          value_error(error, text, key, value, "positive int", "200");
-          return std::nullopt;
-        }
-      } else if (key == "min_runtime") {
-        if (!parse_duration(value, &spec.swf_min_runtime) || spec.swf_min_runtime < 0.0) {
-          value_error(error, text, key, value, "non-negative duration", "10");
-          return std::nullopt;
-        }
-      } else if (key == "group") {
-        if (!parse_workload_group(value, &spec.group)) {
-          value_error(error, text, key, value, "spec or apps", "apps");
-          return std::nullopt;
-        }
-      } else if (key == "profile") {
-        if (value != "flat" && value != "ramp") {
-          value_error(error, text, key, value, "flat or ramp", "ramp");
-          return std::nullopt;
-        }
-        spec.swf_profile = value;
-      } else if (key == "nodes") {
-        if (!parse_integer(value, &spec.num_nodes, 1)) {
-          value_error(error, text, key, value, "positive int", "32");
-          return std::nullopt;
-        }
-      } else if (key == "name") {
-        if (value.empty()) {
-          value_error(error, text, key, value, "non-empty string", "nasa-replay");
-          return std::nullopt;
-        }
-        spec.name = value;
-      } else {
-        fail(error, "trace spec '" + text + "': unknown key '" + key +
-                        "' (known swf keys: file, scale, max_jobs, min_runtime, group, profile, "
-                        "nodes, name)");
-        return std::nullopt;
-      }
-    }
-    std::string semantic;
-    if (!spec.validate(&semantic)) {
-      fail(error, "trace spec '" + text + "': " + semantic);
-      return std::nullopt;
-    }
-    return spec;
-  }
-  if (!parse_workload_group(group_name, &spec.group)) {
-    fail(error, "trace spec '" + text + "': unknown workload group '" + group_name +
-                    "' (expected spec, apps, swf, or vrc)");
-    return std::nullopt;
-  }
+  parse_workload_group(group_name, &spec.group);
+  if (group_name == "vrc") spec.file_format = FileFormat::kVrc;
   std::map<std::string, std::string> params;
-  if (colon != std::string::npos) {
-    if (!parse_key_values(text.substr(colon + 1), text, &params, error)) return std::nullopt;
+  std::string nested;
+  if (colon != std::string::npos &&
+      !util::split_params(text.substr(colon + 1), &params, &nested)) {
+    return failed(nested);
   }
-
-  for (const auto& [key, value] : params) {
-    if (key == "trace") {
-      if (!parse_integer(value, &spec.standard_index)) {
-        value_error(error, text, key, value, "int 1..5", "3");
-        return std::nullopt;
-      }
-    } else if (key == "jobs") {
-      if (!parse_integer(value, &spec.num_jobs, 1)) {
-        value_error(error, text, key, value, "positive int", "400");
-        return std::nullopt;
-      }
-    } else if (key == "duration") {
-      if (!parse_duration(value, &spec.duration) || spec.duration <= 0.0) {
-        value_error(error, text, key, value, "positive duration", "1800");
-        return std::nullopt;
-      }
-    } else if (key == "arrival_scale") {
-      double scale = 0.0;
-      if (!parse_finite_double(value, &scale) || scale <= 0.0) {
-        value_error(error, text, key, value, "positive double", "1.5");
-        return std::nullopt;
-      }
-      spec.arrival_scale = scale;
-    } else if (key == "seed") {
-      if (!parse_integer(value, &spec.seed)) {
-        value_error(error, text, key, value, "uint64", "9");
-        return std::nullopt;
-      }
-    } else if (key == "malleable") {
-      double fraction = 0.0;
-      if (!parse_finite_double(value, &fraction) || fraction < 0.0 || fraction > 1.0) {
-        value_error(error, text, key, value, "double in [0, 1]", "0.5");
-        return std::nullopt;
-      }
-      spec.malleable_fraction = fraction;
-    } else if (key == "malleable_min") {
-      if (!parse_integer(value, &spec.malleable_min_width, 1)) {
-        value_error(error, text, key, value, "int >= 1", "1");
-        return std::nullopt;
-      }
-    } else if (key == "malleable_max") {
-      if (!parse_integer(value, &spec.malleable_max_width, 1)) {
-        value_error(error, text, key, value, "int >= 1", "3");
-        return std::nullopt;
-      }
-    } else if (key == "malleable_alpha") {
-      double alpha = 0.0;
-      if (!parse_finite_double(value, &alpha) || alpha < 0.0 || alpha > 1.0) {
-        value_error(error, text, key, value, "double in [0, 1]", "0.8");
-        return std::nullopt;
-      }
-      spec.malleable_speedup_alpha = alpha;
-    } else if (key == "big_share") {
-      double share = 0.0;
-      if (!parse_finite_double(value, &share) || share < 0.0 || share > 1.0) {
-        value_error(error, text, key, value, "double in [0, 1]", "0.15");
-        return std::nullopt;
-      }
-      spec.big_share = share;
-    } else if (key == "nodes") {
-      if (!parse_integer(value, &spec.num_nodes, 1)) {
-        value_error(error, text, key, value, "positive int", "32");
-        return std::nullopt;
-      }
-    } else if (key == "name") {
-      if (value.empty()) {
-        value_error(error, text, key, value, "non-empty string", "my-trace");
-        return std::nullopt;
-      }
-      spec.name = value;
-    } else {
-      fail(error, "trace spec '" + text + "': unknown key '" + key +
-                      "' (known keys: trace, jobs, duration, arrival_scale, seed, malleable, "
-                      "malleable_min, malleable_max, malleable_alpha, big_share, nodes, name)");
-      return std::nullopt;
-    }
+  if (!table->apply(params, &spec, "key", &nested)) return failed(nested);
+  // A replay reads its file, so the file is the one required key.
+  const std::size_t file = table->find("file");
+  if (file != util::ParamList::npos && spec.file.empty()) {
+    return failed(table->rows()[file].invalid("key", "file", ""));
   }
-
-  std::string semantic;
-  if (!spec.validate(&semantic)) {
-    fail(error, "trace spec '" + text + "': " + semantic);
-    return std::nullopt;
-  }
+  if (!spec.validate(&nested)) return failed(nested);
   return spec;
 }
 
 bool TraceSpec::validate(std::string* error) const {
+  if (!grammar_of(*this).check(*this, "key", error)) return false;
   if (is_swf()) {
     if (standard_index != 0 || num_jobs != 0) {
       return fail(error, "an swf spec cannot also set trace= or jobs=");
-    }
-    if (swf_scale <= 0.0) return fail(error, "swf scale must be > 0");
-    if (swf_min_runtime < 0.0) return fail(error, "swf min_runtime must be >= 0");
-    if (!swf_profile.empty() && swf_profile != "flat" && swf_profile != "ramp") {
-      return fail(error, "swf profile must be flat or ramp");
     }
     if (malleable_fraction != 0.0) {
       return fail(error, "malleable= applies to generated traces, not swf replays");
@@ -343,24 +177,14 @@ bool TraceSpec::validate(std::string* error) const {
   if (swf_scale != 1.0 || swf_max_jobs != 0 || swf_min_runtime != 0.0 || !swf_profile.empty()) {
     return fail(error, "swf options need the swf group (swf:file=...)");
   }
-  if (malleable_fraction < 0.0 || malleable_fraction > 1.0) {
-    return fail(error, "malleable fraction must be in [0, 1]");
-  }
-  if (malleable_min_width < 1 || malleable_max_width < malleable_min_width) {
+  if (malleable_max_width < malleable_min_width) {
     return fail(error, "malleable widths need 1 <= malleable_min <= malleable_max");
-  }
-  if (big_share && !(*big_share >= 0.0 && *big_share <= 1.0)) {
-    return fail(error, "big_share must be in [0, 1]");
   }
   if (standard_index != 0 && num_jobs != 0) {
     return fail(error, "trace= and jobs= are mutually exclusive");
   }
   if (standard_index == 0 && num_jobs == 0) {
     return fail(error, "one of trace=1..5 or jobs=N is required");
-  }
-  if (standard_index != 0 && (standard_index < 1 || standard_index > 5)) {
-    return fail(error,
-                "trace index " + std::to_string(standard_index) + " out of range (1..5)");
   }
   return true;
 }

@@ -16,7 +16,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "util/params.h"
 #include "workload/arrival_source.h"
 #include "workload/trace.h"
 #include "workload/trace_generator.h"
@@ -25,50 +27,12 @@ namespace vrc::workload {
 
 /// Text-describable recipe for one trace.
 ///
-/// Text form: `<group>[:key=value,...]` with group `spec`, `apps`, `swf`, or
-/// `vrc`.
-/// Keys for `spec` / `apps` (generated workloads):
-///   trace          int 1..5: one of the published standard shapes
-///   jobs           int: custom workload size (mutually exclusive with trace)
-///   duration       duration: submission window of a custom workload
-///   arrival_scale  double: multiplies the 60 s arrival time unit (>1 =
-///                  slower arrivals, <1 = burstier)
-///   seed           uint64: trace-generation seed (0 = the per-(group,
-///                  index) default for standard shapes)
-///   nodes          int: home-node range; 0 = inherit the scenario's count
-///   name           string: trace name override
-///   malleable      double 0..1: fraction of jobs generated with a
-///                  Malleability block (DESIGN.md §15); 0 (default) keeps the
-///                  trace bit-identical to the pre-malleability generator
-///   malleable_min  int >= 1: narrowest width of generated malleable jobs
-///   malleable_max  int >= malleable_min: widest width (jobs submit at it)
-///   malleable_alpha double: per-width speedup exponent s(w) = w^alpha
-///   big_share      double 0..1: arrival probability of the group's large
-///                  programs (working set above half the largest: apsi and
-///                  mcf, metis), split evenly among them; the others share
-///                  the rest in proportion to their catalog mix weights.
-///                  Unset (default) keeps the catalog mix; 0 drops them
-/// Keys for `swf` (Standard Workload Format replay; DESIGN.md §14):
-///   file           path to the .swf log (required; relative paths are
-///                  rebased against the scenario file by ScenarioSpec::load)
-///   scale          double > 0: multiplies every submit time (compresses or
-///                  stretches the log's arrival process)
-///   max_jobs       int: stop after this many accepted jobs (0 = all)
-///   min_runtime    duration: skip jobs shorter than this
-///   group          spec | apps: workload group the replay is billed to
-///                  (picks the paper testbed under `cluster auto`)
-///   profile        flat | ramp: memory-profile synthesis. `flat` (default)
-///                  replays the archive memory field as a constant working
-///                  set with no paging signal; `ramp` maps it onto a
-///                  synthetic ramp-up MemoryProfile and derives a page-touch
-///                  rate from the per-process footprint, so the policies'
-///                  paging behavior differentiates on real-trace replays
-///                  (DESIGN.md §14.4)
-///   nodes, name    as above
-/// Key for `vrc` (a `# vrc-trace v1` file as Trace::save writes it; its
-/// name, group line, jobs and home nodes are replayed as written):
-///   file           path to the trace file (required, the only key; relative
-///                  paths are rebased like swf ones)
+/// Text form: `<group>[:key=value,...]` with group `spec` or `apps` (a
+/// generated workload: exactly one of trace= and jobs=), `swf` (a Standard
+/// Workload Format log replay, DESIGN.md §14) or `vrc` (a `# vrc-trace v1`
+/// file as Trace::save writes it; its name, group line, jobs and home nodes
+/// are replayed as written). Each group's keys are the rows of grammar();
+/// `vrc_run --list-traces` prints them (examples/list_traces.golden).
 struct TraceSpec {
   WorkloadGroup group = WorkloadGroup::kSpec;
   int standard_index = 0;      // 1..5 selects a published shape; 0 = custom
@@ -116,7 +80,8 @@ struct TraceSpec {
   bool is_replay() const { return !file.empty(); }
   bool is_swf() const { return is_replay() && file_format == FileFormat::kSwf; }
 
-  /// Canonical text form; parse(print(spec)) == spec.
+  /// Canonical text form: the group token and the rows whose field differs
+  /// from the default, in table order; parse(print(spec)) == spec.
   std::string print() const;
 
   /// Parses the text form. std::nullopt + *error on malformed text, unknown
@@ -125,8 +90,13 @@ struct TraceSpec {
   static std::optional<TraceSpec> parse(const std::string& text, std::string* error = nullptr);
 
   /// Semantic validation for programmatically-built specs (parse() already
-  /// validates).
+  /// validates): each row's bound against its field, then the cross-key
+  /// rules.
   bool validate(std::string* error) const;
+
+  /// The key table of a group token: `spec` and `apps` share the generated
+  /// grammar, `swf` and `vrc` have their own; nullptr for any other token.
+  static const util::ParamTable<TraceSpec>* grammar(std::string_view group);
 
   /// The generator parameters this spec describes (generated specs only; the
   /// derivation behind build() and make_source()). A standard-index spec

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace vrc::cluster {
 namespace {
@@ -87,10 +88,11 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
   EXPECT_FALSE(config.apply_overrides({{"memory_threshold", "most"}}, &error));
   EXPECT_NE(error.find("config override 'memory_threshold'"), std::string::npos) << error;
   EXPECT_NE(error.find("invalid value 'most'"), std::string::npos) << error;
-  EXPECT_NE(error.find("expected double, e.g. 0.85"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected positive double, e.g. memory_threshold=0.85"), std::string::npos)
+      << error;
 
   EXPECT_FALSE(config.apply_overrides({{"quantum", "fast"}}, &error));
-  EXPECT_NE(error.find("expected duration"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected positive duration"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"network_contention", "maybe"}}, &error));
   EXPECT_NE(error.find("expected bool"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"node.0.memory", "lots"}}, &error));
@@ -109,7 +111,7 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
   // A NaN tick used to complete no job yet exit cleanly; the duration parser
   // now rejects it before the range check runs.
   EXPECT_FALSE(config.apply_overrides({{"tick", "nan"}}, &error));
-  EXPECT_NE(error.find("config override 'tick': invalid value 'nan' (expected duration"),
+  EXPECT_NE(error.find("config override 'tick': invalid value 'nan' (expected positive duration"),
             std::string::npos)
       << error;
 }
@@ -138,10 +140,13 @@ TEST(ApplyOverridesTest, BadNodeKeysAreRejectedPrecisely) {
   EXPECT_FALSE(config.apply_overrides({{"node.two.memory", "128MB"}}, &error));
   EXPECT_NE(error.find("node index must be a number or '*'"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"node.memory", "128MB"}}, &error));
-  EXPECT_NE(error.find("node.<index>.<field>"), std::string::npos) << error;
+  EXPECT_NE(error.find("unknown config override 'node.memory'"), std::string::npos) << error;
+  EXPECT_NE(error.find("node.<i>.memory"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"node.0.ram", "128MB"}}, &error));
-  EXPECT_NE(error.find("unknown node field 'ram'"), std::string::npos) << error;
-  EXPECT_NE(error.find("cpu_mhz, memory, kernel_reserved"), std::string::npos) << error;
+  EXPECT_NE(error.find("unknown config override 'node.0.ram'"), std::string::npos) << error;
+  EXPECT_NE(error.find("node.<i>.cpu_mhz, node.<i>.memory, node.<i>.kernel_reserved"),
+            std::string::npos)
+      << error;
 }
 
 TEST(ApplyOverridesTest, FailedBatchLeavesConfigUntouched) {
@@ -157,42 +162,77 @@ TEST(ApplyOverridesTest, FailedBatchLeavesConfigUntouched) {
 }
 
 TEST(ApplyOverridesTest, OverrideKeyDocsMatchAcceptedKeys) {
-  // Every documented scalar key must be accepted with a sample value of its
-  // type, so DESIGN.md §9 cannot drift from the implementation.
-  const std::map<std::string, std::string> sample = {
-      {"int", "4"},    {"double", "1.5"}, {"bool", "1"},
-      {"uint64", "7"}, {"bytes", "64MB"}, {"duration", "10ms"},
-      {"string", "lose"},  // the only string key is fault.restart: lose | resubmit
-  };
-  for (const auto& doc : ClusterConfig::override_keys()) {
-    if (doc.key.rfind("node.", 0) == 0) continue;  // documented as a pattern
+  // Every row's example and printed default must be accepted under its key,
+  // so the listing and DESIGN.md §9.3 cannot drift from the implementation.
+  const auto accepts = [](const std::string& key, const std::string& value) {
     ClusterConfig config = ClusterConfig::paper_cluster1(2);
     std::string error;
-    ASSERT_EQ(sample.count(doc.type), 1u) << doc.key << " has unknown type " << doc.type;
-    EXPECT_TRUE(config.apply_overrides({{doc.key, sample.at(doc.type)}}, &error))
-        << doc.key << ": " << error;
+    EXPECT_TRUE(config.apply_overrides({{key, value}}, &error)) << key << "=" << value << ": "
+                                                                << error;
+  };
+  const util::ParamList* tables[] = {&ClusterConfig::override_params(),
+                                     &ClusterConfig::node_override_params()};
+  std::size_t rows = 0;
+  for (const util::ParamList* table : tables) {
+    for (std::size_t i = 0; i < table->rows().size(); ++i) {
+      const util::ParamRow& row = table->rows()[i];
+      const std::string field = row.key;
+      std::vector<std::string> keys = {field};
+      if (field.starts_with("node.<i>.")) {
+        keys = {"node.0." + field.substr(9), "node.*." + field.substr(9)};
+      }
+      for (const std::string& key : keys) {
+        accepts(key, row.example);
+        const util::ParamValue& value = table->default_values()[i];
+        if (row.within(value)) accepts(key, row.write(value));
+      }
+      ++rows;
+    }
   }
+  EXPECT_EQ(rows, 31u);  // 28 scalar keys and 3 per-node ones
 }
 
 TEST(ApplyOverridesTest, NonFiniteValuesAreRejectedForEveryNumericKey) {
   // NaN passes every `x <= 0` range check and infinities overflow the Bytes
   // casts: fault.mttr=nan looped forever, memory_threshold=nan cast NaN.
   std::size_t checked = 0;
-  for (const auto& doc : ClusterConfig::override_keys()) {
-    if (doc.type != "double" && doc.type != "duration" && doc.type != "bytes") continue;
-    std::string key = doc.key;
-    if (key.rfind("node.<i>.", 0) == 0) key = "node.0." + key.substr(9);
-    for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
-      ClusterConfig config = ClusterConfig::paper_cluster1(2);
-      std::string error;
-      EXPECT_FALSE(config.apply_overrides({{key, value}}, &error)) << key << "=" << value;
-      EXPECT_NE(error.find("config override '" + key + "': invalid value '" + value + "'"),
-                std::string::npos)
-          << error;
+  const util::ParamList* tables[] = {&ClusterConfig::override_params(),
+                                     &ClusterConfig::node_override_params()};
+  for (const util::ParamList* table : tables) {
+    for (const util::ParamRow& row : table->rows()) {
+      if (row.kind != util::ParamKind::kDouble && row.kind != util::ParamKind::kDuration &&
+          row.kind != util::ParamKind::kBytes) {
+        continue;
+      }
+      std::string key = row.key;
+      if (key.starts_with("node.<i>.")) key = "node.0." + key.substr(9);
+      for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
+        ClusterConfig config = ClusterConfig::paper_cluster1(2);
+        std::string error;
+        EXPECT_FALSE(config.apply_overrides({{key, value}}, &error)) << key << "=" << value;
+        EXPECT_NE(error.find("config override '" + key + "': invalid value '" + value + "'"),
+                  std::string::npos)
+            << error;
+      }
+      ++checked;
     }
-    ++checked;
   }
   EXPECT_GE(checked, 20u);  // every double, duration and bytes key, per-node ones included
+}
+
+TEST(ApplyOverridesTest, FaultExposureKneeIsNonNegative) {
+  // Exposure is O / (O + knee): a negative knee made it negative below
+  // O = -knee and above 1 past it.
+  ClusterConfig config = ClusterConfig::paper_cluster1(2);
+  std::string error;
+  EXPECT_FALSE(config.apply_overrides({{"fault_exposure_knee", "-0.05"}}, &error));
+  EXPECT_NE(error.find("config override 'fault_exposure_knee': invalid value '-0.05' (expected "
+                       "non-negative double, e.g. fault_exposure_knee=0.05)"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(config.fault_exposure_knee, ClusterConfig::paper_cluster1(2).fault_exposure_knee);
+  ASSERT_TRUE(config.apply_overrides({{"fault_exposure_knee", "0"}}, &error)) << error;
+  EXPECT_EQ(config.fault_exposure_knee, 0.0);
 }
 
 TEST(ApplyOverridesTest, NodeHardwareAndMemoryThresholdAreRangeChecked) {

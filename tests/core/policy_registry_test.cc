@@ -27,18 +27,23 @@ TEST(PolicySpecTest, ParsePrintRoundTripsForEveryRegisteredPolicyAndParam) {
     ASSERT_TRUE(reparsed.has_value()) << name;
     EXPECT_EQ(*reparsed, spec) << name;
 
-    // ...and with every documented param pinned to its printed default, both
-    // one at a time and all at once. The defaults in the docs must also be
-    // values the factory accepts.
-    const auto* docs = PolicyRegistry::instance().param_docs(name);
-    ASSERT_NE(docs, nullptr) << name;
+    // ...and with every param pinned to its printed default, both one at a
+    // time and all at once. The printed defaults and each row's example must
+    // also be values the factory accepts.
+    const util::ParamList* table = PolicyRegistry::instance().params(name);
+    ASSERT_NE(table, nullptr) << name;
     PolicySpec all(name);
-    for (const PolicyParamDoc& doc : *docs) {
-      PolicySpec single(name, {{doc.key, doc.default_value}});
+    for (std::size_t i = 0; i < table->rows().size(); ++i) {
+      const util::ParamRow& row = table->rows()[i];
+      PolicySpec single(name, {{row.key, row.write(table->default_values()[i])}});
       const auto single_reparsed = PolicySpec::parse(single.print());
       ASSERT_TRUE(single_reparsed.has_value()) << single.print();
       EXPECT_EQ(*single_reparsed, single);
-      all.params[doc.key] = doc.default_value;
+      std::string error;
+      EXPECT_NE(make_policy(PolicySpec(name, {{row.key, row.example}}), &error), nullptr)
+          << name << " rejected its own example " << row.key << "=" << row.example << ": "
+          << error;
+      all.params[row.key] = single.params[row.key];
     }
     const auto all_reparsed = PolicySpec::parse(all.print());
     ASSERT_TRUE(all_reparsed.has_value()) << all.print();
@@ -82,7 +87,7 @@ TEST(PolicyRegistryTest, FormerAliasesAreUnknownPolicies) {
     EXPECT_EQ(make_policy(PolicySpec(alias), &error), nullptr) << alias;
     EXPECT_NE(error.find("unknown policy '" + std::string(alias) + "'"), std::string::npos)
         << error;
-    EXPECT_EQ(PolicyRegistry::instance().param_docs(alias), nullptr) << alias;
+    EXPECT_EQ(PolicyRegistry::instance().params(alias), nullptr) << alias;
   }
 }
 
@@ -103,13 +108,15 @@ TEST(PolicyRegistryTest, UnknownParamErrorNamesTheKeyAndKnownParams) {
 
   // A policy with no params says so instead of listing an empty set.
   EXPECT_EQ(make_policy(PolicySpec("local-only", {{"x", "1"}}), &error), nullptr);
-  EXPECT_NE(error.find("policy takes no params"), std::string::npos) << error;
+  EXPECT_NE(error.find("local-only: unknown param 'x' (takes no params)"), std::string::npos)
+      << error;
 }
 
 TEST(PolicyRegistryTest, MalformedValueErrorGivesTypeAndExample) {
   std::string error;
   EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"early_release", "maybe"}}), &error), nullptr);
-  EXPECT_NE(error.find("invalid value 'maybe' for param 'early_release'"), std::string::npos)
+  EXPECT_NE(error.find("v-reconf: param 'early_release': invalid value 'maybe'"),
+            std::string::npos)
       << error;
   EXPECT_NE(error.find("expected bool"), std::string::npos) << error;
 
@@ -130,7 +137,7 @@ TEST(PolicyRegistryTest, IntParamsRejectValuesBeyondInt) {
   for (const auto& [policy, key] : params) {
     std::string error;
     EXPECT_EQ(make_policy(PolicySpec(policy, {{key, "4294967298"}}), &error), nullptr) << key;
-    EXPECT_NE(error.find(std::string("invalid value '4294967298' for param '") + key + "'"),
+    EXPECT_NE(error.find(std::string("param '") + key + "': invalid value '4294967298'"),
               std::string::npos)
         << error;
     EXPECT_NE(make_policy(PolicySpec(policy, {{key, "2147483647"}}), &error), nullptr) << error;
@@ -148,18 +155,47 @@ TEST(PolicyRegistryTest, DurationParamsAcceptUnitSuffixes) {
 
 TEST(PolicyRegistryTest, CustomRegistrationIsCreatableLikeBuiltins) {
   auto& registry = PolicyRegistry::instance();
-  registry.register_policy(
-      "test-stub",
-      [](const PolicyParams& params, std::string* error)
-          -> std::unique_ptr<cluster::SchedulerPolicy> {
-        ParamReader reader("test-stub", params);
-        if (!reader.finish(error)) return nullptr;
-        return make_policy(PolicySpec("local-only"), error);
-      });
+  registry.register_policy("test-stub",
+                           [] { return make_policy(PolicySpec("local-only"), nullptr); });
   const std::vector<std::string> names = registry.names();
   EXPECT_NE(std::find(names.begin(), names.end(), "test-stub"), names.end());
   std::string error;
   EXPECT_NE(make_policy(PolicySpec("test-stub"), &error), nullptr) << error;
+}
+
+TEST(PolicyRegistryTest, CustomOptionsReachTheFactoryFilled) {
+  // A custom policy declares its options once, as a table; the factory sees
+  // the defaults with the spec's params set through the table.
+  struct Options {
+    int slots = 1;
+    SimTime delay = 2.0;
+  };
+  static Options seen;  // outlives the test: the registry keeps the factory
+  PolicyRegistry::instance().register_policy<Options>(
+      "test-options",
+      util::ParamTable<Options>({
+          {"slots", util::field<&Options::slots>, util::ParamKind::kInt, util::kPositive, "3",
+           "slots"},
+          {"delay", util::field<&Options::delay>, util::ParamKind::kDuration, util::kAnyValue,
+           "1s", "delay"},
+      }),
+      [](const Options& options) {
+        seen = options;
+        return make_policy(PolicySpec("local-only"), nullptr);
+      });
+  std::string error;
+  ASSERT_NE(make_policy(PolicySpec("test-options", {{"slots", "3"}}), &error), nullptr) << error;
+  EXPECT_EQ(seen.slots, 3);
+  EXPECT_EQ(seen.delay, 2.0);
+  ASSERT_NE(make_policy(PolicySpec("test-options", {{"delay", "250ms"}}), &error), nullptr)
+      << error;
+  EXPECT_EQ(seen.slots, 1);
+  EXPECT_EQ(seen.delay, 0.25);
+  EXPECT_EQ(make_policy(PolicySpec("test-options", {{"slots", "0"}}), &error), nullptr);
+  EXPECT_EQ(error,
+            "test-options: param 'slots': invalid value '0' (expected positive int, e.g. "
+            "slots=3)");
+  EXPECT_EQ(PolicyRegistry::instance().params("test-options")->keys(), "slots, delay");
 }
 
 TEST(PolicyRegistryTest, NonFiniteDoubleAndDurationParamsAreRejected) {
@@ -168,7 +204,7 @@ TEST(PolicyRegistryTest, NonFiniteDoubleAndDurationParamsAreRejected) {
       std::string error;
       EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{key, value}}), &error), nullptr)
           << key << "=" << value;
-      EXPECT_NE(error.find("invalid value '" + value + "' for param '" + key + "'"),
+      EXPECT_NE(error.find("param '" + key + "': invalid value '" + value + "'"),
                 std::string::npos)
           << error;
     }

@@ -135,7 +135,7 @@ TEST(FaultInjectionTest, LoseWaitsForRetryButResubmitReentersArrivalPath) {
     sim::Simulator sim;
     HomePolicy policy;
     ClusterConfig config = ClusterConfig::paper_cluster1(2);
-    config.fault_restart = restart;
+    ASSERT_TRUE(config.apply_overrides({{"fault.restart", restart}}));
     Cluster cluster(sim, config, policy);
     const FaultPlan plan = explicit_plan({{0, 2.0, 3.0}}, config);
     FaultInjector injector(sim, cluster, plan);
@@ -304,7 +304,7 @@ TEST(FaultInjectionTest, SameSeedRunsWithFaultsAreBitIdentical) {
   config.fault_mtbf = 400.0;
   config.fault_mttr = 30.0;
   config.fault_seed = 17;
-  config.fault_restart = "resubmit";
+  config.fault_restart = cluster::RestartPolicy::kResubmit;
   core::ExperimentOptions options;
   options.fault_entries = {{1, 50.0, 20.0}};
   options.max_sim_time = 20000.0;
@@ -341,7 +341,7 @@ TEST(FaultInjectionTest, EmptyPlanKeepsFingerprintGoldens) {
   ClusterConfig config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   config.fault_mttr = 120.0;  // inert without fault_mtbf
   config.fault_seed = 123;
-  config.fault_restart = "resubmit";
+  config.fault_restart = cluster::RestartPolicy::kResubmit;
   core::GLoadSharing policy;
   workload::GeneratedStreamSource source(params);
   const metrics::RunReport report = core::run_experiment(source, config, policy);

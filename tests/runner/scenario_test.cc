@@ -289,6 +289,55 @@ TEST(ToGridTest, MalformedTraceFileFailsWithItsSpecNamed) {
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
+TEST(ToGridTest, TraceNodesBeyondTheClusterAreRejected) {
+  // nodes=64 on a 4-node cluster used to run with every home folded modulo 4.
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(spec.apply_line("nodes 4", &error)) << error;
+  ASSERT_TRUE(spec.apply_line("trace spec:jobs=40,duration=300,seed=3,nodes=64", &error)) << error;
+  ASSERT_TRUE(spec.apply_line("policy g-loadsharing", &error)) << error;
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_EQ(error,
+            "trace spec 'spec:jobs=40,duration=300,seed=3,nodes=64': home nodes reach node 63, "
+            "but the cluster has 4 nodes");
+
+  spec.traces[0].num_nodes = 4;
+  EXPECT_TRUE(to_grid(spec, &error).has_value()) << error;
+  // The scenario's nodes set the home range; a `set nodes=` may not shrink
+  // the cluster below it.
+  spec.traces[0].num_nodes = 0;
+  spec.config_overrides["nodes"] = "2";
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_NE(error.find("home nodes reach node 3, but the cluster has 2 nodes"), std::string::npos)
+      << error;
+}
+
+TEST(ToGridTest, ReplayedHomeNodesBeyondTheClusterAreRejected) {
+  // A trace file names its homes; home 4 on a 4-node cluster used to run on
+  // node 0.
+  const std::string header = "# vrc-trace v1\nname homes\ngroup spec\nduration 1\njobs 2\n";
+  const std::string fits = header +
+                           "job 1 0 0 small 10 0 2 0 4194304 0.2 8388608\n"
+                           "job 2 0 3 small 10 0 2 0 4194304 0.2 8388608\n";
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(spec.apply_line("nodes 4", &error)) << error;
+  ASSERT_TRUE(spec.apply_line("trace vrc file=" + write_file("fits.trace", fits), &error))
+      << error;
+  ASSERT_TRUE(spec.apply_line("policy g-loadsharing", &error)) << error;
+  EXPECT_TRUE(to_grid(spec, &error).has_value()) << error;
+
+  const std::string path = write_file("beyond.trace", header +
+                                                          "job 1 0 0 small 10 0 2 0 4194304 "
+                                                          "0.2 8388608\n"
+                                                          "job 2 0 4 small 10 0 2 0 4194304 "
+                                                          "0.2 8388608\n");
+  spec.traces = {workload::TraceSpec::vrc(path)};
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_EQ(error, "trace spec 'vrc:file=" + path +
+                       "': home nodes reach node 4, but the cluster has 4 nodes");
+}
+
 TEST(ScenarioRunTest, TraceFileReplaysAsWrittenInEveryTrial) {
   // An apps-group file next to the scenario: the relative path is rebased,
   // `cluster auto` takes paper cluster 2 from the file's group line, and
@@ -619,13 +668,7 @@ class ThreadCountingPolicy : public core::LocalOnly {
 TEST(ScenarioRunTest, StartsNoMoreThreadsThanCells) {
   if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "needs /proc/self/task";
   core::PolicyRegistry::instance().register_policy(
-      "thread-counting",
-      [](const core::PolicyParams& params,
-         std::string* error) -> std::unique_ptr<cluster::SchedulerPolicy> {
-        core::ParamReader reader("thread-counting", params);
-        if (!reader.finish(error)) return nullptr;
-        return std::make_unique<ThreadCountingPolicy>();
-      });
+      "thread-counting", [] { return std::make_unique<ThreadCountingPolicy>(); });
   std::string error;
   const auto spec = ScenarioSpec::parse(
       "nodes 4\n"
@@ -657,13 +700,7 @@ class ThrowingPolicy : public core::LocalOnly {
 TEST(ScenarioRunTest, CellExceptionReachesTheCaller) {
   // An exception escaping a worker thread used to terminate the process.
   core::PolicyRegistry::instance().register_policy(
-      "throwing",
-      [](const core::PolicyParams& params,
-         std::string* error) -> std::unique_ptr<cluster::SchedulerPolicy> {
-        core::ParamReader reader("throwing", params);
-        if (!reader.finish(error)) return nullptr;
-        return std::make_unique<ThrowingPolicy>();
-      });
+      "throwing", [] { return std::make_unique<ThrowingPolicy>(); });
   std::string error;
   const auto spec = ScenarioSpec::parse(
       "nodes 4\n"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 namespace vrc::util {
 namespace {
@@ -38,24 +39,6 @@ TEST(FlagSetTest, ParsesNegativeInt) {
   auto argv = argv_of({"--delta=-5"});
   ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_EQ(value, -5);
-}
-
-TEST(FlagSetTest, ParsesDouble) {
-  FlagSet flags;
-  double value = 0.0;
-  flags.add_double("ratio", &value, "");
-  auto argv = argv_of({"--ratio=2.5"});
-  ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_DOUBLE_EQ(value, 2.5);
-}
-
-TEST(FlagSetTest, ParsesInt64) {
-  FlagSet flags;
-  long long value = 0;
-  flags.add_int64("big", &value, "");
-  auto argv = argv_of({"--big=9000000000"});
-  ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(value, 9000000000LL);
 }
 
 TEST(FlagSetTest, BoolWithoutValueIsTrue) {
@@ -205,6 +188,21 @@ TEST(FlagSetTest, BoolRejectsGarbageValue) {
   EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
 }
 
+TEST(FlagSetTest, BoolTakesTheSharedVocabulary) {
+  // --csv=on used to fail while `set network_contention=on` worked.
+  for (const auto& [text, expected] : {std::pair{"--verbose=on", true}, {"--verbose=yes", true},
+                                       {"--verbose=true", true}, {"--verbose=1", true},
+                                       {"--verbose=off", false}, {"--verbose=no", false},
+                                       {"--verbose=false", false}, {"--verbose=0", false}}) {
+    FlagSet flags;
+    bool value = !expected;
+    flags.add_bool("verbose", &value, "");
+    auto argv = argv_of({text});
+    ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data())) << text;
+    EXPECT_EQ(value, expected) << text;
+  }
+}
+
 TEST(FlagSetTest, BoolDoesNotConsumeFollowingArgument) {
   FlagSet flags;
   bool value = false;
@@ -213,15 +211,6 @@ TEST(FlagSetTest, BoolDoesNotConsumeFollowingArgument) {
   ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_TRUE(value);
   EXPECT_EQ(flags.positional(), (std::vector<std::string>{"trailing"}));
-}
-
-TEST(FlagSetTest, Int64OverflowFails) {
-  FlagSet flags;
-  long long value = 3;
-  flags.add_int64("big", &value, "");
-  auto argv = argv_of({"--big=99999999999999999999999999"});
-  EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(value, 3);
 }
 
 TEST(FlagSetTest, IntOutsideIntRangeFailsInsteadOfWrapping) {
@@ -243,24 +232,6 @@ TEST(FlagSetTest, IntOutsideIntRangeFailsInsteadOfWrapping) {
   auto min = argv_of({"--n=-2147483648"});
   ASSERT_TRUE(flags.parse(static_cast<int>(min.size()), min.data()));
   EXPECT_EQ(value, std::numeric_limits<int>::min());
-}
-
-TEST(FlagSetTest, TrailingJunkAfterNumberFails) {
-  FlagSet flags;
-  double value = 1.0;
-  flags.add_double("ratio", &value, "");
-  auto argv = argv_of({"--ratio=2.5x"});
-  EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_DOUBLE_EQ(value, 1.0);
-}
-
-TEST(FlagSetTest, ScientificNotationDoubleParses) {
-  FlagSet flags;
-  double value = 0.0;
-  flags.add_double("ratio", &value, "");
-  auto argv = argv_of({"--ratio=1e-3"});
-  ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_DOUBLE_EQ(value, 1e-3);
 }
 
 TEST(FlagSetTest, BareDoubleDashIsUnknownFlag) {
@@ -295,17 +266,6 @@ TEST(FlagSetTest, UsageListsFlagsAndDefaults) {
   EXPECT_NE(usage.find("--workers"), std::string::npos);
   EXPECT_NE(usage.find("number of workers"), std::string::npos);
   EXPECT_NE(usage.find("5"), std::string::npos);
-}
-
-TEST(FlagSetTest, NonFiniteDoubleFails) {
-  for (const char* text : {"--ratio=nan", "--ratio=inf", "--ratio=-inf", "--ratio=1e999"}) {
-    FlagSet flags;
-    double value = 1.0;
-    flags.add_double("ratio", &value, "");
-    auto argv = argv_of({text});
-    EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data())) << text;
-    EXPECT_DOUBLE_EQ(value, 1.0) << text;
-  }
 }
 
 }  // namespace

@@ -65,6 +65,11 @@ TEST(TraceSpecTest, PrintParseRoundTrips) {
            "spec:jobs=120,duration=900,seed=7,name=fp",
            "spec:trace=2,seed=41",
            "spec:trace=2,arrival_scale=1.5,nodes=16",
+           // Doubles keep every digit: a six-digit print lost these.
+           "spec:jobs=10,duration=10,arrival_scale=1.2345678",
+           "spec:jobs=10,duration=1800.1234567",
+           "swf:file=x.swf,scale=0.123456789",
+           "spec:trace=3,malleable=0.3333333",
        }) {
     std::string error;
     const auto spec = TraceSpec::parse(text, &error);
@@ -88,9 +93,11 @@ TEST(TraceSpecTest, TraceFileSpecTakesOnlyAFile) {
   EXPECT_FALSE(TraceSpec::parse("vrc:file=episode.trace,scale=2", &error).has_value());
   EXPECT_NE(error.find("unknown key 'scale'"), std::string::npos) << error;
   EXPECT_FALSE(TraceSpec::parse("vrc", &error).has_value());
-  EXPECT_NE(error.find("for 'file'"), std::string::npos) << error;
+  EXPECT_NE(error.find("key 'file': invalid value ''"), std::string::npos) << error;
   EXPECT_FALSE(TraceSpec::parse("vrc:file=", &error).has_value());
-  EXPECT_NE(error.find("for 'file'"), std::string::npos) << error;
+  EXPECT_NE(error.find("key 'file': invalid value '' (expected non-empty string"),
+            std::string::npos)
+      << error;
 
   TraceSpec named = TraceSpec::vrc("episode.trace");
   named.name = "renamed";
@@ -160,7 +167,13 @@ TEST(TraceSpecTest, ValidationEnforcesStandardVsGeneratedExclusivity) {
   EXPECT_FALSE(TraceSpec::parse("spec", &error).has_value());
   EXPECT_NE(error.find("required"), std::string::npos) << error;
   EXPECT_FALSE(TraceSpec::parse("spec:trace=6", &error).has_value());
-  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  EXPECT_NE(error.find("key 'trace': invalid value '6' (expected int in [1, 5]"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(TraceSpec::standard(WorkloadGroup::kSpec, 7).validate(&error));
+  EXPECT_NE(error.find("key 'trace': invalid value '7' (expected int in [1, 5]"),
+            std::string::npos)
+      << error;
 }
 
 TEST(TraceSpecTest, SeedOverrideRegeneratesTheShapeAsAFreshRealization) {
@@ -215,7 +228,9 @@ TEST(TraceSpecTest, MalleableParamsParsePrintAndValidate) {
   EXPECT_EQ(*reparsed, *spec);
 
   EXPECT_FALSE(TraceSpec::parse("spec:trace=1,malleable=1.5", &error).has_value());
-  EXPECT_NE(error.find("invalid value '1.5' for 'malleable'"), std::string::npos) << error;
+  EXPECT_NE(error.find("key 'malleable': invalid value '1.5' (expected double in [0, 1]"),
+            std::string::npos)
+      << error;
   EXPECT_FALSE(
       TraceSpec::parse("spec:trace=1,malleable=1,malleable_min=3,malleable_max=2", &error)
           .has_value());
@@ -275,13 +290,15 @@ TEST(TraceSpecTest, NumericParamsRejectNonFiniteValues) {
       EXPECT_FALSE(TraceSpec::parse("spec:jobs=10," + key + "=" + value, &error)
                        .has_value())
           << key << "=" << value;
-      EXPECT_NE(error.find("for '" + key + "'"), std::string::npos) << error;
+      EXPECT_NE(error.find("key '" + key + "': invalid value '" + value + "'"), std::string::npos)
+          << error;
     }
     for (const std::string key : {"scale", "min_runtime"}) {
       std::string error;
       EXPECT_FALSE(TraceSpec::parse("swf:file=log.swf," + key + "=" + value, &error).has_value())
           << key << "=" << value;
-      EXPECT_NE(error.find("for '" + key + "'"), std::string::npos) << error;
+      EXPECT_NE(error.find("key '" + key + "': invalid value '" + value + "'"), std::string::npos)
+          << error;
     }
   }
 }
@@ -290,15 +307,17 @@ TEST(TraceSpecTest, IntegerParamsRejectValuesBeyondTheirTypes) {
   // Each used to wrap into range: trace=4294967299 ran SPEC-Trace-3,
   // malleable_max=4294967298 parsed as 2, nodes=4294967297 as 1.
   const std::pair<const char*, const char*> cases[] = {
-      {"spec:trace=4294967299", "trace"},
-      {"spec:jobs=10,malleable=1,malleable_max=4294967298", "malleable_max"},
-      {"spec:jobs=10,malleable=1,malleable_min=4294967297", "malleable_min"},
-      {"spec:jobs=10,nodes=4294967297", "nodes"},
-      {"swf:file=log.swf,nodes=4294967297", "nodes"}};
-  for (const auto& [text, key] : cases) {
+      {"spec:trace=4294967299", "key 'trace': invalid value '4294967299'"},
+      {"spec:jobs=10,malleable=1,malleable_max=4294967298",
+       "key 'malleable_max': invalid value '4294967298'"},
+      {"spec:jobs=10,malleable=1,malleable_min=4294967297",
+       "key 'malleable_min': invalid value '4294967297'"},
+      {"spec:jobs=10,nodes=4294967297", "key 'nodes': invalid value '4294967297'"},
+      {"swf:file=log.swf,nodes=4294967297", "key 'nodes': invalid value '4294967297'"}};
+  for (const auto& [text, message] : cases) {
     std::string error;
     EXPECT_FALSE(TraceSpec::parse(text, &error).has_value()) << text;
-    EXPECT_NE(error.find(std::string("for '") + key + "'"), std::string::npos) << error;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
   }
 }
 
@@ -311,7 +330,7 @@ TEST(TraceSpecTest, JobCountsRejectOverflow) {
   for (const auto& [text, key] : cases) {
     std::string error;
     EXPECT_FALSE(TraceSpec::parse(text, &error).has_value()) << text;
-    EXPECT_NE(error.find(std::string("invalid value '99999999999999999999' for '") + key + "'"),
+    EXPECT_NE(error.find(std::string("key '") + key + "': invalid value '99999999999999999999'"),
               std::string::npos)
         << error;
   }
@@ -334,7 +353,10 @@ TEST(TraceSpecTest, BigShareParsesPrintsAndValidates) {
     EXPECT_FALSE(
         TraceSpec::parse(std::string("spec:trace=3,big_share=") + value, &error).has_value())
         << value;
-    EXPECT_NE(error.find("for 'big_share'"), std::string::npos) << error;
+    EXPECT_NE(error.find(std::string("key 'big_share': invalid value '") + value +
+                         "' (expected double in [0, 1]"),
+              std::string::npos)
+        << error;
   }
   EXPECT_FALSE(TraceSpec::parse("swf:file=x.swf,big_share=0.5", &error).has_value());
   EXPECT_NE(error.find("unknown key 'big_share'"), std::string::npos) << error;
