@@ -31,6 +31,7 @@
 #include "analysis/model.h"
 #include "cluster/config.h"
 #include "core/policy_registry.h"
+#include "metrics/fingerprint.h"
 #include "metrics/perf_counters.h"
 #include "metrics/report.h"
 #include "runner/scenario.h"
@@ -128,7 +129,8 @@ int run(int argc, char** argv) {
                  "generate malleable jobs (width [1,2], fraction 1) in traces without their own "
                  "malleable= fraction, and print resize columns");
   flags.add_bool("perf-counters", &perf_counters,
-                 "print the exact work counters summed over all runs to stderr");
+                 "print the exact work counters summed over all runs, then each cell's report "
+                 "fingerprint, to stderr");
   flags.add_bool("log", &log,
                  "narrate scheduler decisions on stderr and end each cell with its summary "
                  "(use --jobs 1 for one cell's lines at a time)");
@@ -320,11 +322,24 @@ int run(int argc, char** argv) {
     // stderr, so piping the table to a file or the golden-diff keeps working.
     // Only the exact work counts: the block depends on the scenario alone, so
     // it is committed beside each golden as <name>.counters and diffed too.
+    // Each cell's report fingerprint closes it, so the diff also sees every
+    // bit the printed table rounds away.
     const metrics::PerfCounters totals = metrics::take_perf_aggregate();
     std::fprintf(stderr, "perf counters (all trials/cells):\n");
     for (const auto& [label, value] : totals.entries()) {
       if (std::string_view(label).ends_with("_wall_ns")) continue;  // host time
       std::fprintf(stderr, "  %-24s %llu\n", label, static_cast<unsigned long long>(value));
+    }
+    for (int trial = 0; trial < run->num_trials; ++trial) {
+      for (std::size_t t = 0; t < run->num_traces; ++t) {
+        for (std::size_t c = 0; c < run->num_configs; ++c) {
+          for (std::size_t p = 0; p < run->num_policies; ++p) {
+            std::fprintf(stderr, "  fingerprint %d/%zu/%zu/%zu 0x%016llx\n", trial, t, c, p,
+                         static_cast<unsigned long long>(
+                             metrics::full_fingerprint(run->cell(trial, t, c, p).report)));
+          }
+        }
+      }
     }
   }
   return 0;

@@ -341,10 +341,11 @@ class Analyzer:
 def registry():
     """All analyzers in canonical run order. Imported lazily so the analyzer
     modules can import core without a cycle."""
-    from vrc_lint import determinism, heap_order, layering, publish_audit
+    from vrc_lint import determinism, heap_order, layering, publish_audit, settle_audit
     return [determinism.DeterminismAnalyzer(),
             layering.LayeringAnalyzer(),
             publish_audit.PublishAuditAnalyzer(),
+            settle_audit.SettleAuditAnalyzer(),
             heap_order.HeapOrderAnalyzer()]
 
 

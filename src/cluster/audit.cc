@@ -61,6 +61,11 @@ void check_skip(const NodeActivity& activity, std::uint64_t min_wake, std::uint6
   std::size_t parked = 0;
   std::uint64_t wake = std::numeric_limits<std::uint64_t>::max();
   for (NodeId node = 0; node < activity.parked.size(); ++node) {
+    if (activity.moving.contains(node) && !activity.is_parked(node)) {
+      VRC_LOG(kError) << "VRC_AUDIT failed (tick skip): node " << node
+                      << " is marked moving but not parked";
+      std::abort();
+    }
     if (!activity.is_parked(node)) continue;
     ++parked;
     wake = std::min(wake, activity.parked[node].wake);

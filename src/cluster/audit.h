@@ -57,9 +57,9 @@ void check_board(const LoadInfoBoard& board,
 
 /// Verifies the parked set before a tick-round skip after round `round`
 /// (DESIGN.md §12.6): a scan over every node must count `parked_count`
-/// parked nodes, each of them ticking, and find their earliest wake equal
-/// to `min_wake` (the maximum value when none is parked) and after `round`.
-/// Aborts on the first divergence.
+/// parked nodes, each of them ticking, find every moving node parked, and
+/// find their earliest wake equal to `min_wake` (the maximum value when
+/// none is parked) and after `round`. Aborts on the first divergence.
 void check_skip(const NodeActivity& activity, std::uint64_t min_wake, std::uint64_t round);
 
 }  // namespace vrc::cluster::audit

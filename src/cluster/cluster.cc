@@ -465,22 +465,24 @@ std::vector<RunningJob*> Cluster::pending_jobs() {
   return jobs;
 }
 
-Bytes Cluster::live_idle_memory() const {
+Bytes Cluster::live_idle_memory() {
   Bytes total = 0;
-  for (const auto& node : nodes_) {
-    if (node->failed()) continue;
-    total += std::max<Bytes>(0, node->user_memory() - node->resident_demand());
+  for (NodeId id = 0; id < num_nodes(); ++id) {
+    const Workstation& target = settled(id, Read::kPublished);
+    if (target.failed()) continue;
+    total += std::max<Bytes>(0, target.user_memory() - target.resident_demand());
   }
   return total;
 }
 
-std::vector<int> Cluster::live_active_jobs(bool skip_reserved) const {
+std::vector<int> Cluster::live_active_jobs(bool skip_reserved) {
   std::vector<int> counts;
-  counts.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    if (node->failed()) continue;
-    if (skip_reserved && node->reserved()) continue;
-    counts.push_back(node->active_jobs());
+  counts.reserve(num_nodes());
+  for (NodeId id = 0; id < num_nodes(); ++id) {
+    const Workstation& target = settled(id, Read::kPublished);
+    if (target.failed()) continue;
+    if (skip_reserved && target.reserved()) continue;
+    counts.push_back(target.active_jobs());
   }
   return counts;
 }
@@ -505,21 +507,23 @@ void Cluster::handle_tick(SimTime now) {
   // by an earlier visit's completion cascade.
   //
   // A parked node is skipped until its wake round; its ticks are replayed
-  // when something reaches it through node() (DESIGN.md §12.6). At the wake
-  // round it is settled through the previous tick and ticked normally.
+  // when something reaches it through settled() (DESIGN.md §12.6). At the
+  // wake round it is settled through the previous tick and ticked normally.
   std::uint64_t ticked = 0;
   activity_.ticking.for_each([&](NodeId id) {
     tick_cursor_ = id;
     if (activity_.is_parked(id)) {
       if (activity_.parked[id].wake > tick_round_) return;
-      settle(id, tick_round_ - 1);
+      settle(id);
       activity_.unpark(id);
     }
     Workstation& target = *nodes_[id];
     if (!target.needs_tick()) return;
     ++ticked;
     Workstation::TickOutcome outcome = target.tick(now, config_.tick, rng_);
-    if (outcome.steady_ticks > 0) activity_.park(id, tick_round_, now, outcome.steady_ticks);
+    if (outcome.steady_ticks > 0) {
+      activity_.park(id, tick_round_, now, outcome.steady_ticks, outcome.flat);
+    }
     for (auto& done : outcome.completed) complete_job(std::move(done), now);
   });
   tick_cursor_ = ~NodeId{0};
@@ -562,7 +566,8 @@ void Cluster::skip_parked_rounds() {
   metrics::perf_add(&metrics::PerfCounters::tick_rounds_skipped, skipped);
 }
 
-void Cluster::settle(NodeId id, std::uint64_t round) {
+void Cluster::settle(NodeId id) {
+  const std::uint64_t round = id < tick_cursor_ ? tick_round_ : tick_round_ - 1;
   ParkedNode& park = activity_.parked[id];
   if (round <= park.through) return;
   const std::uint64_t ticks = round - park.through;
@@ -581,10 +586,13 @@ void Cluster::handle_exchange(SimTime now) {
   // and a tick whose EMA flips it marks the node dirty), so skipping it
   // leaves the board bit-identical to a full rebroadcast. This is the
   // stale-but-identical contract of DESIGN.md §12, enforced by
-  // tests/cluster/exchange_dirty_set_test.cc.
+  // tests/cluster/exchange_dirty_set_test.cc. A node parked on a ramp may
+  // have republished in ticks it skipped, so each is settled first and its
+  // replay marks it where one of those ticks would have (DESIGN.md §12.6).
+  activity_.moving.for_each([&](NodeId id) { settle(id); });
   activity_.dirty.drain([&](NodeId id) {
     metrics::perf_add(&metrics::PerfCounters::exchange_dirty_visited);
-    Workstation& target = *nodes_[id];
+    Workstation& target = settled(id, Read::kPublished);
     if (target.failed()) {
       // The fail-time immediate broadcast is the node's one published
       // transition while down: the board froze there (heaps already evicted
@@ -604,7 +612,7 @@ void Cluster::handle_exchange(SimTime now) {
   audit::check_board(
       board_,
       [&](NodeId id) -> std::optional<LoadInfo> {
-        Workstation& target = *nodes_[id];
+        const Workstation& target = settled(id, Read::kPublished);
         if (target.failed()) return std::nullopt;
         return target.snapshot(now);
       },

@@ -103,10 +103,7 @@ class Cluster {
   /// pass, a node the pass has not reached yet is settled through the
   /// previous tick, since the pass still ticks it. A reference or job
   /// pointer kept across events may miss later replays; call node() again.
-  Workstation& node(NodeId id) {
-    if (activity_.is_parked(id)) settle(id, id < tick_cursor_ ? tick_round_ : tick_round_ - 1);
-    return *nodes_[id];
-  }
+  Workstation& node(NodeId id) { return settled(id, Read::kAll); }
   std::size_t num_nodes() const { return nodes_.size(); }
 
   /// Jobs awaiting placement (blocked submissions), oldest first.
@@ -131,11 +128,12 @@ class Cluster {
   /// Live (not board-snapshot) cluster-wide idle memory: the sum over
   /// non-failed nodes of max(0, user memory - resident demand), in-flight
   /// reservations excluded. O(n); used by metric samplers and the
-  /// reconfiguration trigger's fresh-view check.
-  Bytes live_idle_memory() const;
+  /// reconfiguration trigger's fresh-view check. Settles the nodes parked on
+  /// a ramp, whose resident demand moves in the ticks they skip.
+  Bytes live_idle_memory();
   /// Live active-job counts, optionally skipping reserved nodes (the paper's
   /// job-balance skew is over non-reserved workstations).
-  std::vector<int> live_active_jobs(bool skip_reserved) const;
+  std::vector<int> live_active_jobs(bool skip_reserved);
 
   /// Registers a callback invoked once when the last job completes.
   void add_finish_callback(std::function<void(SimTime)> callback);
@@ -174,9 +172,26 @@ class Cluster {
   void schedule_next_arrival();
   void pump_arrival();
   void ensure_tasks_running();
-  void handle_tick(SimTime now);
-  /// Replays a parked node's skipped ticks through tick round `round`.
-  void settle(NodeId id, std::uint64_t round);
+  void handle_tick(SimTime now);  // vrc:settles
+  /// What a reader of a workstation needs settled.
+  enum class Read {
+    kAll,        // jobs and accumulators: every parked node is settled
+    kPublished,  // published values: a node parked on a flat stretch is not
+  };
+  /// The one way to a workstation outside the tick pass (the vrc_lint
+  /// settle-audit rule, DESIGN.md §13.3): a parked node is settled first,
+  /// per `read`.
+  Workstation& settled(NodeId id, Read read) {  // vrc:settles
+    if (activity_.is_parked(id) && (read == Read::kAll || activity_.moving.contains(id))) {
+      settle(id);
+    }
+    return *nodes_[id];
+  }
+  /// Replays a parked node's skipped ticks through the last tick the tick
+  /// pass has integrated for it: inside the pass, the current round for a
+  /// node the pass already visited and the previous one for a node it has
+  /// not reached yet; outside it, the last round fired or skipped.
+  void settle(NodeId id);  // vrc:settles
   /// Called at the end of a round in which every ticking node is parked:
   /// moves the tick task's next firing past the rounds that would change
   /// nothing, and counts them as fired.
@@ -202,7 +217,7 @@ class Cluster {
   NodeActivity activity_;
   sim::Rng rng_;
 
-  std::vector<std::unique_ptr<Workstation>> nodes_;
+  std::vector<std::unique_ptr<Workstation>> nodes_;  // vrc:settle-before-read
   /// Spec slab: deque for pointer stability, recycled through
   /// spec_free_list_ when a job completes, so the slab's size tracks peak
   /// concurrency instead of total stream length.

@@ -138,26 +138,33 @@ struct NodeActivity {
   /// Per node. A parked node keeps its `ticking` bit: for_each reads each
   /// word once, so a bit re-inserted mid-pass would be skipped.
   std::vector<ParkedNode> parked;
+  /// Parked nodes whose published values (resident demand, the fault EMA's
+  /// zero test) move in the ticks they skip: a memory ramp or a decaying
+  /// EMA. Readers of published values settle these first; a node parked on
+  /// a flat stretch publishes the same values until it wakes.
+  NodeBitset moving;
   /// Nodes parked now. Every parked node is ticking, so the tick pass would
   /// only pass over parked nodes when this equals `ticking.count()`.
   std::size_t parked_count = 0;
 
   explicit NodeActivity(std::size_t num_nodes)
-      : ticking(num_nodes), dirty(num_nodes), parked(num_nodes) {}
+      : ticking(num_nodes), dirty(num_nodes), parked(num_nodes), moving(num_nodes) {}
 
   bool is_parked(NodeId node) const { return parked[node].wake != 0; }
 
   /// Parks `node` after its normal tick of `round` at `time`, for the
-  /// `ticks` rounds that follow.
-  void park(NodeId node, std::uint64_t round, SimTime time, std::uint64_t ticks) {
+  /// `ticks` rounds that follow; `flat` as Workstation::TickOutcome::flat.
+  void park(NodeId node, std::uint64_t round, SimTime time, std::uint64_t ticks, bool flat) {
     if (!is_parked(node)) ++parked_count;
     parked[node] = {round + ticks + 1, round, time};
+    moving.set(node, !flat);
   }
 
   void unpark(NodeId node) {
     if (!is_parked(node)) return;
     --parked_count;
     parked[node].wake = 0;
+    moving.erase(node);
   }
 
   /// Every mutation unparks: the accessor that reached the node settled it.

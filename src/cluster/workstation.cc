@@ -335,7 +335,7 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   const double fault_rate_before = fault_rate_;
   const bool pressured_before = memory_pressured();
   if (fault_rate_ != 0.0 || tick_faults != 0.0) {
-    const double decay = std::exp(-dt / config_->fault_rate_tau);
+    const double decay = fault_decay(dt);
     fault_rate_ = fault_rate_ * decay + (1.0 - decay) * (tick_faults / dt);
   }
   // An exponential decay never reaches zero in floating point, which would
@@ -353,20 +353,30 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // when the EMA crosses fault_rate_threshold. needs_tick() flips only on a
   // completion or on the EMA reaching or leaving exactly 0. Any other tick,
   // a decaying EMA included, would only re-mark the node dirty for an
-  // exchange that republishes the values already on the board. Only such a
-  // tick can leave the node steady (DESIGN.md §12.6), so only it asks.
-  if (!outcome.completed.empty() || resident_delta != 0 ||
-      memory_pressured() != pressured_before ||
-      (fault_rate_ == 0.0) != (fault_rate_before == 0.0)) {
-    publish_index();
-  } else {
-    outcome.steady_ticks = steady_ticks(now, dt);
-  }
+  // exchange that republishes the values already on the board. replay()
+  // applies the same rule to the ticks it stands in for.
+  const bool other_change = !outcome.completed.empty() ||
+                            memory_pressured() != pressured_before ||
+                            (fault_rate_ == 0.0) != (fault_rate_before == 0.0);
+  if (other_change || resident_delta != 0) publish_index();
+  // A tick whose only published change is the resident sum may leave the
+  // node steady (DESIGN.md §12.6): a node on a memory ramp moves it nearly
+  // every tick. After a completion or a pressure or EMA flip the node ticks
+  // once more first.
+  if (!other_change) outcome.steady_ticks = steady_ticks(now, dt, &outcome.flat);
   return outcome;
 }
 
-std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt) const {
-  if (failed_ || fault_rate_ != 0.0 || memory_pressured() || jobs_.empty()) return 0;
+double Workstation::fault_decay(SimTime dt) {
+  if (dt != decay_dt_) {
+    decay_dt_ = dt;
+    decay_ = std::exp(-dt / config_->fault_rate_tau);
+  }
+  return decay_;
+}
+
+std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt, bool* flat) const {
+  if (failed_ || memory_pressured() || jobs_.empty()) return 0;
   // Every resident job running: none suspended, migrating or resizing.
   if (runnable_count_ != static_cast<int>(jobs_.size())) return 0;
   // While T < dt * 2^33, ulp(T) < dt * 2^-19, so a replayed tick's wall
@@ -376,26 +386,76 @@ std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt) const {
   if (!(now < dt * 0x1p32)) return 0;
   const SimTime wall_bound = dt * (1.0 + 0x1p-16);
 
+  // Not pressured, so resident demand is within user memory: exposure is 0
+  // and step() does not read demand.
   const Sharing share = sharing();
   std::uint64_t horizon = kMaxTicks;
-  for (const auto& job : jobs_) {
-    const double cpu = job->spec->cpu_seconds;
+  park_bounds_.resize(jobs_.size());
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const RunningJob& job = *jobs_[j];
+    const double cpu = job.spec->cpu_seconds;
+    ParkBound& bound = park_bounds_[j];
+    bound.rising_until = job.spec->memory.rising_until(job.progress());
     // The stretch ends at the finish test (cpu_done + 1e-9 >= cpu_seconds)
-    // or where the profile leaves its flat stretch, whichever comes first.
-    // 2^-40 of the job's size covers the rounding of the sums and the
-    // progress quotient on the way there.
-    const double limit =
-        std::min(cpu - 1e-9, job->spec->memory.flat_until(job->progress()) * cpu) -
-        cpu * 0x1p-40;
+    // or where the profile starts to fall, whichever comes first. 2^-40 of
+    // the job's size covers the rounding of the sums and the progress
+    // quotient on the way there.
+    const double limit = std::min(cpu - 1e-9, bound.rising_until * cpu) - cpu * 0x1p-40;
     // step() is monotone in the wall, so this bounds every replayed tick's
     // progress; the second term bounds the rounding error of one add.
-    const double per_tick = step(*job, wall_bound, share).progress + cpu * 0x1p-50;
-    const double room = (limit - job->cpu_done) / per_tick;
+    bound.per_tick = step(job, wall_bound, share).progress + cpu * 0x1p-50;
+    const double room = (limit - job.cpu_done) / bound.per_tick;
     if (!(room >= 2.0)) return 0;
     if (room < static_cast<double>(horizon) + 1.0) {
       horizon = static_cast<std::uint64_t>(room) - 1;
     }
   }
+
+  // The resident demand after `ticks` more ticks, bounded above: each job's
+  // demand is non-decreasing over its stretch, so demand_at() of a bound on
+  // its progress then (clamped into the stretch) bounds the demand at the
+  // end of every tick up to there. The bound grows with `ticks`.
+  const auto resident_bound = [&](std::uint64_t ticks) {
+    Bytes total = 0;
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      const RunningJob& job = *jobs_[j];
+      if (job.spec->memory.is_constant()) {
+        total += job.demand;
+        continue;
+      }
+      const double cpu = job.spec->cpu_seconds;
+      const ParkBound& bound = park_bounds_[j];
+      const double done =
+          job.cpu_done + static_cast<double>(ticks) * bound.per_tick + cpu * 0x1p-40;
+      total += job.spec->memory.demand_at(std::min(done / cpu, bound.rising_until));
+    }
+    return total;
+  };
+  // The horizon ends before the resident demand could pass user memory: the
+  // largest tick count whose bound still fits.
+  const Bytes user = user_memory();
+  Bytes peak = resident_bound(horizon);
+  if (peak > user) {
+    std::uint64_t fits = 0;  // resident_bound(fits) == peak <= user
+    std::uint64_t overflows = horizon;
+    peak = resident_bound(0);
+    if (peak > user) return 0;
+    while (overflows - fits > 1) {
+      const std::uint64_t mid = fits + (overflows - fits) / 2;
+      const Bytes mid_peak = resident_bound(mid);
+      if (mid_peak > user) {
+        overflows = mid;
+      } else {
+        fits = mid;
+        peak = mid_peak;
+      }
+    }
+    if (fits == 0) return 0;
+    horizon = fits;
+  }
+  // Every demand is at least where it is now, so a bound equal to the
+  // resident sum means no demand moves.
+  if (flat != nullptr) *flat = fault_rate_ == 0.0 && peak == resident_bytes_;
   return horizon;
 }
 
@@ -404,6 +464,7 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
   std::vector<RunningJob> before;
   before.reserve(jobs_.size());
   for (const auto& job : jobs_) before.push_back(*job);
+  const double audit_fault_rate = fault_rate_;
 #endif
   const Sharing share = sharing();
   const std::size_t num_jobs = jobs_.size();
@@ -415,7 +476,7 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
   constexpr std::size_t kMaxWalls = 8;
   std::array<std::uint8_t, kBlock> wall_of{};
   std::array<std::uint64_t, kMaxWalls> wall_bits{};
-  std::vector<JobStep> steps(kMaxWalls * num_jobs);
+  replay_steps_.resize(kMaxWalls * num_jobs);
   SimTime t = last_tick;
   std::uint64_t left = ticks;
   while (left > 0) {
@@ -431,7 +492,7 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
         if (walls == kMaxWalls) break;
         wall_bits[k] = bits;
         for (std::size_t j = 0; j < num_jobs; ++j) {
-          steps[k * num_jobs + j] = step(*jobs_[j], wall, share);
+          replay_steps_[k * num_jobs + j] = step(*jobs_[j], wall, share);
         }
         ++walls;
       }
@@ -446,7 +507,7 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
       JobSums first(*jobs_[j]);
       JobSums second(*jobs_[j + 1]);
       for (std::size_t i = 0; i < block; ++i) {
-        const JobStep* row = &steps[wall_of[i] * num_jobs + j];
+        const JobStep* row = &replay_steps_[wall_of[i] * num_jobs + j];
         accumulate(first, row[0]);
         accumulate(second, row[1]);
       }
@@ -455,54 +516,102 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
     }
     if (j < num_jobs) {
       JobSums last(*jobs_[j]);
-      for (std::size_t i = 0; i < block; ++i) accumulate(last, steps[wall_of[i] * num_jobs + j]);
+      for (std::size_t i = 0; i < block; ++i) {
+        accumulate(last, replay_steps_[wall_of[i] * num_jobs + j]);
+      }
       last.store(*jobs_[j]);
     }
     left -= block;
   }
-  for (const auto& job : jobs_) job->accounted_until = t;
+  // Demand is a function of progress alone, and with exposure 0 no step()
+  // above read it, so each job's demand and the resident sum can be set
+  // from the final progress at once, as the last tick would leave them.
+  const Bytes resident_before = resident_bytes_;
+  Bytes resident = 0;
+  for (const auto& job : jobs_) {
+    job->accounted_until = t;
+    if (!job->spec->memory.is_constant()) job->demand = job->demand_now();
+    resident += job->demand;
+  }
+  resident_bytes_ = resident;
+  // No tick of the stretch counts a fault, so each decays the EMA by the
+  // update tick() makes with tick_faults = 0; once at 0 it stays there.
+  const double fault_rate_before = fault_rate_;
+  if (fault_rate_ != 0.0) {
+    const double decay = fault_decay(dt);
+    const double inflow = (1.0 - decay) * (0.0 / dt);
+    for (std::uint64_t i = 0; i < ticks && fault_rate_ != 0.0; ++i) {
+      fault_rate_ = fault_rate_ * decay + inflow;
+    }
+  }
+  // tick()'s republish rule over the stretch. Demand never falls inside it,
+  // so a tick that moved one moved the resident sum for good, and the EMA
+  // only falls, so it can only reach 0. Pressure cannot flip and no job
+  // completes.
+  const bool published = resident_bytes_ != resident_before ||
+                         (fault_rate_ == 0.0) != (fault_rate_before == 0.0);
+  if (published) publish_replayed();
 #ifdef VRC_AUDIT
-  audit_replay(before, last_tick, dt, ticks);
+  audit_replay(before, audit_fault_rate, last_tick, dt, ticks, published);
 #endif
   return t;
 }
 
-void Workstation::audit_replay(const std::vector<RunningJob>& before, SimTime last_tick,
-                               SimTime dt, std::uint64_t ticks) const {
+void Workstation::audit_replay(const std::vector<RunningJob>& before, double fault_rate,
+                               SimTime last_tick, SimTime dt, std::uint64_t ticks,
+                               bool published) const {
   const auto fail = [&](const char* what, JobId job) {
     VRC_LOG(kError) << "VRC_AUDIT failed (replay): node " << id_ << ", job " << job << ", "
                     << ticks << " ticks after t=" << last_tick << ": " << what;
     std::abort();
   };
   const Sharing share = sharing();
+  const double decay = std::exp(-dt / config_->fault_rate_tau);
   std::vector<RunningJob> shadow = before;
+  double shadow_rate = fault_rate;
+  bool shadow_published = false;
   SimTime t = last_tick;
   for (std::uint64_t tick = 0; tick < ticks; ++tick) {
     t += dt;
+    Bytes resident_delta = 0;
+    Bytes resident = 0;
     for (RunningJob& job : shadow) {
       const SimTime wall = t - std::max(job.accounted_until, t - dt);
       if (wall <= 0.0) fail("a tick with no wall time to integrate", job.id());
       accumulate(job, step(job, wall, share));
       job.accounted_until = t;
       if (job.finished()) fail("a job finished inside the stretch", job.id());
-      if (job.demand_now() != job.demand) {
-        fail("a job's demand changed inside the stretch", job.id());
-      }
+      const Bytes demand = job.demand_now();
+      if (demand < job.demand) fail("a job's demand fell inside the stretch", job.id());
+      resident_delta += demand - job.demand;
+      job.demand = demand;
+      resident += demand;
     }
+    if (resident > user_memory()) fail("the resident demand passed user memory", 0);
+    const double rate_before = shadow_rate;
+    if (shadow_rate != 0.0) shadow_rate = shadow_rate * decay + (1.0 - decay) * (0.0 / dt);
+    shadow_published = shadow_published || resident_delta != 0 ||
+                       (shadow_rate == 0.0) != (rate_before == 0.0);
   }
   const auto same = [](double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
   };
+  Bytes resident = 0;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const RunningJob& got = *jobs_[j];
     const RunningJob& want = shadow[j];
     if (!same(got.cpu_done, want.cpu_done) || !same(got.t_cpu, want.t_cpu) ||
         !same(got.t_page, want.t_page) || !same(got.t_queue, want.t_queue) ||
         !same(got.faults, want.faults) || !same(got.width_seconds, want.width_seconds) ||
-        !same(got.accounted_until, want.accounted_until)) {
+        !same(got.accounted_until, want.accounted_until) || got.demand != want.demand) {
       fail("the replay diverged from tick-by-tick integration", got.id());
     }
+    resident += want.demand;
   }
+  if (resident != resident_bytes_ || !same(shadow_rate, fault_rate_)) {
+    fail("the resident demand or the fault EMA diverged from tick-by-tick integration", 0);
+  }
+  if (shadow_published != published) fail("the replay's republish decision diverged", 0);
   ++audit::counters().replays_checked;
 }
 
@@ -539,6 +648,11 @@ void Workstation::bind_activity(NodeActivity* activity) {
 
 void Workstation::publish_index() {
   if (activity_ != nullptr) activity_->note_mutation(id_, needs_tick());
+}
+
+void Workstation::publish_replayed() {
+  // The `ticking` bit cannot change: a parked node keeps its jobs.
+  if (activity_ != nullptr) activity_->dirty.mark(id_);
 }
 
 LoadInfo Workstation::snapshot(SimTime now) const {

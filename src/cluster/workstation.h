@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -135,26 +136,33 @@ class Workstation {
   // --- simulation ---
   struct TickOutcome {
     std::vector<std::unique_ptr<RunningJob>> completed;
-    /// steady_ticks() after a tick that completed nothing and changed no
-    /// published value; 0 otherwise.
+    /// steady_ticks() after a tick that completed nothing and flipped
+    /// neither pressure nor the EMA's zero test; 0 otherwise.
     std::uint64_t steady_ticks = 0;
+    /// With steady_ticks > 0: no tick of the stretch can move a published
+    /// value (every demand stays put and the fault EMA is 0).
+    bool flat = false;
   };
   /// Advances the interval [now - dt, now]. Returns completed jobs.
   TickOutcome tick(SimTime now, SimTime dt, sim::Rng& rng);
 
   /// How many of the ticks after the one at `now` replay() may stand in for
-  /// (DESIGN.md §12.6). 0 unless the node is steady: up, not pressured,
-  /// fault EMA exactly 0, and every resident job running on a flat stretch
-  /// of its memory profile, so a tick draws no random number, counts no
-  /// fault and publishes nothing. Otherwise a bound, with margin for
-  /// rounding, under which no job can finish or leave its flat stretch.
-  std::uint64_t steady_ticks(SimTime now, SimTime dt) const;
+  /// (DESIGN.md §12.6). 0 unless the node is steady: up, not pressured and
+  /// every resident job running, with every job's memory profile
+  /// non-decreasing from its progress on, so a tick draws no random number
+  /// and counts no fault. Otherwise a bound, with margin for rounding, under
+  /// which no job can finish or leave its non-decreasing stretch and the
+  /// resident demand stays within user memory. `flat`, when given, is set
+  /// to whether the stretch is flat (TickOutcome::flat).
+  std::uint64_t steady_ticks(SimTime now, SimTime dt, bool* flat = nullptr) const;
 
   /// Re-integrates the `ticks` ticks that follow the one at `last_tick`, at
   /// T <- T + dt as sim::PeriodicTask arms them, leaving every job and node
-  /// accumulator bit-identical to that many tick() calls. Valid only within
-  /// a steady_ticks() bound taken at `last_tick`. Returns the time of the
-  /// last replayed tick.
+  /// accumulator, every demand, the resident sum and the fault EMA
+  /// bit-identical to that many tick() calls. Where one of those ticks would
+  /// have republished, marks the node dirty without unparking it. Valid only
+  /// within a steady_ticks() bound taken at `last_tick`. Returns the time of
+  /// the last replayed tick.
   SimTime replay(SimTime last_tick, SimTime dt, std::uint64_t ticks);
 
   /// True when tick() could have any observable effect: resident jobs to
@@ -215,20 +223,28 @@ class Workstation {
   };
   /// The per-job integrand of tick() and replay().
   inline JobStep step(const RunningJob& job, SimTime wall, const Sharing& share) const;
+  /// The fault EMA's per-tick decay exp(-dt / fault_rate_tau), computed once
+  /// per tick length and shared by tick() and replay().
+  double fault_decay(SimTime dt);
   /// Adds one tick's step to a job's accumulators: the job's own, or the
   /// replay's copies of them.
   template <typename Sums>
   static inline void accumulate(Sums& sums, const JobStep& step);
 
   /// Shadow check of one replay (called under VRC_AUDIT): re-integrates the
-  /// stretch tick by tick from `before` through step() without the memo and
-  /// aborts on the first bit difference, or if a job finished or changed
-  /// demand inside the stretch.
-  void audit_replay(const std::vector<RunningJob>& before, SimTime last_tick, SimTime dt,
-                    std::uint64_t ticks) const;
+  /// stretch tick by tick from `before` and `fault_rate` through step(),
+  /// the demand refresh and the EMA update, without the memo, and aborts on
+  /// the first bit difference, on a republish decision that differs from
+  /// `published`, or if inside the stretch a job finished, a demand fell or
+  /// the resident demand passed user memory.
+  void audit_replay(const std::vector<RunningJob>& before, double fault_rate, SimTime last_tick,
+                    SimTime dt, std::uint64_t ticks, bool published) const;
 
   /// Marks this node in the bound NodeActivity (no-op when unbound).
   void publish_index();  // vrc:publish-fn
+  /// What a replayed tick that moved a published value does: marks this
+  /// node dirty for the next exchange and leaves it parked.
+  void publish_replayed();  // vrc:publish-fn
 
   NodeId id_;
   NodeConfig hardware_;
@@ -267,6 +283,19 @@ class Workstation {
 
   double fault_rate_ = 0.0;  // vrc:board-visible
   double total_faults_ = 0.0;
+  // fault_decay()'s memo: the tick length it was last computed for.
+  SimTime decay_dt_ = std::numeric_limits<double>::quiet_NaN();
+  double decay_ = 1.0;
+
+  // Scratch reused across calls: replay()'s memoized steps, and per job the
+  // progress bound per tick and the end of the rising stretch that
+  // steady_ticks() bounds the resident demand with.
+  std::vector<JobStep> replay_steps_;
+  struct ParkBound {
+    double per_tick = 0.0;
+    double rising_until = 0.0;
+  };
+  mutable std::vector<ParkBound> park_bounds_;
 
   /// Cluster-owned active/dirty sets; null in isolation unit tests.
   NodeActivity* activity_ = nullptr;

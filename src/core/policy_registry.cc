@@ -49,6 +49,8 @@ void register_builtins(PolicyRegistry& registry) {
   using enum util::ParamKind;
   using util::field;
   using util::kAnyValue;
+  using util::kNonNegative;
+  using util::within;
   using G = GLoadSharing::Options;
   using V = VReconfiguration::Options;
   using M = MReconfiguration::Options;
@@ -65,21 +67,21 @@ void register_builtins(PolicyRegistry& registry) {
           {migration, field<&V::base, &G::enable_migration>},
           {"early_release", field<&V::early_release>, kBool, kAnyValue, "0",
            "end the reserving period once the blocked job fits (§2.1 alternative)"},
-          {"max_reservations", field<&V::max_reservations>, kInt, kAnyValue, "2",
+          {"max_reservations", field<&V::max_reservations>, kInt, kNonNegative, "2",
            "maximum simultaneously reserved workstations"},
-          {"min_cluster_idle_factor", field<&V::min_cluster_idle_factor>, kDouble, kAnyValue, "1.5",
-           "reconfigure only while idle memory > factor * avg user memory"},
-          {"big_job_factor", field<&V::big_job_factor>, kDouble, kAnyValue, "2",
+          {"min_cluster_idle_factor", field<&V::min_cluster_idle_factor>, kDouble, kNonNegative,
+           "1.5", "reconfigure only while idle memory > factor * avg user memory"},
+          {"big_job_factor", field<&V::big_job_factor>, kDouble, kNonNegative, "2",
            "demand multiple of the admission estimate that marks a job as big"},
-          {"growth_headroom", field<&V::growth_headroom>, kDouble, kAnyValue, "1.2",
+          {"growth_headroom", field<&V::growth_headroom>, kDouble, kNonNegative, "1.2",
            "idle-memory headroom a reserved workstation needs before accepting"},
-          {"min_overcommit", field<&V::min_overcommit>, kDouble, kAnyValue, "0.1",
+          {"min_overcommit", field<&V::min_overcommit>, kDouble, within(0.0, 1.0), "0.1",
            "minimum overcommit that justifies isolation"},
-          {"blocking_resolve_timeout", field<&V::blocking_resolve_timeout>, kDuration, kAnyValue,
+          {"blocking_resolve_timeout", field<&V::blocking_resolve_timeout>, kDuration, kNonNegative,
            "30s", "quiet period after which a draining reservation is cancelled"},
-          {"reserve_timeout", field<&V::reserve_timeout>, kDuration, kAnyValue, "5min",
+          {"reserve_timeout", field<&V::reserve_timeout>, kDuration, kNonNegative, "5min",
            "abandon a reserving period after this long"},
-          {"timeout_backoff", field<&V::timeout_backoff>, kDuration, kAnyValue, "60s",
+          {"timeout_backoff", field<&V::timeout_backoff>, kDuration, kNonNegative, "60s",
            "pause after an abandoned reserving period"},
       }),
       build<VReconfiguration, V>);
@@ -87,11 +89,11 @@ void register_builtins(PolicyRegistry& registry) {
       "m-reconfiguration",
       util::ParamTable<M>({
           {migration, field<&M::base, &G::enable_migration>},
-          {"shrink_threshold", field<&M::shrink_threshold>, kDuration, kAnyValue, "2s",
+          {"shrink_threshold", field<&M::shrink_threshold>, kDuration, kNonNegative, "2s",
            "how long a submission stays blocked before malleable jobs are shrunk"},
-          {"regrow_free_slots", field<&M::regrow_free_slots>, kInt, kAnyValue, "2",
+          {"regrow_free_slots", field<&M::regrow_free_slots>, kInt, kNonNegative, "2",
            "slots kept free on a node after a re-grow"},
-          {"resize_cooldown", field<&M::resize_cooldown>, kDuration, kAnyValue, "5s",
+          {"resize_cooldown", field<&M::resize_cooldown>, kDuration, kNonNegative, "5s",
            "min spacing between policy-initiated resizes per node"},
       }),
       build<MReconfiguration, M>);
@@ -100,7 +102,7 @@ void register_builtins(PolicyRegistry& registry) {
       "suspension",
       util::ParamTable<S>({
           {migration, field<&S::base, &G::enable_migration>},
-          {"min_runnable", field<&S::min_runnable>, kInt, kAnyValue, "2",
+          {"min_runnable", field<&S::min_runnable>, kInt, kNonNegative, "2",
            "never suspend below this many runnable jobs per node"},
       }),
       build<SuspensionPolicy, S>);

@@ -4,7 +4,7 @@
 
 namespace vrc::metrics {
 
-double balance_skew(const cluster::Cluster& cluster) {
+double balance_skew(cluster::Cluster& cluster) {
   sim::RunningStats stats;
   for (int count : cluster.live_active_jobs(/*skip_reserved=*/true)) {
     stats.add(static_cast<double>(count));

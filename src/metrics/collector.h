@@ -48,6 +48,6 @@ class Collector {
 
 /// Population standard deviation of active-job counts over non-reserved
 /// workstations — the paper's instantaneous "job balance skew".
-double balance_skew(const cluster::Cluster& cluster);
+double balance_skew(cluster::Cluster& cluster);
 
 }  // namespace vrc::metrics

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -39,6 +40,18 @@ std::vector<std::string> split_trimmed(const std::string& text, char separator) 
     if (end == std::string::npos) return items;
     start = end + 1;
   }
+}
+
+/// The fields of `fault crash node=K at=T for=D`; a line must give all three.
+const util::ParamTable<faults::FaultEntry>& crash_fields() {
+  using enum util::ParamKind;
+  using E = faults::FaultEntry;
+  static const util::ParamTable<E> table({
+      {"node", util::field<&E::node>, kInt, util::kNonNegative, "2", "the workstation that fails"},
+      {"at", util::field<&E::at>, kDuration, util::kNonNegative, "100", "when it fails"},
+      {"for", util::field<&E::duration>, kDuration, util::kPositive, "60", "how long it is down"},
+  });
+  return table;
 }
 
 /// Runs body(0) .. body(n - 1) on min(n, jobs) threads (jobs <= 0: one per
@@ -166,10 +179,9 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
       return fail(error, "fault kind '" + kind +
                              "' unknown (expected: fault crash node=K at=T for=D)");
     }
+    const util::ParamTable<faults::FaultEntry>& fields = crash_fields();
     faults::FaultEntry entry;
-    bool have_node = false;
-    bool have_at = false;
-    bool have_for = false;
+    std::set<std::string> given;
     std::string token;
     while (in >> token) {
       const std::size_t eq = token.find('=');
@@ -177,34 +189,10 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
         return fail(error, "fault field '" + token + "' is not key=value (e.g. node=2)");
       }
       const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "node") {
-        if (!parse_integer(value, &entry.node)) {
-          return fail(error, "fault node '" + value +
-                                 "' is not a non-negative int (e.g. node=2)");
-        }
-        have_node = true;
-      } else if (key == "at") {
-        double at = 0.0;
-        if (!parse_duration(value, &at) || at < 0.0) {
-          return fail(error, "fault at '" + value +
-                                 "' is not a non-negative duration (e.g. at=100)");
-        }
-        entry.at = at;
-        have_at = true;
-      } else if (key == "for") {
-        double duration = 0.0;
-        if (!parse_duration(value, &duration) || duration <= 0.0) {
-          return fail(error,
-                      "fault for '" + value + "' is not a positive duration (e.g. for=60)");
-        }
-        entry.duration = duration;
-        have_for = true;
-      } else {
-        return fail(error, "fault field '" + key + "' unknown (expected node=, at=, for=)");
-      }
+      if (!fields.apply({{key, token.substr(eq + 1)}}, &entry, "fault field", error)) return false;
+      given.insert(key);
     }
-    if (!have_node || !have_at || !have_for) {
+    if (given.size() != fields.rows().size()) {
       return fail(error,
                   "fault crash needs node=, at=, and for= (e.g. fault crash node=2 at=100 "
                   "for=60)");

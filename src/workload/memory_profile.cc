@@ -56,7 +56,7 @@ Bytes MemoryProfile::demand_at(double progress) const {
   return lo->demand + static_cast<Bytes>(frac * static_cast<double>(hi->demand - lo->demand));
 }
 
-double MemoryProfile::flat_until(double progress) const {
+double MemoryProfile::rising_until(double progress) const {
   progress = std::clamp(progress, 0.0, 1.0);
   // As in demand_at: the first point strictly beyond `progress`.
   auto hi = std::upper_bound(
@@ -64,10 +64,11 @@ double MemoryProfile::flat_until(double progress) const {
       [](double value, const Point& p) { return value < p.progress; });
   if (hi == points_.end()) return std::numeric_limits<double>::infinity();
   // Before the first point demand_at clamps to it; otherwise the segment
-  // from the point before `hi` must be level.
-  if (hi != points_.begin() && (hi - 1)->demand != hi->demand) return progress;
-  // Extend across every following level segment.
-  while (hi + 1 != points_.end() && (hi + 1)->demand == hi->demand) ++hi;
+  // from the point before `hi` must not fall. demand_at interpolates each
+  // segment monotonically and is continuous at the points, so the stretch
+  // runs until the first falling segment.
+  if (hi != points_.begin() && (hi - 1)->demand > hi->demand) return progress;
+  while (hi + 1 != points_.end() && (hi + 1)->demand >= hi->demand) ++hi;
   if (hi + 1 == points_.end()) return std::numeric_limits<double>::infinity();
   return hi->progress;
 }

@@ -38,11 +38,11 @@ class MemoryProfile {
   /// Largest demand over the profile (the job's working set).
   Bytes peak() const;
 
-  /// End of the flat stretch at `progress`: the largest progress through
-  /// which demand_at() stays equal to demand_at(progress). Equal to
-  /// `progress` when the demand changes right after it, and +infinity on the
-  /// last point's plateau (demand_at clamps beyond it).
-  double flat_until(double progress) const;
+  /// End of the rising stretch at `progress`: the largest progress through
+  /// which demand_at() never decreases, starting from `progress`. Equal to
+  /// `progress` when the demand falls right after it, and +infinity when it
+  /// never falls again (demand_at clamps beyond the last point).
+  double rising_until(double progress) const;
 
   /// True for a single-point (constant()) profile, whose demand never
   /// changes.

@@ -6,8 +6,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "../common/report_fingerprint.h"
+#include "metrics/fingerprint.h"
 #include "metrics/perf_counters.h"
+#include "sim/sampler.h"
 #include "workload/arrival_source.h"
 
 namespace vrc::cluster {
@@ -469,7 +470,7 @@ std::uint64_t late_placement_fingerprint(NodeId late_node) {
   sim.run();
   EXPECT_TRUE(cluster.finished());
   EXPECT_EQ(cluster.completed().size(), 6u);
-  return testutil::record_fingerprint(cluster.completed());
+  return metrics::record_fingerprint(cluster.completed());
 }
 
 // A completion callback that reaches a node the tick pass has not visited
@@ -513,7 +514,7 @@ CapturedRun run_captured(const std::vector<JobSpec>& specs) {
     sim.run();
     EXPECT_TRUE(cluster.finished());
     EXPECT_EQ(cluster.completed().size(), specs.size());
-    run.fingerprint = testutil::record_fingerprint(cluster.completed());
+    run.fingerprint = metrics::record_fingerprint(cluster.completed());
     run.events = sim.executed_events();
   }
   run.counters = metrics::take_perf_aggregate();
@@ -586,9 +587,53 @@ TEST(ClusterTest, RunUntilInsideAParkedStretchSettlesAsEveryRoundFired) {
   cluster.submit_job(make_spec(2, deadline, 30.0, megabytes(40), 0));
   sim.run();
   ASSERT_EQ(cluster.completed().size(), 2u);
-  const std::uint64_t fingerprint = testutil::record_fingerprint(cluster.completed());
+  const std::uint64_t fingerprint = metrics::record_fingerprint(cluster.completed());
   EXPECT_EQ(fingerprint, 0x85059bcaf273358bull)
       << "actual fingerprint: 0x" << std::hex << fingerprint;
+}
+
+// --- parking through memory ramps (DESIGN.md §12.6) ---
+
+// Node 0's job grows its demand over its whole run while staying far below
+// user memory, so the node parks through the ramp; node 1's job is flat. A
+// sampler reads live_idle_memory() and both board rows every 0.7 s, between
+// exchanges, while node 0's resident demand moves in ticks it skips. Every
+// read must equal what a run that ticks every round sees: the fingerprint
+// of the reads was captured before nodes could park on a ramp.
+TEST(ClusterTest, ExchangeAndSamplerReadARampParkedNodeAsEveryRoundTicked) {
+  metrics::set_perf_capture_enabled(true);
+  (void)metrics::take_perf_aggregate();
+  metrics::Fnv1a reads;
+  {
+    metrics::ScopedPerfCapture capture;
+    sim::Simulator sim;
+    ScriptedPolicy policy;
+    Cluster cluster(sim, small_config(), policy);
+    JobSpec ramp = make_spec(1, 0.0, 400.0, 0, 0);
+    ramp.memory = MemoryProfile::ramp_to(megabytes(150), 1.0);
+    cluster.submit_job(ramp);
+    cluster.submit_job(make_spec(2, 0.0, 300.0, megabytes(40), 1));
+    sim::IntervalSampler sampler(sim, 0.7, 0.7, [&](SimTime) {
+      reads.mix_u64(static_cast<std::uint64_t>(cluster.live_idle_memory()));
+      for (const NodeId id : {NodeId{0}, NodeId{1}}) {
+        reads.mix_u64(static_cast<std::uint64_t>(cluster.board().info(id).idle_memory));
+        reads.mix_double(cluster.board().info(id).timestamp);
+      }
+      return 0.0;
+    });
+    cluster.add_finish_callback([&](SimTime) { sampler.stop(); });
+    sim.run();
+    EXPECT_TRUE(cluster.finished());
+    EXPECT_EQ(cluster.completed().size(), 2u);
+  }
+  const metrics::PerfCounters counters = metrics::take_perf_aggregate();
+  metrics::set_perf_capture_enabled(false);
+  EXPECT_EQ(reads.value(), 0xb8a383070fd47292ull)
+      << "actual fingerprint: 0x" << std::hex << reads.value();
+  // Every round ticked both busy nodes: 40,000 + 30,000 node-ticks.
+  EXPECT_EQ(counters.node_ticks + counters.ticks_replayed, 70000u);
+  // Both nodes park, the ramp's included: all but a handful are replayed.
+  EXPECT_LT(counters.node_ticks, 100u);
 }
 
 }  // namespace

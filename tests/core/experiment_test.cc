@@ -1,6 +1,6 @@
 #include "core/experiment.h"
 
-#include "../common/report_fingerprint.h"
+#include "metrics/fingerprint.h"
 #include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 #include "workload/trace_spec.h"
@@ -155,7 +155,7 @@ TEST(ExperimentTest, HugeMemoryThresholdMatchesLargeOne) {
     };
     const metrics::RunReport huge = run_at("1e11");
     EXPECT_EQ(huge.jobs_completed, huge.jobs_submitted) << name;
-    EXPECT_EQ(testutil::fingerprint(huge), testutil::fingerprint(run_at("1e3"))) << name;
+    EXPECT_EQ(metrics::fingerprint(huge), metrics::fingerprint(run_at("1e3"))) << name;
   }
 }
 
@@ -177,10 +177,10 @@ TEST(ExperimentTest, HugeVReconfFactorsMatchLargeOnes) {
     if (key == "reservations_started") reservations = value;
   }
   ASSERT_GT(reservations, 0.0);
-  EXPECT_EQ(testutil::fingerprint(run("v-reconf:growth_headroom=1e300")),
-            testutil::fingerprint(run("v-reconf:growth_headroom=1e6")));
-  EXPECT_EQ(testutil::fingerprint(run("v-reconf:big_job_factor=1e300")),
-            testutil::fingerprint(run("v-reconf:big_job_factor=1e6")));
+  EXPECT_EQ(metrics::fingerprint(run("v-reconf:growth_headroom=1e300")),
+            metrics::fingerprint(run("v-reconf:growth_headroom=1e6")));
+  EXPECT_EQ(metrics::fingerprint(run("v-reconf:big_job_factor=1e300")),
+            metrics::fingerprint(run("v-reconf:big_job_factor=1e6")));
 }
 
 }  // namespace

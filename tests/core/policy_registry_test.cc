@@ -122,11 +122,38 @@ TEST(PolicyRegistryTest, MalformedValueErrorGivesTypeAndExample) {
 
   EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"max_reservations", "many"}}), &error),
             nullptr);
-  EXPECT_NE(error.find("expected int"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected non-negative int"), std::string::npos) << error;
 
   EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"reserve_timeout", "2 fortnights"}}), &error),
             nullptr);
-  EXPECT_NE(error.find("expected duration"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected non-negative duration"), std::string::npos) << error;
+}
+
+// Each option row carries a bound: a value outside it fails with the table's
+// error shape instead of running.
+TEST(PolicyRegistryTest, NegativeMaxReservationsIsRejected) {
+  std::string error;
+  EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"max_reservations", "-3"}}), &error), nullptr);
+  EXPECT_EQ(error,
+            "v-reconf: param 'max_reservations': invalid value '-3' (expected non-negative int, "
+            "e.g. max_reservations=2)");
+}
+
+TEST(PolicyRegistryTest, NegativeGrowthHeadroomIsRejected) {
+  std::string error;
+  EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"growth_headroom", "-2"}}), &error), nullptr);
+  EXPECT_EQ(error,
+            "v-reconf: param 'growth_headroom': invalid value '-2' (expected non-negative double, "
+            "e.g. growth_headroom=1.2)");
+}
+
+TEST(PolicyRegistryTest, NegativeRegrowFreeSlotsIsRejected) {
+  std::string error;
+  EXPECT_EQ(make_policy(PolicySpec("m-reconfiguration", {{"regrow_free_slots", "-5"}}), &error),
+            nullptr);
+  EXPECT_EQ(error,
+            "m-reconfiguration: param 'regrow_free_slots': invalid value '-5' (expected "
+            "non-negative int, e.g. regrow_free_slots=2)");
 }
 
 TEST(PolicyRegistryTest, IntParamsRejectValuesBeyondInt) {

@@ -11,10 +11,11 @@
 
 #include <vector>
 
-#include "../common/report_fingerprint.h"
+#include "../common/fingerprint_goldens.h"
 #include "cluster/cluster.h"
 #include "core/experiment.h"
 #include "core/v_reconfiguration.h"
+#include "metrics/fingerprint.h"
 #include "workload/arrival_source.h"
 
 namespace vrc {
@@ -26,7 +27,7 @@ using cluster::RunningJob;
 using faults::FaultEntry;
 using faults::FaultInjector;
 using faults::FaultPlan;
-using testutil::fingerprint;
+using metrics::fingerprint;
 using testutil::kGLoadSharingGolden;
 using workload::JobId;
 using workload::JobSpec;

@@ -127,12 +127,14 @@ TEST(AuditSurfaceTest, BoardVerifiesAndCheckersCount) {
 TEST(AuditSurfaceTest, SkipCheckRecountsTheParkedSet) {
   cluster::NodeActivity activity(70);
   for (const NodeId node : {3u, 64u, 69u}) activity.ticking.insert(node);
-  activity.park(3, 10, 0.1, 50);  // wakes at round 61
-  activity.park(64, 12, 0.12, 20);  // wakes at round 33
-  activity.park(69, 12, 0.12, 40);
+  activity.park(3, 10, 0.1, 50, true);    // wakes at round 61
+  activity.park(64, 12, 0.12, 20, true);  // wakes at round 33
+  activity.park(69, 12, 0.12, 40, false);
   activity.unpark(69);
-  activity.park(69, 12, 0.12, 40);  // re-parking counts once
+  EXPECT_FALSE(activity.moving.contains(69));
+  activity.park(69, 12, 0.12, 40, false);  // re-parking counts once
   ASSERT_EQ(activity.parked_count, 3u);
+  ASSERT_EQ(activity.moving.count(), 1u);
 
   cluster::audit::reset_counters();
   cluster::audit::check_skip(activity, 33, 12);
@@ -143,6 +145,9 @@ TEST(AuditSurfaceTest, SkipCheckRecountsTheParkedSet) {
   activity.parked_count = 2;  // drifted count
   EXPECT_DEATH(cluster::audit::check_skip(activity, 33, 12), "tick skip");
   activity.parked_count = 3;
+  activity.moving.insert(5);  // moving but not parked
+  EXPECT_DEATH(cluster::audit::check_skip(activity, 33, 12), "moving but not parked");
+  activity.moving.erase(5);
   activity.ticking.erase(64);  // parked but not ticking
   EXPECT_DEATH(cluster::audit::check_skip(activity, 33, 12), "not ticking");
 }

@@ -1,7 +1,7 @@
 // Bit-exact determinism fingerprints for fig1-style runs.
 //
-// Compares the shared FNV-1a report fingerprint (tests/common/
-// report_fingerprint.h) against goldens captured before the event-core
+// Compares the shared FNV-1a report fingerprint (metrics::fingerprint,
+// src/metrics/fingerprint.h) against goldens captured before the event-core
 // rewrite (commit ff28ab2, std::priority_queue + unordered_map simulator and
 // scan-based workstation aggregates). Any change to event ordering, tick
 // accounting, or policy decisions shifts the fingerprint: engine
@@ -12,15 +12,16 @@
 
 #include <cstdint>
 
-#include "../common/report_fingerprint.h"
+#include "../common/fingerprint_goldens.h"
 #include "core/experiment.h"
+#include "metrics/fingerprint.h"
 #include "metrics/report.h"
 #include "workload/arrival_source.h"
 
 namespace vrc {
 namespace {
 
-using testutil::fingerprint;
+using metrics::fingerprint;
 using testutil::kGLoadSharingGolden;
 using testutil::kVReconfigurationGolden;
 

@@ -8,15 +8,15 @@
 #include <utility>
 #include <vector>
 
-#include "../common/report_fingerprint.h"
 #include "core/experiment.h"
+#include "metrics/fingerprint.h"
 #include "workload/arrival_source.h"
 #include "workload/trace_spec.h"
 
 namespace vrc {
 namespace {
 
-using testutil::fingerprint;
+using metrics::fingerprint;
 
 workload::TraceSpec malleable_spec() {
   workload::TraceSpec spec;

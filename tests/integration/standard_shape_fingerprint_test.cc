@@ -16,8 +16,8 @@
 #include <memory>
 #include <string>
 
-#include "../common/report_fingerprint.h"
 #include "core/experiment.h"
+#include "metrics/fingerprint.h"
 #include "workload/trace_spec.h"
 
 namespace vrc {
@@ -54,7 +54,7 @@ TEST_P(StandardShapeFingerprintTest, RigidShapeIsByteIdenticalToPreMalleabilityB
   const auto config = core::paper_cluster_for(golden.group, 32);
   const auto report = *core::run_policy_on_source(core::PolicySpec("g-loadsharing"), *source,
                                                   config);
-  EXPECT_EQ(testutil::fingerprint(report), golden.fingerprint);
+  EXPECT_EQ(metrics::fingerprint(report), golden.fingerprint);
   EXPECT_TRUE(report.streamed);
   EXPECT_EQ(report.jobs_submitted, jobs);
   // The pump holds only the jobs in flight, never more than the trace.

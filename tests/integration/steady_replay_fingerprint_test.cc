@@ -1,13 +1,16 @@
-// Bit-exact pins for SWF replays, the runs where steady workstations park.
+// Bit-exact pins for the runs where steady workstations park.
 //
 // A parked workstation skips its ticks and replays them on demand (DESIGN.md
 // §12.6). The replay must reproduce every floating-point operation of the
 // ticks it stands in for, so these cells pin every field of every completed
-// job (testutil::full_fingerprint) to values captured before parking
-// existed. The cells cover both SWF fixtures under every rigid policy, a
+// job (metrics::full_fingerprint) to values captured before parking
+// existed. The SWF cells cover both fixtures under every rigid policy, a
 // paging (`profile=ramp`) replay with migrations, crash windows plus
 // stochastic failures with resubmission, and a heterogeneous cluster with a
-// slower exchange and lost restarts.
+// slower exchange and lost restarts. The generated cells run SPEC and APPS
+// traces, whose demands grow over each job's whole run, so their nodes park
+// through unpressured memory ramps; their values were captured before ramp
+// parking existed.
 //
 // Parameterized so ctest runs the cells in parallel.
 #include <gtest/gtest.h>
@@ -20,8 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "../common/report_fingerprint.h"
 #include "core/experiment.h"
+#include "metrics/fingerprint.h"
 #include "workload/trace_spec.h"
 
 namespace vrc {
@@ -29,8 +32,8 @@ namespace {
 
 struct ReplayCell {
   const char* name;
-  const char* fixture;   // stem under tests/data/swf/
-  const char* profile;   // SWF `profile=` value
+  const char* trace;    // SWF fixture stem under tests/data/swf/, or a generated trace
+  const char* profile;  // SWF `profile=` value; null for a generated trace
   int nodes;
   const char* policy;
   std::map<std::string, std::string> overrides;
@@ -87,21 +90,23 @@ TEST_P(SteadyReplayFingerprintTest, EveryRecordIsBitIdentical) {
   const ReplayCell& cell = GetParam();
   std::string error;
   const std::optional<workload::TraceSpec> trace = workload::TraceSpec::parse(
-      std::string("swf:file=") + VRC_TEST_DATA_DIR + "/swf/" + cell.fixture +
-          ".swf,scale=0.1,min_runtime=1,profile=" + cell.profile,
+      cell.profile == nullptr ? std::string(cell.trace)
+                              : std::string("swf:file=") + VRC_TEST_DATA_DIR + "/swf/" +
+                                    cell.trace + ".swf,scale=0.1,min_runtime=1,profile=" +
+                                    cell.profile,
       &error);
   ASSERT_TRUE(trace.has_value()) << error;
   const auto nodes = static_cast<std::uint32_t>(cell.nodes);
   const std::unique_ptr<workload::ArrivalSource> source = trace->make_source(nodes);
-  auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, nodes);
+  auto config = core::paper_cluster_for(trace->group, nodes);
   ASSERT_TRUE(config.apply_overrides(cell.overrides, &error)) << error;
   core::ExperimentOptions options;
   options.fault_entries = cell.crashes;
   const auto report =
       *core::run_policy_on_source(core::PolicySpec(cell.policy), *source, config, options);
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
-  EXPECT_EQ(testutil::full_fingerprint(report), cell.fingerprint)
-      << "actual fingerprint: 0x" << std::hex << testutil::full_fingerprint(report);
+  EXPECT_EQ(metrics::full_fingerprint(report), cell.fingerprint)
+      << "actual fingerprint: 0x" << std::hex << metrics::full_fingerprint(report);
 }
 
 std::string cell_name(const testing::TestParamInfo<ReplayCell>& info) {
@@ -110,6 +115,26 @@ std::string cell_name(const testing::TestParamInfo<ReplayCell>& info) {
 
 INSTANTIATE_TEST_SUITE_P(SwfCells, SteadyReplayFingerprintTest, testing::ValuesIn(kCells),
                          cell_name);
+
+constexpr const char* kSpecTrace = "spec:jobs=160,duration=1200,seed=11";
+constexpr const char* kAppsTrace = "apps:jobs=100,duration=1200,seed=5";
+constexpr const char* kSpecMalleable = "spec:jobs=160,duration=1200,seed=11,malleable=0.5";
+constexpr const char* kAppsMalleable = "apps:jobs=100,duration=1200,seed=5,malleable=0.5";
+
+// Captured at the commit before workstations could park through ramps.
+const ReplayCell kGeneratedCells[] = {
+    {"SpecGLoadSharing", kSpecTrace, nullptr, 6, "g-loadsharing", {}, {}, 0x74e0fba7731910c8ull},
+    {"SpecVReconf", kSpecTrace, nullptr, 6, "v-reconf", {}, {}, 0x624204fc6285832dull},
+    {"AppsGLoadSharing", kAppsTrace, nullptr, 8, "g-loadsharing", {}, {}, 0x56772c1975396118ull},
+    {"AppsVReconf", kAppsTrace, nullptr, 8, "v-reconf", {}, {}, 0x791f24d5a4a2e761ull},
+    {"SpecMReconfiguration", kSpecMalleable, nullptr, 6, "m-reconfiguration", {}, {},
+     0x6b80adc987549d4cull},
+    {"AppsMReconfiguration", kAppsMalleable, nullptr, 8, "m-reconfiguration", {}, {},
+     0x50d21fa7bc9a709cull},
+};
+
+INSTANTIATE_TEST_SUITE_P(GeneratedCells, SteadyReplayFingerprintTest,
+                         testing::ValuesIn(kGeneratedCells), cell_name);
 
 }  // namespace
 }  // namespace vrc

@@ -15,14 +15,15 @@
 #include <string>
 #include <system_error>
 
-#include "../common/report_fingerprint.h"
+#include "../common/fingerprint_goldens.h"
 #include "core/baselines.h"
 #include "core/experiment.h"
+#include "metrics/fingerprint.h"
 
 namespace vrc::runner {
 namespace {
 
-using testutil::fingerprint;
+using metrics::fingerprint;
 using testutil::kGLoadSharingGolden;
 using testutil::kVReconfigurationGolden;
 
@@ -114,16 +115,16 @@ TEST(ScenarioSpecTest, FaultDirectiveRejectsEachFailureClassPrecisely) {
   EXPECT_FALSE(spec.apply_line("fault crash node2 at=0 for=1", &error));
   EXPECT_NE(error.find("fault field 'node2' is not key=value"), std::string::npos) << error;
   EXPECT_FALSE(spec.apply_line("fault crash node=two at=0 for=1", &error));
-  EXPECT_NE(error.find("fault node 'two' is not a non-negative int"), std::string::npos)
-      << error;
+  EXPECT_EQ(error,
+            "fault field 'node': invalid value 'two' (expected non-negative int, e.g. node=2)");
   EXPECT_FALSE(spec.apply_line("fault crash node=1 at=-5 for=1", &error));
-  EXPECT_NE(error.find("fault at '-5' is not a non-negative duration"), std::string::npos)
-      << error;
+  EXPECT_EQ(error,
+            "fault field 'at': invalid value '-5' (expected non-negative duration, e.g. at=100)");
   EXPECT_FALSE(spec.apply_line("fault crash node=1 at=5 for=0", &error));
-  EXPECT_NE(error.find("fault for '0' is not a positive duration"), std::string::npos)
-      << error;
+  EXPECT_EQ(error,
+            "fault field 'for': invalid value '0' (expected positive duration, e.g. for=60)");
   EXPECT_FALSE(spec.apply_line("fault crash node=1 at=5 temp=90", &error));
-  EXPECT_NE(error.find("fault field 'temp' unknown"), std::string::npos) << error;
+  EXPECT_EQ(error, "unknown fault field 'temp' (known fault fields: node, at, for)");
   EXPECT_FALSE(spec.apply_line("fault crash node=1 at=5", &error));
   EXPECT_NE(error.find("fault crash needs node=, at=, and for="), std::string::npos) << error;
   // None of the rejected lines may leave a partial entry behind.
@@ -135,7 +136,8 @@ TEST(ScenarioSpecTest, FaultNodeRejectsValuesBeyondTheNodeIdRange) {
   ScenarioSpec spec;
   std::string error;
   EXPECT_FALSE(spec.apply_line("fault crash node=4294967298 at=10 for=5", &error));
-  EXPECT_NE(error.find("fault node '4294967298' is not a non-negative int"), std::string::npos)
+  EXPECT_NE(error.find("fault field 'node': invalid value '4294967298' (expected non-negative int"),
+            std::string::npos)
       << error;
   EXPECT_TRUE(spec.faults.empty());
   EXPECT_TRUE(spec.apply_line("fault crash node=4294967295 at=10 for=5", &error)) << error;
@@ -461,9 +463,15 @@ TEST(ScenarioSpecTest, NumericDirectivesRejectNonFiniteValues) {
     EXPECT_FALSE(spec.apply_line("max_sim_time " + value, &error)) << value;
     EXPECT_NE(error.find("max_sim_time '" + value + "'"), std::string::npos) << error;
     EXPECT_FALSE(spec.apply_line("fault crash node=1 at=" + value + " for=60", &error)) << value;
-    EXPECT_NE(error.find("fault at '" + value + "'"), std::string::npos) << error;
+    EXPECT_NE(error.find("fault field 'at': invalid value '" + value +
+                         "' (expected non-negative duration"),
+              std::string::npos)
+        << error;
     EXPECT_FALSE(spec.apply_line("fault crash node=1 at=100 for=" + value, &error)) << value;
-    EXPECT_NE(error.find("fault for '" + value + "'"), std::string::npos) << error;
+    EXPECT_NE(error.find("fault field 'for': invalid value '" + value +
+                         "' (expected positive duration"),
+              std::string::npos)
+        << error;
     EXPECT_TRUE(spec.faults.empty());
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace vrc::workload {
 namespace {
 
@@ -69,6 +71,22 @@ TEST(MemoryProfileTest, DemandIsMonotoneForMonotoneProfile) {
     EXPECT_GE(d, last);
     last = d;
   }
+}
+
+TEST(MemoryProfileTest, RisingUntilEndsWhereDemandStartsToFall) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // Never falls: a ramp and its plateau, and a constant profile.
+  const auto ramp = MemoryProfile::ramp_to(megabytes(60), 0.5);
+  EXPECT_EQ(ramp.rising_until(0.2), inf);
+  EXPECT_EQ(ramp.rising_until(0.8), inf);
+  EXPECT_EQ(MemoryProfile::constant(megabytes(10)).rising_until(0.3), inf);
+  // Level, rising, then falling: the stretch ends at the peak, inclusive.
+  const auto peaked = MemoryProfile::phased(
+      {{0.0, megabytes(10)}, {0.3, megabytes(10)}, {0.6, megabytes(50)}, {1.0, megabytes(20)}});
+  EXPECT_EQ(peaked.rising_until(0.1), 0.6);
+  EXPECT_EQ(peaked.rising_until(0.6), 0.6);
+  // On the falling segment there is no rising stretch left.
+  EXPECT_EQ(peaked.rising_until(0.7), 0.7);
 }
 
 TEST(MemoryProfileDeathTest, RejectsEmptyPointList) {
