@@ -153,8 +153,7 @@ void Cluster::place_local(RunningJob& job, NodeId node_id) {
   std::unique_ptr<RunningJob> owned = take_pending(job.id());
   assert(owned && "place_local: job not in pending queue");
   const SimTime now = sim_.now();
-  owned->t_queue += now - owned->accounted_until;
-  owned->accounted_until = now;
+  owned->charge(&RunningJob::t_queue, now);
   owned->phase = JobPhase::kRunning;
   ++local_placements_;
   board_.note_placement(node_id, std::max(owned->demand, config_.admission_demand_estimate),
@@ -167,8 +166,7 @@ void Cluster::place_remote(RunningJob& job, NodeId node_id) {
   std::unique_ptr<RunningJob> owned = take_pending(job.id());
   assert(owned && "place_remote: job not in pending queue");
   const SimTime now = sim_.now();
-  owned->t_queue += now - owned->accounted_until;
-  owned->accounted_until = now;
+  owned->charge(&RunningJob::t_queue, now);
 
   Workstation& dst = node(node_id);
   dst.add_incoming(owned->id(), owned->demand, owned->width);
@@ -184,8 +182,7 @@ void Cluster::place_remote(RunningJob& job, NodeId node_id) {
       network_.start_remote_submit([this, owned = std::move(owned), node_id]() mutable {
         std::unique_ptr<RunningJob> arrived = std::move(owned);
         const SimTime done = sim_.now();
-        arrived->t_mig += done - arrived->accounted_until;
-        arrived->accounted_until = done;
+        arrived->charge(&RunningJob::t_mig, done);
         Workstation& target = node(node_id);
         // A failed destination dropped its reservations; a dead reservation
         // (even after the node recovered) means the submission is lost.
@@ -215,8 +212,7 @@ bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
   if (src == dst_id) return false;
 
   const SimTime now = sim_.now();
-  job->t_queue += now - job->accounted_until;
-  job->accounted_until = now;
+  job->charge(&RunningJob::t_queue, now);
   source.set_job_phase(*job, JobPhase::kMigrating);
   job->migration_dst = dst_id;
   const int incarnation = job->incarnation;
@@ -243,8 +239,7 @@ bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
       return;
     }
     const SimTime done = sim_.now();
-    live->t_mig += done - live->accounted_until;
-    live->accounted_until = done;
+    live->charge(&RunningJob::t_mig, done);
     live->migration_dst = workload::kInvalidNode;
     Workstation& target = node(dst_id);
     const bool delivered = !target.failed() && target.remove_incoming(job_id);
@@ -273,8 +268,7 @@ bool Cluster::suspend_job(NodeId node_id, JobId job_id) {
   RunningJob* job = host.find_job(job_id);
   if (job == nullptr || job->phase != JobPhase::kRunning) return false;
   const SimTime now = sim_.now();
-  job->t_queue += now - job->accounted_until;
-  job->accounted_until = now;
+  job->charge(&RunningJob::t_queue, now);
   host.set_job_phase(*job, JobPhase::kSuspended);
   return true;
 }
@@ -284,8 +278,7 @@ bool Cluster::resume_job(NodeId node_id, JobId job_id) {
   RunningJob* job = host.find_job(job_id);
   if (job == nullptr || job->phase != JobPhase::kSuspended) return false;
   const SimTime now = sim_.now();
-  job->t_queue += now - job->accounted_until;
-  job->accounted_until = now;
+  job->charge(&RunningJob::t_queue, now);
   host.set_job_phase(*job, JobPhase::kRunning);
   return true;
 }
@@ -312,8 +305,7 @@ bool Cluster::resize_job(NodeId node_id, JobId job_id, int new_width) {
   // Close the accounting gap at the old width; the pause itself lands in
   // t_mig when the reconfiguration completes (§5: a reconfiguration pause is
   // transfer-class time, not queueing).
-  job->t_queue += now - job->accounted_until;
-  job->accounted_until = now;
+  job->charge(&RunningJob::t_queue, now);
   const int old_width = job->width;
   job->resize_target = new_width;
   host.set_job_width(*job, std::max(old_width, new_width));
@@ -336,8 +328,7 @@ bool Cluster::resize_job(NodeId node_id, JobId job_id, int new_width) {
       return;
     }
     const SimTime done = sim_.now();
-    live->t_mig += done - live->accounted_until;
-    live->accounted_until = done;
+    live->charge(&RunningJob::t_mig, done);
     owner.set_job_width(*live, live->resize_target);
     owner.set_job_phase(*live, JobPhase::kRunning);
     ++live->resizes;
@@ -388,9 +379,9 @@ void Cluster::fail_node(NodeId node_id) {
   for (auto& job : killed) {
     // Close the accounting gap since the last tick: wall time on a node that
     // then crashed is wait time (transfer time for a migrating job).
-    const SimTime gap = now - job->accounted_until;
+    SimTime RunningJob::*bucket = &RunningJob::t_queue;
     if (job->phase == JobPhase::kMigrating) {
-      job->t_mig += gap;
+      bucket = &RunningJob::t_mig;
       // Release the destination's reservation; the in-flight completion
       // aborts via its incarnation check.
       if (job->migration_dst != workload::kInvalidNode) {
@@ -399,12 +390,10 @@ void Cluster::fail_node(NodeId node_id) {
     } else if (job->phase == JobPhase::kResizing) {
       // Killed mid-resize: the paused interval is transfer-class time, and
       // the scheduled completion aborts via its incarnation check.
-      job->t_mig += gap;
+      bucket = &RunningJob::t_mig;
       ++resizes_aborted_;
-    } else {
-      job->t_queue += gap;
     }
-    job->accounted_until = now;
+    job->charge(bucket, now);
     work_lost_cpu_ += job->cpu_done;
     job->cpu_done = 0.0;
     job->phase = JobPhase::kPending;
@@ -599,10 +588,9 @@ void Cluster::handle_exchange(SimTime now) {
       // it, aggregates exclude it), and recover_node re-syncs with another
       // immediate broadcast — so no snapshot is built for a down node.
       metrics::perf_add(&metrics::PerfCounters::exchange_failed_skips);
-      return true;
+      return;
     }
     publish_to_board(target, now);
-    return true;
   });
 #ifdef VRC_AUDIT
   // Immediately after the dirty drain, every live node's fresh snapshot must
@@ -622,7 +610,7 @@ void Cluster::handle_exchange(SimTime now) {
 
 void Cluster::publish_to_board(Workstation& target, SimTime now) {
   board_.update(target.snapshot(now));
-  activity_.dirty.clear(target.id());
+  activity_.dirty.erase(target.id());
   metrics::perf_add(&metrics::PerfCounters::snapshots_published);
 }
 

@@ -65,6 +65,15 @@ class NodeBitset {
     }
   }
 
+  /// Visits members as for_each does, erasing each after its visit.
+  template <typename Visit>
+  void drain(Visit&& visit) {
+    for_each([&](NodeId node) {
+      visit(node);
+      erase(node);
+    });
+  }
+
  private:
   static std::size_t word_of(NodeId node) { return static_cast<std::size_t>(node) >> 6; }
   static std::uint64_t bit_of(NodeId node) {
@@ -73,52 +82,6 @@ class NodeBitset {
 
   std::vector<std::uint64_t> words_;
   std::size_t count_ = 0;
-};
-
-/// Deduplicated first-mutation-ordered set of nodes whose state changed since
-/// the last exchange. `mark` is O(1); `drain` visits each still-marked node
-/// once. An out-of-band publish (fail/recover broadcast) clears the flag
-/// without touching the order list — the stale list entry is dropped lazily
-/// at the next drain, and a re-mark after such a clear appends a fresh entry
-/// (board update order is value-irrelevant: aggregates are order-independent
-/// integer sums and heap queries are exact over a total order).
-class DirtyNodeSet {
- public:
-  explicit DirtyNodeSet(std::size_t num_nodes) : dirty_(num_nodes, 0) {
-    order_.reserve(num_nodes);
-  }
-
-  void mark(NodeId node) {
-    if (dirty_[node] != 0) return;
-    dirty_[node] = 1;
-    order_.push_back(node);
-  }
-  /// Clears the flag (used by immediate broadcasts so the next exchange does
-  /// not double-publish). The order_ entry, if any, is dropped lazily.
-  void clear(NodeId node) { dirty_[node] = 0; }
-  bool contains(NodeId node) const { return dirty_[node] != 0; }
-
-  /// Calls `publish(node)` for every still-marked node in first-mark order
-  /// and clears the set. `publish` returns true when the node was published;
-  /// false retains the mark (and list position) for the next drain.
-  template <typename Publish>
-  void drain(Publish&& publish) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      const NodeId node = order_[i];
-      if (dirty_[node] == 0) continue;  // cleared out-of-band; drop lazily
-      if (publish(node)) {
-        dirty_[node] = 0;
-        continue;
-      }
-      order_[keep++] = node;  // retained: still dirty next period
-    }
-    order_.resize(keep);
-  }
-
- private:
-  std::vector<std::uint8_t> dirty_;  // flag per node; source of truth
-  std::vector<NodeId> order_;        // first-mark order, may hold cleared ids
 };
 
 /// A parked workstation: steady, so the tick pass skips it and its ticks are
@@ -134,7 +97,9 @@ struct ParkedNode {
 /// Workstation::publish_index after every mutation.
 struct NodeActivity {
   NodeBitset ticking;
-  DirtyNodeSet dirty;
+  /// Nodes mutated since the last exchange, drained in id order (board
+  /// update order is value-irrelevant, DESIGN.md §12.1).
+  NodeBitset dirty;
   /// Per node. A parked node keeps its `ticking` bit: for_each reads each
   /// word once, so a bit re-inserted mid-pass would be skipped.
   std::vector<ParkedNode> parked;
@@ -170,7 +135,7 @@ struct NodeActivity {
   /// Every mutation unparks: the accessor that reached the node settled it.
   void note_mutation(NodeId node, bool needs_tick) {
     ticking.set(node, needs_tick);
-    dirty.mark(node);
+    dirty.insert(node);
     unpark(node);
   }
 };

@@ -76,6 +76,14 @@ struct RunningJob {
   /// to the four buckets.
   SimTime accounted_until = 0.0;
 
+  /// Charges the wall time since accounted_until to one §5 bucket (say
+  /// &RunningJob::t_queue) and closes the gap. Every gap outside a tick goes
+  /// through here; a tick splits its interval across the buckets itself.
+  void charge(SimTime RunningJob::*bucket, SimTime now) {
+    this->*bucket += now - accounted_until;
+    accounted_until = now;
+  }
+
   double progress() const {
     return spec->cpu_seconds > 0.0 ? cpu_done / spec->cpu_seconds : 1.0;
   }

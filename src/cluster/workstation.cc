@@ -38,11 +38,11 @@ bool Workstation::accepts_new_job(Bytes demand_hint, int width) const {
   if (reserved_) return false;
   if (slots_used() + width > config_->cpu_threshold) return false;
   if (memory_pressured()) return false;
-  // The memory threshold of [3]: keep headroom below user memory so running
-  // jobs' demand growth does not immediately overcommit the node.
-  const Bytes limit =
-      saturating_bytes(config_->memory_threshold * static_cast<double>(user_memory()));
-  return committed_demand() + demand_hint < limit;
+  return committed_demand() + demand_hint < memory_limit();
+}
+
+Bytes Workstation::memory_limit() const {
+  return saturating_bytes(config_->memory_threshold * static_cast<double>(user_memory()));
 }
 
 RunningJob& Workstation::add_job(std::unique_ptr<RunningJob> job) {
@@ -652,7 +652,7 @@ void Workstation::publish_index() {
 
 void Workstation::publish_replayed() {
   // The `ticking` bit cannot change: a parked node keeps its jobs.
-  if (activity_ != nullptr) activity_->dirty.mark(id_);
+  if (activity_ != nullptr) activity_->dirty.insert(id_);
 }
 
 LoadInfo Workstation::snapshot(SimTime now) const {

@@ -74,9 +74,17 @@ class Workstation {
   /// configured threshold — the condition that blocks submissions in [3].
   bool memory_pressured() const;
   /// Admission predicate of the dynamic load sharing scheme: `width` free
-  /// CPU slots, some idle memory beyond `demand_hint`, no pressure, not
-  /// reserved. Width defaults to 1 (every rigid job).
+  /// CPU slots, committed demand plus `demand_hint` below memory_limit(), no
+  /// pressure, not reserved. Width defaults to 1 (every rigid job).
   bool accepts_new_job(Bytes demand_hint = 0, int width = 1) const;
+  /// The memory threshold of [3]: the share of user memory admission may
+  /// commit, leaving headroom for running jobs' demand growth.
+  Bytes memory_limit() const;
+  /// Room for a job of `width` slots and `demand` bytes right now: that many
+  /// free slots and at least that much idle memory.
+  bool fits(int width, Bytes demand) const {
+    return free_slots() >= width && idle_memory() >= demand;
+  }
 
   // --- reservation flag (virtual reconfiguration) ---
   bool reserved() const { return reserved_; }

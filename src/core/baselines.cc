@@ -64,10 +64,8 @@ void SuspensionPolicy::on_periodic(Cluster& cluster) {
       suspended_.erase(suspended_.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
-    // A suspended job resumes at the width it held; the node must have that
-    // many slots free again (width 1 reduces to the old predicate).
-    const bool room = node.slots_used() + job->width <= cluster.config().cpu_threshold &&
-                      node.idle_memory() >= job->demand && !node.memory_pressured();
+    // A suspended job resumes at the width it held.
+    const bool room = node.fits(job->width, job->demand) && !node.memory_pressured();
     if (room && cluster.resume_job(entry.node, entry.job)) {
       ++resumes_;
       suspended_.erase(suspended_.begin() + static_cast<std::ptrdiff_t>(i));

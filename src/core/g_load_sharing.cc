@@ -76,11 +76,8 @@ std::optional<NodeId> GLoadSharing::find_migration_target(Cluster& cluster,
     if (info.slots_used + job.width > cpu_threshold) return false;
     if (info.idle_memory <= 0 || info.idle_memory < job.demand) return false;
     const Workstation& live = cluster.node(n);
-    if (live.failed() || live.free_slots() < job.width || live.reserved() ||
-        live.memory_pressured()) {
-      return false;
-    }
-    return live.idle_memory() >= job.demand;
+    return !live.failed() && !live.reserved() && !live.memory_pressured() &&
+           live.fits(job.width, job.demand);
   });
 }
 
@@ -113,9 +110,9 @@ std::vector<std::pair<std::string, double>> GLoadSharing::stats() const {
           {"failed_migrations", static_cast<double>(failed_migrations_)}};
 }
 
-void GLoadSharing::on_periodic(Cluster& cluster) {
-  // Blocked submissions retry in arrival order; stop at the first job that
-  // cannot be placed to preserve FIFO fairness among the blocked.
+void GLoadSharing::on_periodic(Cluster& cluster) { retry_pending(cluster); }
+
+void GLoadSharing::retry_pending(Cluster& cluster) {
   for (RunningJob* job : cluster.pending_jobs()) {
     if (!try_place(cluster, *job)) break;
   }

@@ -57,7 +57,12 @@ class GLoadSharing : public cluster::SchedulerPolicy {
 
  protected:
   /// Attempts local, then remote placement. Returns true if placed.
-  bool try_place(Cluster& cluster, RunningJob& job);
+  virtual bool try_place(Cluster& cluster, RunningJob& job);
+
+  /// Retries the blocked submissions through try_place in arrival order,
+  /// stopping at the first job that cannot be placed (FIFO fairness among
+  /// the blocked).
+  void retry_pending(Cluster& cluster);
 
   /// Most lightly loaded workstation (fewest used slots, ties broken by the
   /// largest idle memory) that passes both the board snapshot and the live

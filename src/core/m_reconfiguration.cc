@@ -52,9 +52,7 @@ bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
     const Workstation& node = cluster.node(candidate);
     if (node.failed() || node.reserved() || node.memory_pressured()) continue;
     if (!cooled_down(cluster, candidate)) continue;
-    const Bytes limit = saturating_bytes(cluster.config().memory_threshold *
-                                         static_cast<double>(node.user_memory()));
-    if (node.committed_demand() + hint >= limit) continue;
+    if (node.committed_demand() + hint >= node.memory_limit()) continue;
     const int missing = node.slots_used() + job.width - cpu_threshold;
     if (missing <= 0) continue;  // not slot-bound: admission failed on memory
     const int slack = shrinkable_slack(node);
@@ -167,9 +165,7 @@ void MReconfiguration::on_resize_complete(Cluster& cluster, RunningJob& job) {
   (void)job;
   // The slots a shrink released became usable this instant; re-offer the
   // blocked queue in FIFO order.
-  for (RunningJob* pending : cluster.pending_jobs()) {
-    if (!try_place(cluster, *pending)) break;
-  }
+  retry_pending(cluster);
 }
 
 void MReconfiguration::on_migration_complete(Cluster& cluster, RunningJob& job) {

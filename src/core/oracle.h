@@ -22,16 +22,10 @@ class OracleDemands : public GLoadSharing {
 
   const char* name() const override { return "Oracle-Demands"; }
 
-  void on_job_arrival(Cluster& cluster, RunningJob& job) override;
-  void on_periodic(Cluster& cluster) override;
-
  private:
-  /// Sum of the *peak* working sets of everything on (or headed to) the
-  /// node: what the node's demand will grow into.
-  Bytes future_committed(const Workstation& node) const;
-  bool oracle_accepts(const Cluster& cluster, const Workstation& node, Bytes peak,
-                      int width = 1) const;
-  bool try_place_oracle(Cluster& cluster, RunningJob& job);
+  /// Local, then least future-committed remote placement, both admitted on
+  /// the job's true peak working set.
+  bool try_place(Cluster& cluster, RunningJob& job) override;
 };
 
 }  // namespace vrc::core

@@ -44,16 +44,11 @@ bool VReconfiguration::handle_blocking(Cluster& cluster, Workstation& node) {
   // cost more than the paging it cures).
   if (node.overcommit() < options_.min_overcommit) return false;
   RunningJob* big = node.most_memory_intensive_job();
-  const Bytes big_threshold = saturating_bytes(
-      options_.big_job_factor *
-      static_cast<double>(cluster.config().admission_demand_estimate));
-  if (big == nullptr || big->demand < big_threshold) return false;
-
-  const Bytes needed =
-      saturating_bytes(options_.growth_headroom * static_cast<double>(big->demand));
+  if (big == nullptr || big->demand < big_job_threshold(cluster)) return false;
 
   // (1) An existing reserved workstation with enough available resources.
-  if (Reservation* usable = find_usable_reservation(cluster, needed, big->width)) {
+  if (Reservation* usable =
+          find_usable_reservation(cluster, headroom_for(big->demand), big->width)) {
     if (cluster.start_migration(node.id(), big->id(), usable->node)) {
       ++reserved_migrations_;
       usable->state = ReservationState::kServing;
@@ -128,10 +123,17 @@ std::optional<NodeId> VReconfiguration::pick_reservation_candidate(Cluster& clus
   return best->id();
 }
 
+Bytes VReconfiguration::big_job_threshold(const Cluster& cluster) const {
+  return saturating_bytes(options_.big_job_factor *
+                          static_cast<double>(cluster.config().admission_demand_estimate));
+}
+
+Bytes VReconfiguration::headroom_for(Bytes demand) const {
+  return saturating_bytes(options_.growth_headroom * static_cast<double>(demand));
+}
+
 RunningJob* VReconfiguration::find_cluster_big_job(Cluster& cluster, NodeId* src) const {
-  const Bytes big_threshold = saturating_bytes(
-      options_.big_job_factor *
-      static_cast<double>(cluster.config().admission_demand_estimate));
+  const Bytes big_threshold = big_job_threshold(cluster);
   RunningJob* best = nullptr;
   for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
     Workstation& node = cluster.node(static_cast<NodeId>(i));
@@ -163,40 +165,9 @@ VReconfiguration::Reservation* VReconfiguration::find_usable_reservation(Cluster
     if (node.failed()) continue;
     const bool drained =
         reservation.state == ReservationState::kServing || node.active_jobs() == 0;
-    if (drained && node.free_slots() >= width && node.idle_memory() >= demand) {
-      return &reservation;
-    }
+    if (drained && node.fits(width, demand)) return &reservation;
   }
   return nullptr;
-}
-
-void VReconfiguration::complete_drain(Cluster& cluster, Reservation& reservation) {
-  NodeId src = 0;
-  RunningJob* big = find_cluster_big_job(cluster, &src);
-  if (big == nullptr) {
-    // Blocking problem resolved itself during the reserving period:
-    // adaptively switch back to normal load sharing.
-    release_reservation(cluster, reservation);
-    ++reservations_cancelled_;
-    return;
-  }
-  Workstation& target = cluster.node(reservation.node);
-  const Bytes needed =
-      saturating_bytes(options_.growth_headroom * static_cast<double>(big->demand));
-  if (target.idle_memory() < needed || target.free_slots() < big->width) return;
-  if (cluster.start_migration(src, big->id(), reservation.node)) {
-    ++reserved_migrations_;
-    reservation.state = ReservationState::kServing;
-    VRC_LOG(kInfo) << "t=" << cluster.simulator().now() << " reserving period over: job "
-                   << big->id() << " (" << to_megabytes(big->demand) << " MB) -> reserved node "
-                   << reservation.node;
-  }
-}
-
-void VReconfiguration::release_reservation(Cluster& cluster, const Reservation& reservation) {
-  cluster.set_reserved(reservation.node, false);
-  VRC_LOG(kInfo) << "t=" << cluster.simulator().now() << " reservation on node "
-                 << reservation.node << " released";
 }
 
 std::vector<std::pair<std::string, double>> VReconfiguration::stats() const {
@@ -228,65 +199,61 @@ void VReconfiguration::on_node_failed(Cluster& cluster, NodeId node) {
   maintain_reservations(cluster);  // abandons a reservation on the dead node
 }
 
+VReconfiguration::End VReconfiguration::step(Cluster& cluster, Reservation& reservation,
+                                             SimTime now) {
+  Workstation& node = cluster.node(reservation.node);
+  // A dead workstation's big job, if it served one, has already been killed
+  // and re-enqueued by the cluster; the node rejoins the pool on recovery.
+  if (node.failed()) return End::kNodeFailed;
+  if (reservation.state == ReservationState::kServing) {
+    return node.active_jobs() == 0 && node.incoming_count() == 0 ? End::kServed : End::kKeep;
+  }
+  // Adaptive switch-back: no blocking for a while, cancel the drain.
+  if (now - last_blocking_seen_ > options_.blocking_resolve_timeout) return End::kResolved;
+  // §2.3: the workstation could not be drained within the interval — the
+  // cluster is truly heavily loaded; give the node back.
+  if (now - reservation.started > options_.reserve_timeout) return End::kTimedOut;
+
+  // The reserving period is over once every job has left, or (early
+  // release) as soon as the node fits the cluster's big job.
+  const bool emptied = node.active_jobs() == 0;
+  if (!emptied && !options_.early_release) return End::kKeep;
+  NodeId src = 0;
+  RunningJob* big = find_cluster_big_job(cluster, &src);
+  // No big job left on an emptied node: the blocking problem resolved itself
+  // during the reserving period.
+  if (big == nullptr) return emptied ? End::kResolved : End::kKeep;
+  // A big job that does not fit yet keeps the node draining until a timeout
+  // ends the reservation.
+  if (!node.fits(big->width, headroom_for(big->demand))) return End::kKeep;
+  if (cluster.start_migration(src, big->id(), reservation.node)) {
+    ++reserved_migrations_;
+    reservation.state = ReservationState::kServing;
+    VRC_LOG(kInfo) << "t=" << now << " reserving period over: job " << big->id() << " ("
+                   << to_megabytes(big->demand) << " MB) -> reserved node " << reservation.node;
+  }
+  return End::kKeep;
+}
+
 void VReconfiguration::maintain_reservations(Cluster& cluster) {
   const SimTime now = cluster.simulator().now();
-
   for (std::size_t i = 0; i < reservations_.size();) {
-    Reservation& reservation = reservations_[i];
-    Workstation& node = cluster.node(reservation.node);
-
-    if (node.failed()) {
-      // The reserved workstation died: drop the reservation flag so the node
-      // rejoins the pool when it recovers. Any big job it was serving has
-      // already been killed and re-enqueued by the cluster.
-      release_reservation(cluster, reservation);
-      ++reservations_failed_;
-      reservations_.erase(reservations_.begin() + static_cast<std::ptrdiff_t>(i));
+    const End end = step(cluster, reservations_[i], now);
+    if (end == End::kKeep) {
+      ++i;
       continue;
     }
-
-    if (reservation.state == ReservationState::kDraining) {
-      if (now - last_blocking_seen_ > options_.blocking_resolve_timeout) {
-        // Adaptive switch-back: no blocking for a while, cancel the drain.
-        release_reservation(cluster, reservation);
-        ++reservations_cancelled_;
-        reservations_.erase(reservations_.begin() + static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      if (now - reservation.started > options_.reserve_timeout) {
-        // §2.3: the workstation could not be drained within the interval —
-        // the cluster is truly heavily loaded; give the node back.
-        release_reservation(cluster, reservation);
-        ++drains_timed_out_;
-        last_drain_timeout_ = now;
-        reservations_.erase(reservations_.begin() + static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      bool ready = node.active_jobs() == 0;
-      if (!ready && options_.early_release) {
-        NodeId src = 0;
-        RunningJob* big = find_cluster_big_job(cluster, &src);
-        ready = big != nullptr && node.free_slots() >= big->width &&
-                node.idle_memory() >= saturating_bytes(options_.growth_headroom *
-                                                       static_cast<double>(big->demand));
-      }
-      if (ready) {
-        complete_drain(cluster, reservation);
-        if (reservation.state == ReservationState::kDraining) {
-          // complete_drain released it (blocking resolved); drop the entry.
-          reservations_.erase(reservations_.begin() + static_cast<std::ptrdiff_t>(i));
-          continue;
-        }
-      }
-    } else {  // kServing
-      if (node.active_jobs() == 0 && node.incoming_count() == 0) {
-        // Special service finished: the workstation rejoins the normal pool.
-        release_reservation(cluster, reservation);
-        reservations_.erase(reservations_.begin() + static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
+    // The one way a reservation ends: the node rejoins the normal pool.
+    const NodeId node = reservations_[i].node;
+    cluster.set_reserved(node, false);
+    VRC_LOG(kInfo) << "t=" << now << " reservation on node " << node << " released";
+    if (end == End::kNodeFailed) ++reservations_failed_;
+    if (end == End::kResolved) ++reservations_cancelled_;
+    if (end == End::kTimedOut) {
+      ++drains_timed_out_;
+      last_drain_timeout_ = now;
     }
-    ++i;
+    reservations_.erase(reservations_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 }
 

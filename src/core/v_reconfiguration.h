@@ -108,6 +108,16 @@ class VReconfiguration : public GLoadSharing {
     SimTime started = 0.0;
   };
 
+  /// What one maintenance step decides for a reservation: it goes on, or
+  /// why it ends.
+  enum class End {
+    kKeep,
+    kNodeFailed,  // the reserved workstation died
+    kResolved,    // the blocking problem went away while draining
+    kTimedOut,    // §2.3: the drain outlasted reserve_timeout
+    kServed,      // every migrated big job has left the workstation
+  };
+
   /// Handles a detected blocking event for the pressured node. Returns true
   /// if it could act (reuse or start a reservation).
   bool handle_blocking(Cluster& cluster, Workstation& node);
@@ -120,16 +130,20 @@ class VReconfiguration : public GLoadSharing {
   /// (the job the drained reservation should serve), or nullptr.
   RunningJob* find_cluster_big_job(Cluster& cluster, NodeId* src) const;
 
-  /// Migrates the cluster's big job to the drained reservation; releases the
-  /// reservation instead if the blocking problem has dissolved.
-  void complete_drain(Cluster& cluster, Reservation& reservation);
+  /// Demand past which a job counts as "demanding large memory".
+  Bytes big_job_threshold(const Cluster& cluster) const;
+  /// Idle memory a reserved workstation needs to take a big job of `demand`.
+  Bytes headroom_for(Bytes demand) const;
 
-  void release_reservation(Cluster& cluster, const Reservation& reservation);
+  /// One maintenance step: timeouts, adaptive cancellation, the end of the
+  /// reserving period (migrating the cluster's big job onto the drained
+  /// workstation once it fits) and the end of service.
+  End step(Cluster& cluster, Reservation& reservation, SimTime now);
 
-  /// Drain checks, timeouts, adaptive cancellation, and release of finished
-  /// reservations. Runs on the periodic pulse and after every completion
-  /// (the latter so the final reservation of a run is released even though
-  /// the periodic task stops when the workload finishes).
+  /// Steps every reservation and ends those whose step says so, through one
+  /// exit. Runs on the periodic pulse and after every completion (the
+  /// latter so the final reservation of a run is released even though the
+  /// periodic task stops when the workload finishes).
   void maintain_reservations(Cluster& cluster);
 
   bool has_draining_reservation() const;

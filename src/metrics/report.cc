@@ -1,5 +1,6 @@
 #include "metrics/report.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace vrc::metrics {
@@ -38,7 +39,11 @@ std::string describe(const RunReport& report) {
   }
   if (!report.policy_stats.empty()) {
     os << "  policy:";
-    for (const auto& [key, value] : report.policy_stats) os << ' ' << key << '=' << value;
+    for (const auto& [key, value] : report.policy_stats) {
+      // Counts print exactly: four significant digits read 34770 as 3.477e+04.
+      os.precision(std::trunc(value) == value ? 17 : 4);
+      os << ' ' << key << '=' << value;
+    }
     os << '\n';
   }
   return os.str();

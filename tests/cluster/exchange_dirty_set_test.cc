@@ -39,7 +39,7 @@ JobSpec make_spec(JobId id, SimTime submit, double cpu_seconds, Bytes demand,
   return spec;
 }
 
-// --- NodeBitset / DirtyNodeSet unit coverage ------------------------------
+// --- NodeBitset unit coverage ---------------------------------------------
 
 TEST(NodeBitsetTest, InsertEraseCountContains) {
   NodeBitset set(200);
@@ -85,52 +85,14 @@ TEST(NodeBitsetTest, EraseAheadOfCursorDuringIterationIsHonored) {
   EXPECT_EQ(visited, (std::vector<NodeId>{1}));
 }
 
-TEST(DirtyNodeSetTest, MarkIsDedupedAndDrainClearsInFirstMarkOrder) {
-  DirtyNodeSet dirty(8);
-  dirty.mark(3);
-  dirty.mark(1);
-  dirty.mark(3);  // dedup
+TEST(NodeBitsetTest, DrainVisitsAscendingAndEmptiesTheSet) {
+  NodeBitset set(130);
+  for (NodeId node : {129u, 3u, 64u}) set.insert(node);
   std::vector<NodeId> drained;
-  dirty.drain([&](NodeId node) {
-    drained.push_back(node);
-    return true;
-  });
-  EXPECT_EQ(drained, (std::vector<NodeId>{3, 1}));
-  drained.clear();
-  dirty.drain([&](NodeId node) {
-    drained.push_back(node);
-    return true;
-  });
-  EXPECT_TRUE(drained.empty());
-}
-
-TEST(DirtyNodeSetTest, OutOfBandClearSuppressesDrainAndRetainKeepsMark) {
-  DirtyNodeSet dirty(8);
-  dirty.mark(2);
-  dirty.mark(5);
-  dirty.clear(2);  // immediate broadcast already published node 2
-  std::vector<NodeId> drained;
-  dirty.drain([&](NodeId node) {
-    drained.push_back(node);
-    return false;  // retain: still dirty next period
-  });
-  EXPECT_EQ(drained, (std::vector<NodeId>{5}));
-  EXPECT_TRUE(dirty.contains(5));
-  EXPECT_FALSE(dirty.contains(2));
-  drained.clear();
-  dirty.drain([&](NodeId node) {
-    drained.push_back(node);
-    return true;
-  });
-  EXPECT_EQ(drained, (std::vector<NodeId>{5}));
-  // Clear-then-remark appends a fresh entry; the stale one is dropped.
-  dirty.mark(2);
-  drained.clear();
-  dirty.drain([&](NodeId node) {
-    drained.push_back(node);
-    return true;
-  });
-  EXPECT_EQ(drained, (std::vector<NodeId>{2}));
+  set.drain([&](NodeId node) { drained.push_back(node); });
+  EXPECT_EQ(drained, (std::vector<NodeId>{3, 64, 129}));
+  EXPECT_EQ(set.count(), 0u);
+  EXPECT_FALSE(set.contains(64));
 }
 
 // --- randomized property: dirty-set board == full-rebroadcast board -------

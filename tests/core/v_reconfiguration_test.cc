@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "workload/trace.h"
 #include "workload/trace_spec.h"
 
 namespace vrc::core {
@@ -38,6 +39,14 @@ JobSpec surprise_spec(JobId id, SimTime submit, double cpu_seconds, Bytes peak,
   JobSpec spec = make_spec(id, submit, cpu_seconds, peak, home, touch_rate);
   spec.memory = MemoryProfile::phased({{0.0, megabytes(4)}, {0.1, peak}});
   return spec;
+}
+
+int reserved_nodes(Cluster& cluster) {
+  int count = 0;
+  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
+    if (cluster.node(static_cast<workload::NodeId>(i)).reserved()) ++count;
+  }
+  return count;
 }
 
 // A scenario that forces the blocking problem on node 0: two large jobs
@@ -194,11 +203,55 @@ TEST(VReconfigurationTest, DrainTimeoutAbandonsStuckReservation) {
   }
   EXPECT_GE(timed_out, 1.0);
   // Released reservations must leave no node permanently flagged.
-  int reserved_nodes = 0;
-  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
-    if (cluster.node(static_cast<workload::NodeId>(i)).reserved()) ++reserved_nodes;
+  EXPECT_EQ(reserved_nodes(cluster), policy.active_reservations());
+}
+
+/// Counts, after every policy pulse, the pulses at which the reserved flags
+/// disagree with the live reservations: a reservation that ended without
+/// clearing its node's flag keeps that node out of service for good.
+class ReservationFlagCheck : public VReconfiguration {
+ public:
+  using VReconfiguration::VReconfiguration;
+
+  void on_periodic(Cluster& cluster) override {
+    VReconfiguration::on_periodic(cluster);
+    ++pulses;
+    if (reserved_nodes(cluster) != active_reservations() && mismatched_pulses++ == 0) {
+      first_mismatch = cluster.simulator().now();
+    }
   }
-  EXPECT_EQ(reserved_nodes, policy.active_reservations());
+
+  int pulses = 0;
+  int mismatched_pulses = 0;
+  SimTime first_mismatch = -1.0;
+};
+
+TEST(VReconfigurationTest, EveryEndedReservationClearsItsNode) {
+  // The §1 blocking episode on 8 nodes. With a larger growth_headroom the
+  // drained workstation is too small for the big job; the reservation must
+  // keep draining until a timeout ends it, flag and entry together.
+  const workload::Trace trace = workload::Trace::load_from_file(
+      std::string(VRC_SCENARIO_DIR) + "/blocking_episode.trace");
+  for (const double headroom : {1.4, 2.0, 3.0}) {
+    for (const bool early_release : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "growth_headroom=" << headroom
+                                      << " early_release=" << early_release);
+      VReconfiguration::Options options;
+      options.growth_headroom = headroom;
+      options.early_release = early_release;
+      ReservationFlagCheck policy(options);
+      sim::Simulator sim;
+      Cluster cluster(sim, ClusterConfig::paper_cluster1(8), policy);
+      for (const JobSpec& spec : trace.jobs()) cluster.submit_job(spec);
+      sim.run();
+      ASSERT_TRUE(cluster.finished());
+      EXPECT_GT(policy.reservations_started(), 0u);
+      EXPECT_GT(policy.pulses, 0);
+      EXPECT_EQ(policy.mismatched_pulses, 0) << "first at t=" << policy.first_mismatch;
+      EXPECT_EQ(policy.active_reservations(), 0);
+      EXPECT_EQ(reserved_nodes(cluster), 0);
+    }
+  }
 }
 
 // Pins every arrival to its home node, so a test lays out exact per-node

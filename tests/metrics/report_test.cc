@@ -38,12 +38,15 @@ TEST(DescribeTest, MentionsKeyQuantities) {
   report.jobs_completed = 578;
   report.total_execution = 1234.5;
   report.avg_slowdown = 2.5;
-  report.policy_stats = {{"reservations_started", 7.0}};
+  report.policy_stats = {
+      {"reservations_started", 7.0}, {"declined_max", 34770.0}, {"blocked_time_saved", 12.3456}};
   const std::string text = describe(report);
   EXPECT_NE(text.find("V-Reconfiguration"), std::string::npos);
   EXPECT_NE(text.find("SPEC-Trace-3"), std::string::npos);
   EXPECT_NE(text.find("578"), std::string::npos);
-  EXPECT_NE(text.find("reservations_started"), std::string::npos);
+  EXPECT_NE(text.find("reservations_started=7 "), std::string::npos);
+  EXPECT_NE(text.find("declined_max=34770 "), std::string::npos);
+  EXPECT_NE(text.find("blocked_time_saved=12.35\n"), std::string::npos);
 }
 
 TEST(DescribeTest, OmitsEmptyPolicyStats) {
