@@ -24,6 +24,11 @@ std::unordered_map<std::string, int> g_symbol_ids;  // NOLINT-determinism(ids as
 // NOLINT-determinism(scratch table rebuilt per query; results are sorted before use)
 std::unordered_map<int, double> g_scratch;
 
+// Prose about fesetround(FE_UPWARD), <cfenv> and FENV_ACCESS is fine, and so
+// are reads of the environment and lookalike names.
+const char* kRoundingNote = "never call fesetround( or #include <cfenv>";
+int reset_fesetround_calls(int calls) { return std::fegetround() == 0 ? calls : 0; }
+
 int lookalike_names(int operand) {
   int random_count = 0;          // identifier containing "random" is fine
   int time_budget_ms = operand;  // identifier containing "time" is fine

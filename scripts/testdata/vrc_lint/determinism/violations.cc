@@ -4,6 +4,7 @@
 // no other line may be flagged. This file is never compiled — it exists only
 // so the linter's regexes are themselves under test and a refactor that
 // silently stops detecting a category fails CI.
+#include <cfenv>  // SEED: fp-env
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -12,6 +13,7 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include "fenv.h"  // SEED: fp-env
 
 using SimTime = double;
 
@@ -60,6 +62,13 @@ void pointer_ordering(Job* lhs, Job* rhs) {
 
 const char* environment_read() {
   return getenv("VRC_TRACE_DIR");  // SEED: env-read
+}
+
+void rounding_mode_changes(std::fenv_t* saved) {
+#pragma STDC FENV_ACCESS ON  // SEED: fp-env
+  std::fesetround(FE_UPWARD);  // SEED: fp-env
+  fesetenv(saved);             // SEED: fp-env
+  ::feupdateenv(saved);        // SEED: fp-env
 }
 
 class UninitializedMembers {

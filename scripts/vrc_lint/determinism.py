@@ -34,6 +34,11 @@ it lands. Banned constructs:
                     values are UB and seed-dependent. Initialize in-class
                     even when a constructor also assigns.
   env-read          getenv() — environment-dependent behavior.
+  fp-env            fesetround(), fesetenv(), feupdateenv(), FENV_ACCESS
+                    and #include <cfenv> / <fenv.h>. Every fingerprint
+                    golden, and the closed-form replay of parked ticks
+                    (src/util/repeated_add.h), assume IEEE round-to-nearest-
+                    even, the default mode; a changed mode moves low bits.
 
 Escape hatch: `// NOLINT-determinism(reason)` on the line or alone directly
 above. Policy: the reason must say why the construct cannot affect event
@@ -80,6 +85,20 @@ RULES = [
      re.compile(r"(?<![\w:.])getenv\s*\("),
      "environment read; pass configuration explicitly so runs are "
      "reproducible from the command line alone"),
+    ("fp-env",
+     re.compile(r"(?<![\w.])(fesetround|fesetenv|feupdateenv)\s*\(|\bFENV_ACCESS\b"),
+     "floating-point environment change; results assume the default "
+     "round-to-nearest-even mode"),
+]
+
+# Header names are quoted, so the blanking erases them: include rules read
+# the raw text of lines that are #include directives in the code.
+INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+INCLUDE_RULES = [
+    ("fp-env",
+     re.compile(r"[<\"](cfenv|fenv\.h)[>\"]"),
+     "floating-point environment header; results assume the default "
+     "round-to-nearest-even mode"),
 ]
 
 # uninit-member is structural (class bodies only), handled separately.
@@ -96,7 +115,8 @@ SCALAR_MEMBER_RE = re.compile(
 class DeterminismAnalyzer(core.Analyzer):
     name = "determinism"
     description = "bans nondeterminism sources (wall clock, libc RNG, " \
-                  "unordered iteration, pointer ordering, uninit members)"
+                  "unordered iteration, pointer ordering, uninit members, " \
+                  "floating-point environment changes)"
     # ALL of src/: the scan set is the whole tree so a new module cannot land
     # outside the lint surface (src/analysis and src/util were blind spots
     # when the set was an explicit directory list).
@@ -115,6 +135,12 @@ class DeterminismAnalyzer(core.Analyzer):
         for index, code in enumerate(code_lines):
             for rule, pattern, message in RULES:
                 if pattern.search(code):
+                    violations.append(core.Violation(
+                        rel, index + 1, rule, message, raw_lines[index]))
+            if not INCLUDE_RE.match(code):
+                continue
+            for rule, pattern, message in INCLUDE_RULES:
+                if pattern.search(raw_lines[index]):
                     violations.append(core.Violation(
                         rel, index + 1, rule, message, raw_lines[index]))
         mask = core.in_class_body_mask(code_lines)

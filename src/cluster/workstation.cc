@@ -1,7 +1,6 @@
 #include "cluster/workstation.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -9,6 +8,7 @@
 
 #include "cluster/audit.h"
 #include "util/log.h"
+#include "util/repeated_add.h"
 
 namespace vrc::cluster {
 
@@ -221,47 +221,23 @@ inline Workstation::JobStep Workstation::step(const RunningJob& job, SimTime wal
   return out;
 }
 
-template <typename Sums>
-inline void Workstation::accumulate(Sums& sums, const JobStep& step) {
-  sums.cpu_done += step.progress;
-  sums.t_cpu += step.cpu_wall;
-  sums.t_page += step.page_wall;
-  sums.t_queue += step.queue_wall;
-  sums.faults += step.faults;
-  sums.width_seconds += step.width_wall;
+inline void Workstation::accumulate(RunningJob& job, const JobStep& step) {
+  job.cpu_done += step.progress;
+  job.t_cpu += step.cpu_wall;
+  job.t_page += step.page_wall;
+  job.t_queue += step.queue_wall;
+  job.faults += step.faults;
+  job.width_seconds += step.width_wall;
 }
 
-namespace {
-
-/// A job's tick accumulators, copied into locals for a replay sweep so they
-/// stay in registers instead of round-tripping through the job.
-struct JobSums {
-  double cpu_done = 0.0;
-  double t_cpu = 0.0;
-  double t_page = 0.0;
-  double t_queue = 0.0;
-  double faults = 0.0;
-  double width_seconds = 0.0;
-
-  explicit JobSums(const RunningJob& job)
-      : cpu_done(job.cpu_done),
-        t_cpu(job.t_cpu),
-        t_page(job.t_page),
-        t_queue(job.t_queue),
-        faults(job.faults),
-        width_seconds(job.width_seconds) {}
-
-  void store(RunningJob& job) const {
-    job.cpu_done = cpu_done;
-    job.t_cpu = t_cpu;
-    job.t_page = t_page;
-    job.t_queue = t_queue;
-    job.faults = faults;
-    job.width_seconds = width_seconds;
-  }
-};
-
-}  // namespace
+inline void Workstation::accumulate(RunningJob& job, const JobStep& step, std::uint64_t n) {
+  job.cpu_done = util::add_repeated(job.cpu_done, step.progress, n);
+  job.t_cpu = util::add_repeated(job.t_cpu, step.cpu_wall, n);
+  job.t_page = util::add_repeated(job.t_page, step.page_wall, n);
+  job.t_queue = util::add_repeated(job.t_queue, step.queue_wall, n);
+  job.faults = util::add_repeated(job.faults, step.faults, n);
+  job.width_seconds = util::add_repeated(job.width_seconds, step.width_wall, n);
+}
 
 Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rng) {
   TickOutcome outcome;
@@ -467,61 +443,22 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
   const double audit_fault_rate = fault_rate_;
 #endif
   const Sharing share = sharing();
-  const std::size_t num_jobs = jobs_.size();
-  // Job by job over blocks of ticks. Every job's accounted_until is the
-  // previous tick, so each tick's wall is common to all of them, and walls
-  // take only a couple of values per binade of T: each block memoizes every
-  // job's step() on the wall's exact bits.
-  constexpr std::size_t kBlock = 256;
-  constexpr std::size_t kMaxWalls = 8;
-  std::array<std::uint8_t, kBlock> wall_of{};
-  std::array<std::uint64_t, kMaxWalls> wall_bits{};
-  replay_steps_.resize(kMaxWalls * num_jobs);
+  // T <- T + dt advances in runs whose additions each add the same whole
+  // number of ulps of T, and every tick of a run integrates the same wall,
+  // the first tick's (DESIGN.md §12.6). The horizon keeps step()'s clamp to
+  // the remaining work from binding, so each job's step() is taken once per
+  // run, and each accumulator takes the run's equal additions in closed
+  // form. A tick that starts no run (a binade edge, a tie onto an odd last
+  // unit) is a run of one.
   SimTime t = last_tick;
-  std::uint64_t left = ticks;
-  while (left > 0) {
-    std::size_t walls = 0;
-    std::size_t block = 0;
-    for (; block < kBlock && block < left; ++block) {
-      const SimTime next = t + dt;  // as sim::PeriodicTask::arm
-      const SimTime wall = next - std::max(t, next - dt);
-      const auto bits = std::bit_cast<std::uint64_t>(wall);
-      std::size_t k = 0;
-      while (k < walls && wall_bits[k] != bits) ++k;
-      if (k == walls) {
-        if (walls == kMaxWalls) break;
-        wall_bits[k] = bits;
-        for (std::size_t j = 0; j < num_jobs; ++j) {
-          replay_steps_[k * num_jobs + j] = step(*jobs_[j], wall, share);
-        }
-        ++walls;
-      }
-      wall_of[block] = static_cast<std::uint8_t>(k);
-      t = next;
-    }
-    // Two jobs per sweep: their twelve add chains are independent, so they
-    // overlap instead of each running at add latency. Every accumulator
-    // still receives the same additions in the same order.
-    std::size_t j = 0;
-    for (; j + 1 < num_jobs; j += 2) {
-      JobSums first(*jobs_[j]);
-      JobSums second(*jobs_[j + 1]);
-      for (std::size_t i = 0; i < block; ++i) {
-        const JobStep* row = &replay_steps_[wall_of[i] * num_jobs + j];
-        accumulate(first, row[0]);
-        accumulate(second, row[1]);
-      }
-      first.store(*jobs_[j]);
-      second.store(*jobs_[j + 1]);
-    }
-    if (j < num_jobs) {
-      JobSums last(*jobs_[j]);
-      for (std::size_t i = 0; i < block; ++i) {
-        accumulate(last, replay_steps_[wall_of[i] * num_jobs + j]);
-      }
-      last.store(*jobs_[j]);
-    }
-    left -= block;
+  for (std::uint64_t left = ticks; left > 0;) {
+    const util::AddRun run = util::uniform_add_run(t, dt, left);
+    const std::uint64_t n = std::max<std::uint64_t>(run.steps, 1);
+    const SimTime next = t + dt;  // as sim::PeriodicTask::arm
+    const SimTime wall = next - std::max(t, next - dt);
+    for (const auto& job : jobs_) accumulate(*job, step(*job, wall, share), n);
+    t = run.steps > 0 ? util::advance(t, run) : next;
+    left -= n;
   }
   // Demand is a function of progress alone, and with exposure 0 no step()
   // above read it, so each job's demand and the resident sum can be set
@@ -541,7 +478,11 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
     const double decay = fault_decay(dt);
     const double inflow = (1.0 - decay) * (0.0 / dt);
     for (std::uint64_t i = 0; i < ticks && fault_rate_ != 0.0; ++i) {
-      fault_rate_ = fault_rate_ * decay + inflow;
+      const double decayed = fault_rate_ * decay + inflow;
+      // An update that leaves the EMA in place leaves it there for good: a
+      // subnormal EMA stalls short of 0 once the decay rounds away.
+      if (decayed == fault_rate_) break;
+      fault_rate_ = decayed;
     }
   }
   // tick()'s republish rule over the stretch. Demand never falls inside it,

@@ -165,12 +165,13 @@ class Workstation {
   std::uint64_t steady_ticks(SimTime now, SimTime dt, bool* flat = nullptr) const;
 
   /// Re-integrates the `ticks` ticks that follow the one at `last_tick`, at
-  /// T <- T + dt as sim::PeriodicTask arms them, leaving every job and node
-  /// accumulator, every demand, the resident sum and the fault EMA
-  /// bit-identical to that many tick() calls. Where one of those ticks would
-  /// have republished, marks the node dirty without unparking it. Valid only
-  /// within a steady_ticks() bound taken at `last_tick`. Returns the time of
-  /// the last replayed tick.
+  /// T <- T + dt as sim::PeriodicTask arms them, in closed form: O(jobs ×
+  /// binades crossed), plus the fault EMA's decay while it still moves.
+  /// Leaves every job and node accumulator, every demand, the resident sum
+  /// and the fault EMA bit-identical to that many tick() calls. Where one of
+  /// those ticks would have republished, marks the node dirty without
+  /// unparking it. Valid only within a steady_ticks() bound taken at
+  /// `last_tick`. Returns the time of the last replayed tick.
   SimTime replay(SimTime last_tick, SimTime dt, std::uint64_t ticks);
 
   /// True when tick() could have any observable effect: resident jobs to
@@ -234,15 +235,16 @@ class Workstation {
   /// The fault EMA's per-tick decay exp(-dt / fault_rate_tau), computed once
   /// per tick length and shared by tick() and replay().
   double fault_decay(SimTime dt);
-  /// Adds one tick's step to a job's accumulators: the job's own, or the
-  /// replay's copies of them.
-  template <typename Sums>
-  static inline void accumulate(Sums& sums, const JobStep& step);
+  /// Adds one tick's step to a job's accumulators.
+  static inline void accumulate(RunningJob& job, const JobStep& step);
+  /// Adds `n` ticks of one step to a job's accumulators in closed form, bit
+  /// for bit as `n` calls of the overload above (util::add_repeated).
+  static inline void accumulate(RunningJob& job, const JobStep& step, std::uint64_t n);
 
   /// Shadow check of one replay (called under VRC_AUDIT): re-integrates the
   /// stretch tick by tick from `before` and `fault_rate` through step(),
-  /// the demand refresh and the EMA update, without the memo, and aborts on
-  /// the first bit difference, on a republish decision that differs from
+  /// plain adds, the demand refresh and the EMA update, and aborts on the
+  /// first bit difference, on a republish decision that differs from
   /// `published`, or if inside the stretch a job finished, a demand fell or
   /// the resident demand passed user memory.
   void audit_replay(const std::vector<RunningJob>& before, double fault_rate, SimTime last_tick,
@@ -295,10 +297,9 @@ class Workstation {
   SimTime decay_dt_ = std::numeric_limits<double>::quiet_NaN();
   double decay_ = 1.0;
 
-  // Scratch reused across calls: replay()'s memoized steps, and per job the
-  // progress bound per tick and the end of the rising stretch that
-  // steady_ticks() bounds the resident demand with.
-  std::vector<JobStep> replay_steps_;
+  // Scratch reused across calls: per job, the progress bound per tick and
+  // the end of the rising stretch that steady_ticks() bounds the resident
+  // demand with.
   struct ParkBound {
     double per_tick = 0.0;
     double rising_until = 0.0;

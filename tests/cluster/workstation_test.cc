@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -437,42 +439,66 @@ void expect_same_state(const Workstation& ticked, const Workstation& replayed) {
   EXPECT_TRUE(same_bits(ticked.fault_rate(), replayed.fault_rate()));
 }
 
+/// The job accumulators a steady tick moves.
+std::vector<double> moving_sums(const RunningJob& job) {
+  return {job.cpu_done, job.t_cpu, job.t_queue, job.width_seconds};
+}
+
 TEST(SteadyReplayTest, ReplayMatchesTicksBitForBit) {
-  for (const double mhz : {400.0, 233.0}) {  // the reference speed, then a slower node
-    // 1-5 jobs: the replay sums jobs in pairs, then an odd job out alone.
-    for (std::size_t jobs = 1; jobs <= 5; ++jobs) {
-      SCOPED_TRACE(testing::Message() << mhz << " MHz, " << jobs << " jobs");
-      ClusterConfig config = test_config();
-      config.nodes[0].cpu_mhz = mhz;
-      const SimTime dt = config.tick;
-      std::deque<workload::JobSpec> specs;
-      std::vector<double> done;
-      done.reserve(jobs);
-      for (std::size_t i = 0; i < jobs; ++i) {
-        const double index = static_cast<double>(i);
-        specs.push_back(
-            make_spec(static_cast<workload::JobId>(i + 1), 900.0 + 100.0 * index, megabytes(40)));
-        done.push_back(3.0 * index);
+  struct Stretch {
+    SimTime start;
+    std::uint64_t ticks;
+    double cpu_seconds;  // the first job's; each later one is 100 s longer
+  };
+  // Just below 2048 s, across one binade of T, where the tick walls change
+  // value; then 10^6 ticks from 1500 s, across the binades at 2048, 4096 and
+  // 8192 s and at least two binades of every accumulator that moves.
+  const Stretch stretches[] = {{2047.9, 25000, 900.0}, {1500.0, 1000000, 30000.0}};
+  for (const Stretch& stretch : stretches) {
+    for (const double mhz : {400.0, 233.0}) {  // the reference speed, then a slower node
+      for (std::size_t jobs = 1; jobs <= 5; ++jobs) {
+        SCOPED_TRACE(testing::Message() << stretch.ticks << " ticks from " << stretch.start
+                                        << " s, " << mhz << " MHz, " << jobs << " jobs");
+        ClusterConfig config = test_config();
+        config.nodes[0].cpu_mhz = mhz;
+        const SimTime dt = config.tick;
+        std::deque<workload::JobSpec> specs;
+        std::vector<double> done;
+        done.reserve(jobs);
+        for (std::size_t i = 0; i < jobs; ++i) {
+          const double index = static_cast<double>(i);
+          specs.push_back(make_spec(static_cast<workload::JobId>(i + 1),
+                                    stretch.cpu_seconds + 100.0 * index, megabytes(40)));
+          done.push_back(3.0 * index);
+        }
+        specs[0].malleability.min_width = 1;
+        specs[0].malleability.max_width = 2;
+        Workstation ticked(0, config.nodes[0], config);
+        Workstation replayed(0, config.nodes[0], config);
+        sim::Rng rng_a(1);
+        sim::Rng rng_b(1);
+        SimTime now = seat_jobs(ticked, specs, done, true, stretch.start, dt, rng_a);
+        const SimTime parked_at = seat_jobs(replayed, specs, done, true, stretch.start, dt, rng_b);
+        ASSERT_GE(replayed.steady_ticks(parked_at, dt), stretch.ticks);
+        std::vector<std::vector<double>> before;
+        for (const auto& job : replayed.jobs()) before.push_back(moving_sums(*job));
+        for (std::uint64_t i = 0; i < stretch.ticks; ++i) {
+          now += dt;
+          ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty());
+        }
+        EXPECT_TRUE(same_bits(replayed.replay(parked_at, dt, stretch.ticks), now));
+        expect_same_state(ticked, replayed);
+        if (stretch.ticks < 1000000) continue;
+        EXPECT_GE(std::ilogb(now), std::ilogb(parked_at) + 2);
+        for (std::size_t j = 0; j < jobs; ++j) {
+          const std::vector<double> after = moving_sums(*replayed.jobs()[j]);
+          for (std::size_t k = 0; k < after.size(); ++k) {
+            ASSERT_GT(before[j][k], 0.0) << "job " << j << ", sum " << k;
+            EXPECT_GE(std::ilogb(after[k]), std::ilogb(before[j][k]) + 2)
+                << "job " << j << ", sum " << k;
+          }
+        }
       }
-      specs[0].malleability.min_width = 1;
-      specs[0].malleability.max_width = 2;
-      Workstation ticked(0, config.nodes[0], config);
-      Workstation replayed(0, config.nodes[0], config);
-      sim::Rng rng_a(1);
-      sim::Rng rng_b(1);
-      // Start just below 2048 s so the replay crosses a binade of T, where
-      // the tick walls change value.
-      const SimTime start = 2047.9;
-      SimTime now = seat_jobs(ticked, specs, done, true, start, dt, rng_a);
-      const SimTime parked_at = seat_jobs(replayed, specs, done, true, start, dt, rng_b);
-      const std::uint64_t ticks = 25000;
-      ASSERT_GE(replayed.steady_ticks(parked_at, dt), ticks);
-      for (std::uint64_t i = 0; i < ticks; ++i) {
-        now += dt;
-        ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty());
-      }
-      EXPECT_TRUE(same_bits(replayed.replay(parked_at, dt, ticks), now));
-      expect_same_state(ticked, replayed);
     }
   }
 }
@@ -669,6 +695,48 @@ TEST(SteadyReplayTest, RampReplayMatchesTicksBitForBit) {
   EXPECT_GT(moving, 150);
   EXPECT_GT(decaying, 75);
   EXPECT_GT(memory_bound, 5);
+}
+
+// A node that paged keeps a fault EMA that decays toward 0 but stalls short
+// of it: with fault_rate_tau 2 s and 10 ms ticks, at 100 units of 2^-1074,
+// about 150,000 ticks on, where the update rounds back to the same value.
+// The replay stops decaying there; ticking keeps applying the update, and
+// both must end on the same bits.
+TEST(SteadyReplayTest, ReplayStopsTheEmaAtItsFixedPoint) {
+  ClusterConfig config = test_config();
+  config.fault_rate_threshold = 1e9;  // a decaying EMA alone never pressures
+  const SimTime dt = config.tick;
+  const Bytes user = config.nodes[0].memory - config.nodes[0].kernel_reserved;
+  const workload::JobSpec pager = make_spec(99, 1e6, user, 400.0);
+  const std::deque<workload::JobSpec> specs = {make_spec(1, 10000.0, megabytes(40))};
+  Workstation ticked(0, config.nodes[0], config);
+  Workstation replayed(0, config.nodes[0], config);
+  sim::Rng rng_a(1);
+  sim::Rng rng_b(1);
+  SimTime now = seat_jobs(ticked, specs, {0.0}, false, 0.0, dt, rng_a);
+  SimTime parked_at = seat_jobs(replayed, specs, {0.0}, false, 0.0, dt, rng_b);
+  now = charge_fault_ema(ticked, pager, now, dt, 100, rng_a);
+  parked_at = charge_fault_ema(replayed, pager, parked_at, dt, 100, rng_b);
+  ASSERT_GT(replayed.fault_rate(), 1.0);
+  const std::uint64_t ticks = 200000;
+  ASSERT_GE(replayed.steady_ticks(parked_at, dt), ticks);
+  for (std::uint64_t i = 0; i < ticks; ++i) {
+    now += dt;
+    ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty());
+  }
+  EXPECT_TRUE(same_bits(replayed.replay(parked_at, dt, ticks), now));
+  expect_same_state(ticked, replayed);
+  // The stretch ran past the fixed point: a subnormal EMA that one more
+  // tick leaves in place. It is not 0, so the node parks as moving, never
+  // flat.
+  const double stalled = replayed.fault_rate();
+  EXPECT_GT(stalled, 0.0);
+  EXPECT_LT(stalled, std::numeric_limits<double>::min());
+  bool flat = true;
+  EXPECT_GT(replayed.steady_ticks(now, dt, &flat), 0u);
+  EXPECT_FALSE(flat);
+  ASSERT_TRUE(ticked.tick(now + dt, dt, rng_a).completed.empty());
+  EXPECT_TRUE(same_bits(ticked.fault_rate(), stalled));
 }
 
 TEST(SteadyReplayTest, HorizonEdgeCases) {
