@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   util::FlagSet flags;
   flags.add_int("jobs", &num_jobs, "jobs to generate");
   flags.add_int("nodes", &nodes, "number of workstations");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv)) return flags.help_requested() ? 0 : 1;
 
   // Register Random-Fit alongside the built-ins with its options table: the
   // registry fills RandomFitOptions from the spec's params, so

@@ -141,7 +141,7 @@ int run(int argc, char** argv) {
   flags.add_bool("list-traces", &list_traces,
                  "print the standard trace shapes, the trace-spec syntax and both program "
                  "catalogs, then exit");
-  if (!flags.parse(argc, argv)) return 1;
+  if (!flags.parse(argc, argv)) return flags.help_requested() ? 0 : 1;
 
   if (list_policies) {
     const core::PolicyRegistry& registry = core::PolicyRegistry::instance();

@@ -28,6 +28,10 @@ void Board::note(int n) {
   publish();
 }
 
+void Board::member_write(int n) {
+  rows_[static_cast<std::size_t>(n)].slots_used = n;  // SEED: publish-audit
+}
+
 void Board::alias_write(int n) {
   Row& row = rows_[static_cast<std::size_t>(n)];  // SEED: publish-audit
   row.slots_used++;

@@ -27,6 +27,7 @@ class Board {
   void bump();
   void drain();
   void note(int n);
+  void member_write(int n);
   void alias_write(int n);
   std::vector<Row> take_rows();
   void bulk_import(std::vector<Row> rows);

@@ -30,7 +30,8 @@ ahead of the final return) while catching the dangerous one: a write with no
 publish between it and a way out.
 
 Mutations recognized: assignment and compound assignment (optionally through
-one subscript, ``infos_[n] = ...``), ``++``/``--``, mutating container
+one subscript and then member accesses, ``infos_[n] = ...``,
+``rows_[i].slots_used = ...``), ``++``/``--``, mutating container
 methods (push_back, emplace_back, pop_back, clear, erase, insert, emplace,
 resize, assign, swap, reserve), ``std::move(field)``, and binding a
 non-const reference to the field (``LoadInfo& info = infos_[node];`` — the
@@ -69,7 +70,11 @@ class ClassContract:
         if self._mutation_re is None and self.fields:
             field = r"(?P<field>\b(?:" + "|".join(
                 re.escape(f) for f in self.fields) + r")\b)"
-            sub = r"(?:\s*\[[^\]]*\])?"
+            # One optional subscript, then any member accesses:
+            # ``infos_[n] = ...`` and ``rows_[i].slots_used = ...`` both
+            # write the field.
+            sub = (r"(?:\s*\[[^\]]*\])?"
+                   r"(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*")
             self._mutation_re = re.compile(
                 "|".join((
                     field + sub + r"\s*(?:[+\-*/%&|^]=|<<=|>>=|=(?!=))",

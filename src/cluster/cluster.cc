@@ -49,42 +49,30 @@ Cluster::~Cluster() {
 }
 
 void Cluster::submit_job(const workload::JobSpec& spec) {
-  const workload::JobSpec& stored = store_spec(workload::JobSpec(spec));
-  owned_events_.push_back(
-      sim_.schedule_at(stored.submit_time, [this, &stored] { arrive(stored); }));
+  count_submission();
+  owned_events_.push_back(sim_.schedule_at(
+      spec.submit_time, [this, copy = spec]() mutable { arrive(std::move(copy)); }));
 }
 
-workload::JobSpec& Cluster::store_spec(workload::JobSpec&& spec) {
-  workload::JobSpec* slot = nullptr;
-  if (!spec_free_list_.empty()) {
-    slot = spec_free_list_.back();
-    spec_free_list_.pop_back();
-    *slot = std::move(spec);
-    metrics::perf_add(&metrics::PerfCounters::spec_slots_recycled);
-  } else {
-    spec_slab_.push_back(std::move(spec));
-    slot = &spec_slab_.back();
-  }
+void Cluster::count_submission() {
   ++expected_jobs_;
-  if (finished_ && completed_.size() < expected_jobs_) finished_ = false;
-  peak_live_specs_ = std::max(peak_live_specs_, live_specs());
+  finished_ = false;  // a job submitted after the last completion reopens the run
+  peak_live_specs_ = std::max(peak_live_specs_, expected_jobs_ - completed_.size());
   metrics::perf_max(&metrics::PerfCounters::peak_live_specs, peak_live_specs_);
-  return *slot;
 }
 
-void Cluster::arrive(const workload::JobSpec& spec) {
+void Cluster::arrive(workload::JobSpec&& spec) {
   ensure_tasks_running();
-  auto job = std::make_unique<RunningJob>();
-  job->spec = &spec;
-  job->home_node = static_cast<NodeId>(spec.home_node % nodes_.size());
-  job->phase = JobPhase::kPending;
+  auto job = std::make_unique<RunningJob>(std::move(spec));
+  job->home_node = static_cast<NodeId>(job->spec.home_node % nodes_.size());
   job->accounted_until = sim_.now();
-  job->demand = spec.memory.demand_at(0.0);
-  job->width = spec.initial_width();  // malleable jobs submit at max width
-  job->resize_target = job->width;
-  RunningJob& ref = *job;
-  pending_.push_back(std::move(job));
-  policy_.on_job_arrival(*this, ref);
+  policy_.on_job_arrival(*this, enqueue_pending(std::move(job)));
+}
+
+RunningJob& Cluster::enqueue_pending(std::unique_ptr<RunningJob> job) {
+  job->phase = JobPhase::kPending;
+  job->node = workload::kInvalidNode;
+  return *pending_.emplace_back(std::move(job));
 }
 
 void Cluster::submit_source(workload::ArrivalSource& source) {
@@ -111,12 +99,12 @@ void Cluster::schedule_next_arrival() {
 void Cluster::pump_arrival() {
   std::optional<workload::JobSpec> spec = source_->next();
   assert(spec && "pump_arrival: peek_time promised a job");
-  const workload::JobSpec& stored = store_spec(std::move(*spec));
+  count_submission();
   metrics::perf_add(&metrics::PerfCounters::stream_arrivals);
   // Schedule the successor before raising the arrival so the pump keeps
   // running even if the policy callback throws the run into a terminal state.
   schedule_next_arrival();
-  arrive(stored);
+  arrive(std::move(*spec));
 }
 
 void Cluster::ensure_tasks_running() {
@@ -137,41 +125,39 @@ void Cluster::ensure_tasks_running() {
       [this](SimTime) { policy_.on_periodic(*this); });
 }
 
-std::unique_ptr<RunningJob> Cluster::take_pending(JobId id) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if ((*it)->id() == id) {
-      std::unique_ptr<RunningJob> job = std::move(*it);
-      pending_.erase(it);
-      return job;
-    }
-  }
-  return nullptr;
+std::unique_ptr<RunningJob> Cluster::take_for_placement(RunningJob& job, NodeId node_id) {
+  assert(job.phase == JobPhase::kPending);
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [&](const auto& queued) { return queued.get() == &job; });
+  assert(it != pending_.end() && "placement: job not in pending queue");
+  std::unique_ptr<RunningJob> owned = std::move(*it);
+  pending_.erase(it);
+  owned->charge(&RunningJob::t_queue, sim_.now());
+  board_.note_placement(node_id, std::max(owned->demand, config_.admission_demand_estimate),
+                        owned->width);
+  return owned;
+}
+
+Workstation* Cluster::deliver(NodeId dst, JobId job_id) {
+  Workstation& target = node(dst);
+  // A failed destination dropped its reservations; a dead reservation (even
+  // after the node recovered) means the transfer is lost.
+  const bool delivered = !target.failed() && target.remove_incoming(job_id);
+  --inflight_;
+  if (!delivered) ++transfer_failures_;
+  return delivered ? &target : nullptr;
 }
 
 void Cluster::place_local(RunningJob& job, NodeId node_id) {
-  assert(job.phase == JobPhase::kPending);
-  std::unique_ptr<RunningJob> owned = take_pending(job.id());
-  assert(owned && "place_local: job not in pending queue");
-  const SimTime now = sim_.now();
-  owned->charge(&RunningJob::t_queue, now);
+  std::unique_ptr<RunningJob> owned = take_for_placement(job, node_id);
   owned->phase = JobPhase::kRunning;
   ++local_placements_;
-  board_.note_placement(node_id, std::max(owned->demand, config_.admission_demand_estimate),
-                        owned->width);
   node(node_id).add_job(std::move(owned));
 }
 
 void Cluster::place_remote(RunningJob& job, NodeId node_id) {
-  assert(job.phase == JobPhase::kPending);
-  std::unique_ptr<RunningJob> owned = take_pending(job.id());
-  assert(owned && "place_remote: job not in pending queue");
-  const SimTime now = sim_.now();
-  owned->charge(&RunningJob::t_queue, now);
-
-  Workstation& dst = node(node_id);
-  dst.add_incoming(owned->id(), owned->demand, owned->width);
-  board_.note_placement(node_id, std::max(owned->demand, config_.admission_demand_estimate),
-                        owned->width);
+  std::unique_ptr<RunningJob> owned = take_for_placement(job, node_id);
+  node(node_id).add_incoming(owned->id(), owned->demand, owned->width);
   ++inflight_;
   ++remote_submits_;
 
@@ -183,17 +169,9 @@ void Cluster::place_remote(RunningJob& job, NodeId node_id) {
         std::unique_ptr<RunningJob> arrived = std::move(owned);
         const SimTime done = sim_.now();
         arrived->charge(&RunningJob::t_mig, done);
-        Workstation& target = node(node_id);
-        // A failed destination dropped its reservations; a dead reservation
-        // (even after the node recovered) means the submission is lost.
-        const bool delivered = !target.failed() && target.remove_incoming(arrived->id());
-        --inflight_;
-        if (!delivered) {
-          ++transfer_failures_;
-          arrived->phase = JobPhase::kPending;
-          arrived->node = workload::kInvalidNode;
-          RunningJob& ref = *arrived;
-          pending_.push_back(std::move(arrived));
+        Workstation* target = deliver(node_id, arrived->id());
+        if (target == nullptr) {
+          RunningJob& ref = enqueue_pending(std::move(arrived));
           VRC_LOG(kInfo) << "t=" << done << " remote submit of job " << ref.id() << " to node "
                          << node_id << " failed (node down)";
           policy_.on_transfer_failed(*this, ref);
@@ -201,15 +179,14 @@ void Cluster::place_remote(RunningJob& job, NodeId node_id) {
         }
         arrived->phase = JobPhase::kRunning;
         ++arrived->remote_submits;
-        target.add_job(std::move(arrived));
+        target->add_job(std::move(arrived));
       }));
 }
 
 bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
   Workstation& source = node(src);
-  RunningJob* job = source.find_job(job_id);
-  if (job == nullptr || job->phase != JobPhase::kRunning) return false;
-  if (src == dst_id) return false;
+  RunningJob* job = source.find_job(job_id, JobPhase::kRunning);
+  if (job == nullptr || src == dst_id) return false;
 
   const SimTime now = sim_.now();
   job->charge(&RunningJob::t_queue, now);
@@ -229,9 +206,8 @@ bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
   owned_events_.push_back(network_.start_transfer(image, [this, src, job_id, dst_id,
                                                           incarnation] {
     Workstation& source_node = node(src);
-    RunningJob* live = source_node.find_job(job_id);
-    if (live == nullptr || live->incarnation != incarnation ||
-        live->phase != JobPhase::kMigrating) {
+    RunningJob* live = source_node.find_job(job_id, JobPhase::kMigrating);
+    if (live == nullptr || live->incarnation != incarnation) {
       // The source died mid-transfer: fail_node killed the job (a restarted
       // incarnation may even be back on the same node) and released the
       // destination's reservation. Nothing to deliver.
@@ -241,13 +217,10 @@ bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
     const SimTime done = sim_.now();
     live->charge(&RunningJob::t_mig, done);
     live->migration_dst = workload::kInvalidNode;
-    Workstation& target = node(dst_id);
-    const bool delivered = !target.failed() && target.remove_incoming(job_id);
-    --inflight_;
-    if (!delivered) {
+    Workstation* target = deliver(dst_id, job_id);
+    if (target == nullptr) {
       // Destination died while the image was in flight; the source copy is
       // still intact, so the job resumes where it was.
-      ++transfer_failures_;
       source_node.set_job_phase(*live, JobPhase::kRunning);
       VRC_LOG(kInfo) << "t=" << done << " migration of job " << job_id << " to node " << dst_id
                      << " failed (node down); resuming on node " << src;
@@ -257,7 +230,7 @@ bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
     std::unique_ptr<RunningJob> moved = source_node.remove_job(job_id);
     moved->phase = JobPhase::kRunning;
     ++moved->migrations;
-    RunningJob& ref = target.add_job(std::move(moved));
+    RunningJob& ref = target->add_job(std::move(moved));
     policy_.on_migration_complete(*this, ref);
   }));
   return true;
@@ -265,34 +238,31 @@ bool Cluster::start_migration(NodeId src, JobId job_id, NodeId dst_id) {
 
 bool Cluster::suspend_job(NodeId node_id, JobId job_id) {
   Workstation& host = node(node_id);
-  RunningJob* job = host.find_job(job_id);
-  if (job == nullptr || job->phase != JobPhase::kRunning) return false;
-  const SimTime now = sim_.now();
-  job->charge(&RunningJob::t_queue, now);
+  RunningJob* job = host.find_job(job_id, JobPhase::kRunning);
+  if (job == nullptr) return false;
+  job->charge(&RunningJob::t_queue, sim_.now());
   host.set_job_phase(*job, JobPhase::kSuspended);
   return true;
 }
 
 bool Cluster::resume_job(NodeId node_id, JobId job_id) {
   Workstation& host = node(node_id);
-  RunningJob* job = host.find_job(job_id);
-  if (job == nullptr || job->phase != JobPhase::kSuspended) return false;
-  const SimTime now = sim_.now();
-  job->charge(&RunningJob::t_queue, now);
+  RunningJob* job = host.find_job(job_id, JobPhase::kSuspended);
+  if (job == nullptr) return false;
+  job->charge(&RunningJob::t_queue, sim_.now());
   host.set_job_phase(*job, JobPhase::kRunning);
   return true;
 }
 
 bool Cluster::resize_job(NodeId node_id, JobId job_id, int new_width) {
   Workstation& host = node(node_id);
-  RunningJob* job = host.find_job(job_id);
-  if (job == nullptr || job->phase != JobPhase::kRunning) return false;
-  const workload::Malleability& contract = job->spec->malleability;
+  RunningJob* job = host.find_job(job_id, JobPhase::kRunning);
+  if (job == nullptr) return false;
+  const workload::Malleability& contract = job->spec.malleability;
   if (!contract.resizable()) return false;
   if (new_width < contract.min_width || new_width > contract.max_width) return false;
   if (new_width == job->width) return false;
-  if (new_width > job->width &&
-      host.slots_used() + (new_width - job->width) > config_.cpu_threshold) {
+  if (new_width > job->width && host.free_slots() < new_width - job->width) {
     return false;  // growth must fit under the node's slot threshold
   }
 
@@ -319,9 +289,8 @@ bool Cluster::resize_job(NodeId node_id, JobId job_id, int new_width) {
   const SimTime cost = resize_pause(contract, old_width, new_width);
   owned_events_.push_back(sim_.schedule_at(now + cost, [this, node_id, job_id, incarnation] {
     Workstation& owner = node(node_id);
-    RunningJob* live = owner.find_job(job_id);
-    if (live == nullptr || live->incarnation != incarnation ||
-        live->phase != JobPhase::kResizing) {
+    RunningJob* live = owner.find_job(job_id, JobPhase::kResizing);
+    if (live == nullptr || live->incarnation != incarnation) {
       // The node died mid-resize: fail_node killed the job (counting the
       // abort) and a restarted incarnation may even be resident again.
       // Nothing to deliver.
@@ -395,21 +364,14 @@ void Cluster::fail_node(NodeId node_id) {
     }
     job->charge(bucket, now);
     work_lost_cpu_ += job->cpu_done;
-    job->cpu_done = 0.0;
-    job->phase = JobPhase::kPending;
-    job->node = workload::kInvalidNode;
-    job->migration_dst = workload::kInvalidNode;
-    job->demand = job->spec->memory.demand_at(0.0);
-    // A restarted incarnation resubmits at the spec width, like a fresh
-    // arrival; the old incarnation's width history is already in
+    // A restarted incarnation resubmits like a fresh arrival, at the spec
+    // width; the old incarnation's width history is already in
     // width_seconds.
-    job->width = job->spec->initial_width();
-    job->resize_target = job->width;
+    job->reset_to_start();
     ++job->restarts;
     ++job->incarnation;
     ++jobs_killed_;
-    refs.push_back(job.get());
-    pending_.push_back(std::move(job));
+    refs.push_back(&enqueue_pending(std::move(job)));
   }
 
   publish_to_board(target, now);  // immediate broadcast, not next exchange
@@ -615,12 +577,13 @@ void Cluster::publish_to_board(Workstation& target, SimTime now) {
 }
 
 void Cluster::complete_job(std::unique_ptr<RunningJob> job, SimTime now) {
+  workload::JobSpec& spec = job->spec;
   CompletedJob record;
-  record.id = job->id();
-  record.program = job->spec->program;
-  record.submit_time = job->spec->submit_time;
+  record.id = spec.id;
+  record.program = std::move(spec.program);  // the job dies with this call
+  record.submit_time = spec.submit_time;
   record.completion_time = now;
-  record.cpu_seconds = job->spec->cpu_seconds;
+  record.cpu_seconds = spec.cpu_seconds;
   record.t_cpu = job->t_cpu;
   record.t_page = job->t_page;
   record.t_queue = job->t_queue;
@@ -630,17 +593,11 @@ void Cluster::complete_job(std::unique_ptr<RunningJob> job, SimTime now) {
   record.remote_submits = job->remote_submits;
   record.restarts = job->restarts;
   record.resizes = job->resizes;
-  record.malleable = job->spec->malleable();
+  record.malleable = spec.malleable();
   record.width_seconds = job->width_seconds;
   record.final_node = job->node;
-  record.working_set = job->spec->working_set();
-  completed_.push_back(record);
-  // The spec's storage is dead once the record above captured what metrics
-  // need; recycle its slot for a future arrival (the free-list keeps the slab
-  // at peak-concurrency size). Every job's spec is a spec_slab_ slot this
-  // cluster owns (arrive() is the only RunningJob factory), so the const
-  // view can be dropped for reuse.
-  spec_free_list_.push_back(const_cast<workload::JobSpec*>(job->spec));
+  record.working_set = spec.working_set();
+  completed_.push_back(std::move(record));
   policy_.on_job_completed(*this, completed_.back());
 }
 

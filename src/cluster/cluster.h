@@ -3,7 +3,6 @@
 // SchedulerPolicy and records per-job accounting for the metrics layer.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -43,15 +42,16 @@ class Cluster {
   /// Attaches a pull-based arrival stream, the way every run receives its
   /// jobs: exactly one pending arrival event is scheduled at a time (the
   /// source's peek_time), and each fired arrival pulls one spec and
-  /// schedules the next. Completed specs are recycled through a free-list,
-  /// so live JobSpec storage is O(concurrent jobs), not O(total stream
-  /// length) — see DESIGN.md §14. The source must outlive the run. The run
-  /// finishes only after the source drains. One source at a time.
+  /// schedules the next. Each pulled spec moves into the job it creates and
+  /// is freed with it, so live JobSpec storage is O(concurrent jobs), not
+  /// O(total stream length) — see DESIGN.md §14. The source must outlive the
+  /// run. The run finishes only after the source drains. One source at a
+  /// time.
   void submit_source(workload::ArrivalSource& source);
-  /// Schedules a single hand-placed job for arrival at spec.submit_time (the
-  /// spec is copied into the same recycled slab the pump uses). Its arrival
-  /// event is scheduled now, so it wins a same-timestamp tie against any
-  /// event scheduled later (DESIGN.md §14.2).
+  /// Schedules a single hand-placed job for arrival at spec.submit_time (its
+  /// arrival event owns a copy of the spec, and the job counts as submitted
+  /// from this call). The event is scheduled now, so it wins a
+  /// same-timestamp tie against any event scheduled later (DESIGN.md §14.2).
   void submit_job(const workload::JobSpec& spec);
 
   // --- operations for policies ---
@@ -119,10 +119,9 @@ class Cluster {
   SimTime finish_time() const { return finish_time_; }
 
   // --- arrival statistics ---
-  /// Specs currently alive (submitted, not yet completed+recycled).
-  std::size_t live_specs() const { return spec_slab_.size() - spec_free_list_.size(); }
-  /// High-water mark of live_specs() — the bounded-memory evidence for long
-  /// streams (O(concurrent), not O(total)).
+  /// High-water count of jobs submitted (or pumped) and not yet completed:
+  /// the bounded-memory evidence for long streams (O(concurrent), not
+  /// O(total)), since each such job holds its spec.
   std::size_t peak_live_specs() const { return peak_live_specs_; }
 
   /// Live (not board-snapshot) cluster-wide idle memory: the sum over
@@ -161,12 +160,24 @@ class Cluster {
   SimTime downtime_node_seconds(SimTime now) const;
 
  private:
-  /// Copies `spec` into a free slab slot (or a new one) and counts the job
-  /// as submitted.
-  workload::JobSpec& store_spec(workload::JobSpec&& spec);
-  /// Shared arrival tail: builds the RunningJob over its slab slot and raises
-  /// on_job_arrival.
-  void arrive(const workload::JobSpec& spec);
+  /// Counts a job as submitted and raises the peak of jobs submitted and not
+  /// yet completed.
+  void count_submission();
+  /// Shared arrival tail: builds the RunningJob around its spec, queues it
+  /// and raises on_job_arrival.
+  void arrive(workload::JobSpec&& spec);
+  /// The one way into pending_: the job waits there in phase pending, on no
+  /// node. Returns the queued job.
+  RunningJob& enqueue_pending(std::unique_ptr<RunningJob> job);
+  /// The placement prologue of place_local and place_remote: takes `job`
+  /// from pending_, charges its wait to t_que and notes the placement on
+  /// `node`'s board row.
+  std::unique_ptr<RunningJob> take_for_placement(RunningJob& job, NodeId node);
+  /// The delivery check of a transfer toward `dst` on completion: the
+  /// transfer leaves the in-flight count, and it is delivered only when
+  /// `dst` is up and still holds the job's reservation, which it releases.
+  /// Returns the destination, or nullptr for a failed transfer.
+  Workstation* deliver(NodeId dst, JobId job_id);
   /// Schedules the single pending pump arrival at source_->peek_time(), or
   /// detaches a drained source.
   void schedule_next_arrival();
@@ -203,7 +214,6 @@ class Cluster {
   void publish_to_board(Workstation& node, SimTime now);  // vrc:publish-fn
   void complete_job(std::unique_ptr<RunningJob> job, SimTime now);
   void maybe_finish(SimTime now);
-  std::unique_ptr<RunningJob> take_pending(JobId id);
 
   sim::Simulator& sim_;
   ClusterConfig config_;
@@ -218,11 +228,6 @@ class Cluster {
   sim::Rng rng_;
 
   std::vector<std::unique_ptr<Workstation>> nodes_;  // vrc:settle-before-read
-  /// Spec slab: deque for pointer stability, recycled through
-  /// spec_free_list_ when a job completes, so the slab's size tracks peak
-  /// concurrency instead of total stream length.
-  std::deque<workload::JobSpec> spec_slab_;
-  std::vector<workload::JobSpec*> spec_free_list_;
   workload::ArrivalSource* source_ = nullptr;  // non-null while pumping
   sim::EventId arrival_event_ = sim::kInvalidEventId;  // the one outstanding pump arrival
   std::size_t peak_live_specs_ = 0;

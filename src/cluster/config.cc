@@ -98,7 +98,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
 // positive: a zero period re-arms its periodic task at the same instant
 // forever, and the others leave jobs unable to run, be admitted or transfer.
 // A negative exposure knee would make the paging exposure O / (O + knee)
-// negative or above 1.
+// negative or above 1, and a negative fault-rate threshold marks every node
+// pressured, so nothing is ever admitted; zero is legal for both.
 const util::ParamTable<ClusterConfig>& ClusterConfig::override_params() {
   using enum util::ParamKind;
   using util::field;
@@ -142,7 +143,7 @@ const util::ParamTable<ClusterConfig>& ClusterConfig::override_params() {
            "memory threshold of [3], fraction of user memory"},
           {"admission_demand_estimate", field<&C::admission_demand_estimate>, kBytes, kAnyValue,
            "60MB", "assumed demand of an unknown incoming job"},
-          {"fault_rate_threshold", field<&C::fault_rate_threshold>, kDouble, kAnyValue, "15",
+          {"fault_rate_threshold", field<&C::fault_rate_threshold>, kDouble, kNonNegative, "15",
            "page-fault rate (faults/s EMA) marking pressure"},
           {"fault_rate_tau", field<&C::fault_rate_tau>, kDuration, kAnyValue, "2s",
            "EMA time constant of the fault-rate monitor"},

@@ -6,6 +6,8 @@
 // the four buckets (an invariant the test suite checks).
 #pragma once
 
+#include <utility>
+
 #include "util/units.h"
 #include "workload/job.h"
 
@@ -26,8 +28,14 @@ enum class JobPhase {
 /// Mutable per-job simulation state. Owned by the Cluster (pending) or a
 /// Workstation (running).
 struct RunningJob {
-  /// For cluster jobs, a slot of the cluster's spec slab (recycled at completion).
-  const workload::JobSpec* spec = nullptr;
+  /// Builds the job around its spec, at its start (reset_to_start()):
+  /// pending, on no node.
+  explicit RunningJob(workload::JobSpec job_spec) : spec(std::move(job_spec)) {
+    reset_to_start();
+  }
+
+  /// The job's own spec, moved in at arrival and freed with the job.
+  workload::JobSpec spec;
   JobPhase phase = JobPhase::kPending;
   NodeId node = workload::kInvalidNode;  // current / destination workstation
   /// Home workstation, wrapped into this cluster's node range (a trace may
@@ -50,7 +58,7 @@ struct RunningJob {
   int resizes = 0;       // completed width changes (DESIGN.md §15)
 
   /// Current width in CPU slots on the owning workstation. 1 for every rigid
-  /// job; malleable jobs start at spec->initial_width(). While a resize is in
+  /// job; malleable jobs start at spec.initial_width(). While a resize is in
   /// flight (phase == kResizing) the job holds max(old, new) slots — the
   /// grown allocation is reserved up front, the shrunk one released only when
   /// the reconfiguration completes — and `width` reflects that held maximum.
@@ -84,17 +92,26 @@ struct RunningJob {
     accounted_until = now;
   }
 
-  double progress() const {
-    return spec->cpu_seconds > 0.0 ? cpu_done / spec->cpu_seconds : 1.0;
+  /// Puts the job at its start: no work done, demand at progress 0, its
+  /// submit width and resize target, no migration destination. A new job
+  /// starts here, and a job killed by a node failure restarts here.
+  void reset_to_start() {
+    cpu_done = 0.0;
+    demand = spec.memory.demand_at(0.0);
+    width = spec.initial_width();  // malleable jobs submit at max width
+    resize_target = width;
+    migration_dst = workload::kInvalidNode;
   }
 
-  Bytes demand_now() const { return spec->memory.demand_at(progress()); }
+  double progress() const { return spec.cpu_seconds > 0.0 ? cpu_done / spec.cpu_seconds : 1.0; }
 
-  bool finished() const { return cpu_done + 1e-9 >= spec->cpu_seconds; }
+  Bytes demand_now() const { return spec.memory.demand_at(progress()); }
 
-  SimTime remaining_cpu() const { return spec->cpu_seconds - cpu_done; }
+  bool finished() const { return cpu_done + 1e-9 >= spec.cpu_seconds; }
 
-  JobId id() const { return spec->id; }
+  SimTime remaining_cpu() const { return spec.cpu_seconds - cpu_done; }
+
+  JobId id() const { return spec.id; }
 };
 
 /// Immutable record of a finished job, kept for metrics.

@@ -36,7 +36,7 @@ bool Workstation::memory_pressured() const {
 bool Workstation::accepts_new_job(Bytes demand_hint, int width) const {
   if (failed_) return false;
   if (reserved_) return false;
-  if (slots_used() + width > config_->cpu_threshold) return false;
+  if (free_slots() < width) return false;
   if (memory_pressured()) return false;
   return committed_demand() + demand_hint < memory_limit();
 }
@@ -48,19 +48,9 @@ Bytes Workstation::memory_limit() const {
 RunningJob& Workstation::add_job(std::unique_ptr<RunningJob> job) {
   job->node = id_;
   job->demand = job->demand_now();
-  if (job->phase != JobPhase::kSuspended) {
-    resident_bytes_ += job->demand;
-    peak_bytes_ += job->spec->working_set();
-    ++active_count_;
-    active_slots_ += job->width;
-  }
-  if (job->phase == JobPhase::kRunning) {
-    ++runnable_count_;
-    runnable_slots_ += job->width;
-  }
-  jobs_.push_back(std::move(job));
-  publish_index();
-  return *jobs_.back();
+  RunningJob& added = *jobs_.emplace_back(std::move(job));
+  tally(added, +1);
+  return added;
 }
 
 std::unique_ptr<RunningJob> Workstation::remove_job(JobId id) {
@@ -68,17 +58,7 @@ std::unique_ptr<RunningJob> Workstation::remove_job(JobId id) {
     if ((*it)->id() == id) {
       std::unique_ptr<RunningJob> job = std::move(*it);
       jobs_.erase(it);
-      if (job->phase != JobPhase::kSuspended) {
-        resident_bytes_ -= job->demand;
-        peak_bytes_ -= job->spec->working_set();
-        --active_count_;
-        active_slots_ -= job->width;
-      }
-      if (job->phase == JobPhase::kRunning) {
-        --runnable_count_;
-        runnable_slots_ -= job->width;
-      }
-      publish_index();
+      tally(*job, -1);
       return job;
     }
   }
@@ -89,37 +69,36 @@ RunningJob* Workstation::find_job(JobId id) { return find_job_impl(*this, id); }
 
 const RunningJob* Workstation::find_job(JobId id) const { return find_job_impl(*this, id); }
 
+RunningJob* Workstation::find_job(JobId id, JobPhase phase) {
+  RunningJob* job = find_job(id);
+  return job != nullptr && job->phase == phase ? job : nullptr;
+}
+
 void Workstation::set_job_phase(RunningJob& job, JobPhase phase) {
   if (job.phase == phase) return;
-  if (job.phase != JobPhase::kSuspended) {
-    resident_bytes_ -= job.demand;
-    peak_bytes_ -= job.spec->working_set();
-    --active_count_;
-    active_slots_ -= job.width;
-  }
-  if (job.phase == JobPhase::kRunning) {
-    --runnable_count_;
-    runnable_slots_ -= job.width;
-  }
+  tally(job, -1);
   job.phase = phase;
-  if (phase != JobPhase::kSuspended) {
-    resident_bytes_ += job.demand;
-    peak_bytes_ += job.spec->working_set();
-    ++active_count_;
-    active_slots_ += job.width;
-  }
-  if (phase == JobPhase::kRunning) {
-    ++runnable_count_;
-    runnable_slots_ += job.width;
-  }
-  publish_index();
+  tally(job, +1);
 }
 
 void Workstation::set_job_width(RunningJob& job, int width) {
   if (job.width == width) return;
-  if (job.phase != JobPhase::kSuspended) active_slots_ += width - job.width;
-  if (job.phase == JobPhase::kRunning) runnable_slots_ += width - job.width;
+  tally(job, -1);
   job.width = width;
+  tally(job, +1);
+}
+
+void Workstation::tally(const RunningJob& job, int sign) {
+  if (job.phase != JobPhase::kSuspended) {
+    resident_bytes_ += sign * job.demand;
+    peak_bytes_ += sign * job.spec.working_set();
+    active_count_ += sign;
+    active_slots_ += sign * job.width;
+  }
+  if (job.phase == JobPhase::kRunning) {
+    runnable_count_ += sign;
+    runnable_slots_ += sign * job.width;
+  }
   publish_index();
 }
 
@@ -205,10 +184,10 @@ inline Workstation::JobStep Workstation::step(const RunningJob& job, SimTime wal
   // wide jobs (speedup(1) == 1, so the branch keeps width-1 arithmetic
   // untouched — DESIGN.md §15).
   double usable = share.efficiency * wall / static_cast<double>(share.slots);
-  if (job.width > 1) usable *= job.spec->malleability.speedup(job.width);
+  if (job.width > 1) usable *= job.spec.malleability.speedup(job.width);
   // Wall seconds per reference-CPU second: compute time at this node's
   // speed plus page-fault stalls charged against the job's own turn.
-  const double fault_rate_per_ref_sec = job.spec->touch_rate * share.exposure;
+  const double fault_rate_per_ref_sec = job.spec.touch_rate * share.exposure;
   const double stall_per_ref_sec = fault_rate_per_ref_sec * config_->page_fault_service;
   const double wall_per_ref_sec = inverse_speed_ + stall_per_ref_sec;
   JobStep out;
@@ -277,7 +256,7 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
     job.accounted_until = now;
     // A single-point profile's demand never moves off the value add_job
     // cached.
-    if (!job.spec->memory.is_constant()) {
+    if (!job.spec.memory.is_constant()) {
       const Bytes new_demand = job.demand_now();
       resident_delta += new_demand - job.demand;
       job.demand = new_demand;
@@ -287,12 +266,7 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
     if (job.finished()) {
       std::unique_ptr<RunningJob> done = std::move(jobs_[i]);
       jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
-      resident_delta -= done->demand;
-      peak_bytes_ -= done->spec->working_set();
-      --active_count_;
-      --runnable_count_;
-      active_slots_ -= done->width;
-      runnable_slots_ -= done->width;
+      tally(*done, -1);
       outcome.completed.push_back(std::move(done));
       continue;  // do not advance i; element replaced by the next one
     }
@@ -302,8 +276,6 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // loop: a member read-modify-write per job would chain the iterations.
   resident_bytes_ += resident_delta;
   assert(aggregates_consistent());
-
-  total_faults_ += tick_faults;
 
   // EMA of the fault rate with time constant fault_rate_tau. An EMA at
   // exactly 0 with no fault this tick stays exactly 0 (0 * decay +
@@ -369,9 +341,9 @@ std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt, bool* flat) con
   park_bounds_.resize(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const RunningJob& job = *jobs_[j];
-    const double cpu = job.spec->cpu_seconds;
+    const double cpu = job.spec.cpu_seconds;
     ParkBound& bound = park_bounds_[j];
-    bound.rising_until = job.spec->memory.rising_until(job.progress());
+    bound.rising_until = job.spec.memory.rising_until(job.progress());
     // The stretch ends at the finish test (cpu_done + 1e-9 >= cpu_seconds)
     // or where the profile starts to fall, whichever comes first. 2^-40 of
     // the job's size covers the rounding of the sums and the progress
@@ -395,15 +367,15 @@ std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt, bool* flat) con
     Bytes total = 0;
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       const RunningJob& job = *jobs_[j];
-      if (job.spec->memory.is_constant()) {
+      if (job.spec.memory.is_constant()) {
         total += job.demand;
         continue;
       }
-      const double cpu = job.spec->cpu_seconds;
+      const double cpu = job.spec.cpu_seconds;
       const ParkBound& bound = park_bounds_[j];
       const double done =
           job.cpu_done + static_cast<double>(ticks) * bound.per_tick + cpu * 0x1p-40;
-      total += job.spec->memory.demand_at(std::min(done / cpu, bound.rising_until));
+      total += job.spec.memory.demand_at(std::min(done / cpu, bound.rising_until));
     }
     return total;
   };
@@ -467,7 +439,7 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
   Bytes resident = 0;
   for (const auto& job : jobs_) {
     job->accounted_until = t;
-    if (!job->spec->memory.is_constant()) job->demand = job->demand_now();
+    if (!job->spec.memory.is_constant()) job->demand = job->demand_now();
     resident += job->demand;
   }
   resident_bytes_ = resident;
@@ -566,7 +538,7 @@ bool Workstation::aggregates_consistent() const {
   for (const auto& job : jobs_) {
     if (job->phase != JobPhase::kSuspended) {
       resident += job->demand;
-      peak += job->spec->working_set();
+      peak += job->spec.working_set();
       ++active;
       active_slots += job->width;
     }

@@ -27,7 +27,6 @@ class Workstation {
   Workstation(NodeId id, const NodeConfig& hardware, const ClusterConfig& config);
 
   NodeId id() const { return id_; }
-  const NodeConfig& hardware() const { return hardware_; }
 
   /// Memory available to user jobs (RAM minus kernel reservation).
   Bytes user_memory() const { return hardware_.memory - hardware_.kernel_reserved; }
@@ -64,8 +63,8 @@ class Workstation {
   /// Equal to active_jobs() + incoming_count() when every width is 1, which
   /// keeps all pre-malleability behavior bit-identical (DESIGN.md §15).
   int slots_used() const { return active_slots_ + incoming_slots_; }
+  /// Slots left under the CPU threshold: the one reading of slot room.
   int free_slots() const { return config_->cpu_threshold - slots_used(); }
-  bool has_free_slot() const { return slots_used() < config_->cpu_threshold; }
 
   // --- pressure monitoring ---
   /// Page-fault rate (faults/s), exponential moving average.
@@ -114,6 +113,9 @@ class Workstation {
   std::unique_ptr<RunningJob> remove_job(JobId id);
   RunningJob* find_job(JobId id);
   const RunningJob* find_job(JobId id) const;
+  /// The one phase lookup: the resident job `id` if it is in `phase`,
+  /// nullptr otherwise.
+  RunningJob* find_job(JobId id, JobPhase phase);
   const std::vector<std::unique_ptr<RunningJob>>& jobs() const { return jobs_; }
 
   /// Transitions a resident job to `phase`, keeping the node's incremental
@@ -191,9 +193,6 @@ class Workstation {
   /// Publishes the node's load snapshot.
   LoadInfo snapshot(SimTime now) const;
 
-  // --- lifetime statistics ---
-  double total_faults() const { return total_faults_; }
-
  private:
   /// Shared lookup for the const and non-const find_job overloads.
   template <typename Self>
@@ -203,6 +202,12 @@ class Workstation {
     }
     return nullptr;
   }
+
+  /// The one update of the incremental aggregates: adds (`sign` = +1) or
+  /// removes (-1) `job`'s share by its phase and width, then republishes.
+  /// A job enters with +1 and leaves with -1; a phase or width change is a
+  /// removal and a re-entry around the change.
+  void tally(const RunningJob& job, int sign);  // vrc:publish-fn
 
   /// Recomputes the incremental aggregates by scanning; used only by debug
   /// assertions to catch drift.
@@ -264,12 +269,12 @@ class Workstation {
   double rr_efficiency_ = 1.0;  // q / (q + c)
 
   std::vector<std::unique_ptr<RunningJob>> jobs_;  // vrc:board-visible
-  // Incrementally maintained aggregates over jobs_ (updated by add_job,
-  // remove_job, set_job_phase, and the per-tick demand refresh), so the
-  // admission/snapshot hot path never rescans the job list. Every field the
-  // board snapshot derives from is tagged vrc:board-visible: the
-  // publish-audit lint (DESIGN.md §13.3) checks that member functions
-  // writing them republish via publish_index() on every path out.
+  // Incrementally maintained aggregates over jobs_ (updated through tally()
+  // and the per-tick demand refresh), so the admission/snapshot hot path
+  // never rescans the job list. Every field the board snapshot derives
+  // from is tagged vrc:board-visible: the publish-audit lint (DESIGN.md
+  // §13.3) checks that member functions writing them republish via
+  // publish_index() on every path out.
   Bytes resident_bytes_ = 0;  // vrc:board-visible demand over non-suspended jobs
   Bytes peak_bytes_ = 0;      // vrc:board-visible spec working sets, non-suspended
   int active_count_ = 0;      // vrc:board-visible non-suspended jobs
@@ -292,7 +297,6 @@ class Workstation {
   bool failed_ = false;    // vrc:board-visible
 
   double fault_rate_ = 0.0;  // vrc:board-visible
-  double total_faults_ = 0.0;
   // fault_decay()'s memo: the tick length it was last computed for.
   SimTime decay_dt_ = std::numeric_limits<double>::quiet_NaN();
   double decay_ = 1.0;

@@ -10,7 +10,7 @@ bool LocalOnly::try_place(Cluster& cluster, RunningJob& job) {
   // Conventional multiprogramming: only the CPU threshold gates admission;
   // memory oversubscription simply thrashes. Wide (malleable) jobs need
   // their full width in slots — width 1 reduces to the old predicate.
-  if (home.slots_used() + job.width <= cluster.config().cpu_threshold) {
+  if (home.free_slots() >= job.width) {
     cluster.place_local(job, home.id());
     return true;
   }
@@ -59,8 +59,8 @@ void SuspensionPolicy::on_periodic(Cluster& cluster) {
   for (std::size_t i = 0; i < suspended_.size();) {
     const Suspended entry = suspended_[i];
     Workstation& node = cluster.node(entry.node);
-    RunningJob* job = node.find_job(entry.job);
-    if (job == nullptr || job->phase != cluster::JobPhase::kSuspended) {
+    RunningJob* job = node.find_job(entry.job, cluster::JobPhase::kSuspended);
+    if (job == nullptr) {
       suspended_.erase(suspended_.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }

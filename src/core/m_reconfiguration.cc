@@ -15,7 +15,7 @@ int shrinkable_slack(const Workstation& node) {
   int slack = 0;
   for (const auto& resident : node.jobs()) {
     if (resident->phase != cluster::JobPhase::kRunning) continue;
-    const workload::Malleability& contract = resident->spec->malleability;
+    const workload::Malleability& contract = resident->spec.malleability;
     if (!contract.resizable()) continue;
     slack += resident->width - contract.min_width;
   }
@@ -39,7 +39,6 @@ bool MReconfiguration::cooled_down(Cluster& cluster, NodeId node) const {
 
 bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
   const Bytes hint = std::max(job.demand, cluster.config().admission_demand_estimate);
-  const int cpu_threshold = cluster.config().cpu_threshold;
 
   // Candidate nodes: slot-bound (the memory half of admission passes, only
   // slots are missing) with enough shrinkable width to cover the deficit.
@@ -53,7 +52,7 @@ bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
     if (node.failed() || node.reserved() || node.memory_pressured()) continue;
     if (!cooled_down(cluster, candidate)) continue;
     if (node.committed_demand() + hint >= node.memory_limit()) continue;
-    const int missing = node.slots_used() + job.width - cpu_threshold;
+    const int missing = job.width - node.free_slots();
     if (missing <= 0) continue;  // not slot-bound: admission failed on memory
     const int slack = shrinkable_slack(node);
     if (slack < missing) continue;
@@ -65,7 +64,7 @@ bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
   if (best_node == workload::kInvalidNode) return false;
 
   Workstation& node = cluster.node(best_node);
-  int missing = node.slots_used() + job.width - cpu_threshold;
+  int missing = job.width - node.free_slots();
 
   // Without shrinking, the blocked job's next chance at this node is the
   // earliest completion among its running jobs; credit that avoided wait
@@ -84,12 +83,12 @@ bool MReconfiguration::shrink_to_admit(Cluster& cluster, RunningJob& job) {
     RunningJob* victim = nullptr;
     for (const auto& resident : node.jobs()) {
       if (resident->phase != cluster::JobPhase::kRunning) continue;
-      const workload::Malleability& contract = resident->spec->malleability;
+      const workload::Malleability& contract = resident->spec.malleability;
       if (!contract.resizable() || resident->width <= contract.min_width) continue;
       if (victim == nullptr || resident->width > victim->width) victim = resident.get();
     }
     if (victim == nullptr) break;
-    const workload::Malleability& contract = victim->spec->malleability;
+    const workload::Malleability& contract = victim->spec.malleability;
     const int old_width = victim->width;
     const int target = std::max(contract.min_width, old_width - missing);
     if (!cluster.resize_job(best_node, victim->id(), target)) break;
@@ -122,7 +121,7 @@ void MReconfiguration::maybe_regrow(Cluster& cluster) {
       shrunk_.erase(shrunk_.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
-    const workload::Malleability& contract = job->spec->malleability;
+    const workload::Malleability& contract = job->spec.malleability;
     if (job->width >= contract.max_width) {
       shrunk_.erase(shrunk_.begin() + static_cast<std::ptrdiff_t>(i));
       continue;

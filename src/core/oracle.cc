@@ -20,7 +20,7 @@ bool oracle_accepts(const Workstation& node, Bytes peak, int width) {
 bool OracleDemands::try_place(Cluster& cluster, RunningJob& job) {
   // Perfect knowledge: admission is against the sum of everyone's *peak*
   // working sets, so no placement can ever grow into a collision.
-  const Bytes peak = job.spec->working_set();
+  const Bytes peak = job.spec.working_set();
   Workstation& home = cluster.node(job.home_node);
   if (oracle_accepts(home, peak, job.width)) {
     cluster.place_local(job, home.id());

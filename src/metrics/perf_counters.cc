@@ -1,7 +1,9 @@
 #include "metrics/perf_counters.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <mutex>
 
 namespace vrc::metrics {
@@ -19,62 +21,54 @@ PerfCounters& aggregate_storage() {
   return aggregate;
 }
 
+/// Every counter once, in printing order: its label, its field, and whether
+/// it merges as a high-water mark (the max of per-run peaks, not their sum).
+struct Counter {
+  const char* label;
+  std::uint64_t PerfCounters::* field;
+  bool high_water = false;
+};
+constexpr Counter kCounters[] = {
+    {"events_executed", &PerfCounters::events_executed},
+    {"heap_upserts", &PerfCounters::heap_upserts},
+    {"heap_erases", &PerfCounters::heap_erases},
+    {"heap_best_queries", &PerfCounters::heap_best_queries},
+    {"exchange_rounds", &PerfCounters::exchange_rounds},
+    {"exchange_dirty_visited", &PerfCounters::exchange_dirty_visited},
+    {"exchange_failed_skips", &PerfCounters::exchange_failed_skips},
+    {"snapshots_published", &PerfCounters::snapshots_published},
+    {"immediate_publishes", &PerfCounters::immediate_publishes},
+    {"tick_rounds", &PerfCounters::tick_rounds},
+    {"tick_rounds_skipped", &PerfCounters::tick_rounds_skipped},
+    {"node_ticks", &PerfCounters::node_ticks},
+    {"ticks_replayed", &PerfCounters::ticks_replayed},
+    {"pressure_callbacks", &PerfCounters::pressure_callbacks},
+    {"submission_scans", &PerfCounters::submission_scans},
+    {"migration_scans", &PerfCounters::migration_scans},
+    {"reservation_scans", &PerfCounters::reservation_scans},
+    {"resizes_started", &PerfCounters::resizes_started},
+    {"resize_completions", &PerfCounters::resize_completions},
+    {"stream_arrivals", &PerfCounters::stream_arrivals},
+    {"peak_live_specs", &PerfCounters::peak_live_specs, true},
+    {"exchange_wall_ns", &PerfCounters::exchange_wall_ns},
+    {"tick_wall_ns", &PerfCounters::tick_wall_ns},
+};
+
 }  // namespace
 
 void PerfCounters::merge(const PerfCounters& other) {
-  events_executed += other.events_executed;
-  heap_upserts += other.heap_upserts;
-  heap_erases += other.heap_erases;
-  heap_best_queries += other.heap_best_queries;
-  exchange_rounds += other.exchange_rounds;
-  exchange_dirty_visited += other.exchange_dirty_visited;
-  exchange_failed_skips += other.exchange_failed_skips;
-  snapshots_published += other.snapshots_published;
-  immediate_publishes += other.immediate_publishes;
-  tick_rounds += other.tick_rounds;
-  tick_rounds_skipped += other.tick_rounds_skipped;
-  node_ticks += other.node_ticks;
-  ticks_replayed += other.ticks_replayed;
-  pressure_callbacks += other.pressure_callbacks;
-  submission_scans += other.submission_scans;
-  migration_scans += other.migration_scans;
-  reservation_scans += other.reservation_scans;
-  resizes_started += other.resizes_started;
-  resize_completions += other.resize_completions;
-  stream_arrivals += other.stream_arrivals;
-  spec_slots_recycled += other.spec_slots_recycled;
-  if (other.peak_live_specs > peak_live_specs) peak_live_specs = other.peak_live_specs;
-  exchange_wall_ns += other.exchange_wall_ns;
-  tick_wall_ns += other.tick_wall_ns;
+  for (const Counter& counter : kCounters) {
+    std::uint64_t& mine = this->*counter.field;
+    const std::uint64_t theirs = other.*counter.field;
+    mine = counter.high_water ? std::max(mine, theirs) : mine + theirs;
+  }
 }
 
 std::vector<std::pair<const char*, std::uint64_t>> PerfCounters::entries() const {
-  return {
-      {"events_executed", events_executed},
-      {"heap_upserts", heap_upserts},
-      {"heap_erases", heap_erases},
-      {"heap_best_queries", heap_best_queries},
-      {"exchange_rounds", exchange_rounds},
-      {"exchange_dirty_visited", exchange_dirty_visited},
-      {"exchange_failed_skips", exchange_failed_skips},
-      {"snapshots_published", snapshots_published},
-      {"immediate_publishes", immediate_publishes},
-      {"tick_rounds", tick_rounds},
-      {"tick_rounds_skipped", tick_rounds_skipped},
-      {"node_ticks", node_ticks},
-      {"ticks_replayed", ticks_replayed},
-      {"pressure_callbacks", pressure_callbacks},
-      {"submission_scans", submission_scans},
-      {"migration_scans", migration_scans},
-      {"reservation_scans", reservation_scans},
-      {"resizes_started", resizes_started},
-      {"resize_completions", resize_completions},
-      {"stream_arrivals", stream_arrivals},
-      {"spec_slots_recycled", spec_slots_recycled},
-      {"peak_live_specs", peak_live_specs},
-      {"exchange_wall_ns", exchange_wall_ns},
-      {"tick_wall_ns", tick_wall_ns},
-  };
+  std::vector<std::pair<const char*, std::uint64_t>> out;
+  out.reserve(std::size(kCounters));
+  for (const Counter& counter : kCounters) out.emplace_back(counter.label, this->*counter.field);
+  return out;
 }
 
 namespace perf_detail {

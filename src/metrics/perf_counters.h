@@ -28,7 +28,8 @@
 namespace vrc::metrics {
 
 /// One thread's (or the merged global) counter set. Plain additive fields so
-/// merging is field-wise summation.
+/// merging is field-wise summation. Each field is also listed once, with its
+/// label, in perf_counters.cc; merge() and entries() both walk that list.
 struct PerfCounters {
   // Discrete-event engine.
   std::uint64_t events_executed = 0;
@@ -57,8 +58,7 @@ struct PerfCounters {
   std::uint64_t resize_completions = 0;
   // Streaming arrival pump (Cluster::submit_source).
   std::uint64_t stream_arrivals = 0;       // specs pulled from an ArrivalSource
-  std::uint64_t spec_slots_recycled = 0;   // free-list hits (slab reuse)
-  std::uint64_t peak_live_specs = 0;       // MAX-merged: high-water live specs
+  std::uint64_t peak_live_specs = 0;       // MAX-merged: high-water jobs submitted, not done
   // Wall-time buckets (ns). Observability only — never read by simulation
   // code, so host timing cannot leak into event order.
   std::uint64_t exchange_wall_ns = 0;

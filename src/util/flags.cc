@@ -50,6 +50,7 @@ void FlagSet::add_string(const std::string& name, std::string* target, std::stri
 
 bool FlagSet::parse(int argc, const char* const* argv) {
   positional_.clear();
+  help_requested_ = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -58,7 +59,8 @@ bool FlagSet::parse(int argc, const char* const* argv) {
     }
     std::string body = arg.substr(2);
     if (body == "help") {
-      std::fputs(usage(argv[0]).c_str(), stderr);
+      std::fputs(usage(argv[0]).c_str(), stdout);
+      help_requested_ = true;
       return false;
     }
     std::string name = body;

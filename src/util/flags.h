@@ -31,9 +31,10 @@ class FlagSet {
   void add_string(const std::string& name, std::string* target, std::string help);
 
   /// Parses argv. Returns true on success; on failure prints a diagnostic and
-  /// usage to stderr and returns false. "--help" prints usage and returns
-  /// false without an error diagnostic.
+  /// usage to stderr and returns false. "--help" prints usage to stdout and
+  /// returns false with help_requested() set, so the caller exits 0.
   bool parse(int argc, const char* const* argv);
+  bool help_requested() const { return help_requested_; }
 
   /// Arguments that were not flags, in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -53,6 +54,7 @@ class FlagSet {
 
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;
+  bool help_requested_ = false;
 };
 
 }  // namespace vrc::util

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "metrics/fingerprint.h"
@@ -370,6 +372,57 @@ TEST(ClusterTest, SubmitTraceSchedulesAllJobs) {
   EXPECT_EQ(cluster.submitted_count(), 5u);
   EXPECT_EQ(cluster.completed().size(), 5u);
   EXPECT_TRUE(cluster.finished());
+}
+
+// peak_live_specs is the high-water count of jobs submitted and not yet
+// completed. Every submit time lies halfway between two 10 ms ticks, so no
+// arrival ties a completion (DESIGN.md §14.2) and the peak follows from the
+// completed records alone.
+TEST(ClusterTest, PeakLiveSpecsCountsJobsBetweenSubmitAndCompletion) {
+  sim::Simulator sim;
+  ScriptedPolicy policy;
+  Cluster cluster(sim, small_config(), policy);
+  std::vector<JobSpec> specs;
+  for (JobId i = 1; i <= 40; ++i) {
+    const double cpu_seconds = 0.5 + static_cast<double>((i * 7) % 11);
+    specs.push_back(make_spec(i, 0.005 + 0.75 * i, cpu_seconds, megabytes(10), i % 4));
+  }
+  workload::MaterializedTraceSource source(
+      workload::Trace("t", workload::WorkloadGroup::kSpec, 40.0, specs));
+  cluster.submit_source(source);
+  sim.run();
+  ASSERT_EQ(cluster.completed().size(), specs.size());
+
+  std::vector<std::pair<SimTime, int>> steps;  // +1 at submit, -1 at completion
+  for (const CompletedJob& record : cluster.completed()) {
+    steps.emplace_back(record.submit_time, +1);
+    steps.emplace_back(record.completion_time, -1);
+  }
+  std::sort(steps.begin(), steps.end());
+  std::size_t live = 0;
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (i > 0) {
+      ASSERT_FALSE(steps[i].first == steps[i - 1].first && steps[i].second != steps[i - 1].second)
+          << "a submit time equals a completion time at t=" << steps[i].first;
+    }
+    live = steps[i].second > 0 ? live + 1 : live - 1;
+    peak = std::max(peak, live);
+  }
+  EXPECT_GT(peak, 4u);  // the jobs overlap
+  EXPECT_EQ(cluster.peak_live_specs(), peak);
+
+  // A hand-placed job counts from the submit_job call, not from its arrival:
+  // two jobs far apart in time are both live before the run starts.
+  sim::Simulator hand_sim;
+  ScriptedPolicy hand_policy;
+  Cluster hand(hand_sim, small_config(), hand_policy);
+  hand.submit_job(make_spec(1, 0.0, 1.0, megabytes(10)));
+  hand.submit_job(make_spec(2, 100.0, 1.0, megabytes(10)));
+  EXPECT_EQ(hand.peak_live_specs(), 2u);
+  hand_sim.run();
+  EXPECT_EQ(hand.completed().size(), 2u);
+  EXPECT_EQ(hand.peak_live_specs(), 2u);
 }
 
 TEST(ClusterTest, FinishCallbackFiresOnce) {

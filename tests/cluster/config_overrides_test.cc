@@ -235,6 +235,22 @@ TEST(ApplyOverridesTest, FaultExposureKneeIsNonNegative) {
   EXPECT_EQ(config.fault_exposure_knee, 0.0);
 }
 
+TEST(ApplyOverridesTest, FaultRateThresholdIsNonNegative) {
+  // A node is pressured once its fault EMA, never negative, exceeds the
+  // threshold: below zero every node read as pressured and nothing was
+  // ever admitted.
+  ClusterConfig config = ClusterConfig::paper_cluster1(2);
+  std::string error;
+  EXPECT_FALSE(config.apply_overrides({{"fault_rate_threshold", "-1"}}, &error));
+  EXPECT_NE(error.find("config override 'fault_rate_threshold': invalid value '-1' (expected "
+                       "non-negative double, e.g. fault_rate_threshold=15)"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(config.fault_rate_threshold, ClusterConfig::paper_cluster1(2).fault_rate_threshold);
+  ASSERT_TRUE(config.apply_overrides({{"fault_rate_threshold", "0"}}, &error)) << error;
+  EXPECT_EQ(config.fault_rate_threshold, 0.0);
+}
+
 TEST(ApplyOverridesTest, NodeHardwareAndMemoryThresholdAreRangeChecked) {
   ClusterConfig config = ClusterConfig::paper_cluster1(4);
   const ClusterConfig before = config;

@@ -1,9 +1,9 @@
 // Bounded live JobSpec storage for the arrival pump (DESIGN.md §14).
 //
-// Every run pumps its jobs through Cluster::submit_source, which recycles a
-// completed job's spec slot for a later arrival. This test streams a million
-// jobs and holds the pump's live JobSpec storage to the jobs in flight, not
-// the stream length. (The ten standard shapes are pinned through the same
+// Every run pumps its jobs through Cluster::submit_source, which moves each
+// spec into the job it creates; the spec is freed when the job completes.
+// This test streams a million jobs and holds the pump's live JobSpec storage
+// to the jobs in flight, not the stream length. (The ten standard shapes are pinned through the same
 // pump by tests/integration/standard_shape_fingerprint_test.cc.)
 #include <gtest/gtest.h>
 
@@ -64,8 +64,8 @@ class UniformFirehose final : public workload::ArrivalSource {
 // The headline memory claim: a million-job stream completes with live
 // JobSpec storage bounded by the number of jobs in flight, not the stream
 // length. Mirrors perfbench's large-cluster shape (short uniform jobs spread
-// across many homes) so service keeps pace with arrivals and the free-list
-// recycles nearly every slot.
+// across many homes) so service keeps pace with arrivals and nearly every
+// spec is freed long before the stream ends.
 TEST(StreamingEquivalenceTest, MillionJobStreamBoundsLiveSpecStorage) {
   constexpr std::uint64_t kJobs = 1'000'000;
   constexpr std::uint32_t kNodes = 2048;

@@ -58,6 +58,21 @@ TEST_F(PerfCountersTest, MergeSumsEveryField) {
   EXPECT_EQ(a.snapshots_published, 9u);
 }
 
+TEST_F(PerfCountersTest, MergeKeepsTheHighWaterMarkOfPeakLiveSpecs) {
+  PerfCounters a;
+  PerfCounters b;
+  a.peak_live_specs = 7;
+  b.peak_live_specs = 5;
+  b.stream_arrivals = 3;
+  a.merge(b);
+  EXPECT_EQ(a.peak_live_specs, 7u);
+  EXPECT_EQ(a.stream_arrivals, 3u);
+  b.peak_live_specs = 9;
+  a.merge(b);
+  EXPECT_EQ(a.peak_live_specs, 9u);
+  EXPECT_EQ(a.stream_arrivals, 6u);
+}
+
 TEST_F(PerfCountersTest, EntriesCoverEveryCounterField) {
   PerfCounters counters;
   const auto entries = counters.entries();

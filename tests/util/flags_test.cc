@@ -94,6 +94,11 @@ TEST(FlagSetTest, HelpReturnsFalse) {
   FlagSet flags;
   auto argv = argv_of({"--help"});
   EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+  // Help is a request, not an error: the caller exits 0.
+  EXPECT_TRUE(flags.help_requested());
+  auto unknown = argv_of({"--nope"});
+  EXPECT_FALSE(flags.parse(static_cast<int>(unknown.size()), unknown.data()));
+  EXPECT_FALSE(flags.help_requested());
 }
 
 TEST(FlagSetTest, PositionalArgsCollected) {
