@@ -325,8 +325,6 @@ double Workstation::fault_decay(SimTime dt) {
 
 std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt, bool* flat) const {
   if (failed_ || memory_pressured() || jobs_.empty()) return 0;
-  // Every resident job running: none suspended, migrating or resizing.
-  if (runnable_count_ != static_cast<int>(jobs_.size())) return 0;
   // While T < dt * 2^33, ulp(T) < dt * 2^-19, so a replayed tick's wall
   // (T - max(T_prev, T - dt)) never exceeds wall_bound below. The start
   // and length caps keep every replayed T under that.
@@ -335,12 +333,14 @@ std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt, bool* flat) con
   const SimTime wall_bound = dt * (1.0 + 0x1p-16);
 
   // Not pressured, so resident demand is within user memory: exposure is 0
-  // and step() does not read demand.
+  // and step() does not read demand. Only running jobs progress; a job that
+  // is suspended, migrating or resizing only waits.
   const Sharing share = sharing();
   std::uint64_t horizon = kMaxTicks;
   park_bounds_.resize(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const RunningJob& job = *jobs_[j];
+    if (job.phase != JobPhase::kRunning) continue;
     const double cpu = job.spec.cpu_seconds;
     ParkBound& bound = park_bounds_[j];
     bound.rising_until = job.spec.memory.rising_until(job.progress());
@@ -359,15 +359,18 @@ std::uint64_t Workstation::steady_ticks(SimTime now, SimTime dt, bool* flat) con
     }
   }
 
-  // The resident demand after `ticks` more ticks, bounded above: each job's
-  // demand is non-decreasing over its stretch, so demand_at() of a bound on
-  // its progress then (clamped into the stretch) bounds the demand at the
-  // end of every tick up to there. The bound grows with `ticks`.
+  // The resident demand after `ticks` more ticks, bounded above: each
+  // running job's demand is non-decreasing over its stretch, so demand_at()
+  // of a bound on its progress then (clamped into the stretch) bounds the
+  // demand at the end of every tick up to there. A migrating or resizing
+  // job holds its demand; a suspended one is not resident. The bound grows
+  // with `ticks`.
   const auto resident_bound = [&](std::uint64_t ticks) {
     Bytes total = 0;
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       const RunningJob& job = *jobs_[j];
-      if (job.spec.memory.is_constant()) {
+      if (job.phase == JobPhase::kSuspended) continue;
+      if (job.phase != JobPhase::kRunning || job.spec.memory.is_constant()) {
         total += job.demand;
         continue;
       }
@@ -414,31 +417,46 @@ SimTime Workstation::replay(SimTime last_tick, SimTime dt, std::uint64_t ticks) 
   for (const auto& job : jobs_) before.push_back(*job);
   const double audit_fault_rate = fault_rate_;
 #endif
+  // Constant while parked: every phase change goes through tally(), which
+  // unparks the node.
   const Sharing share = sharing();
   // T <- T + dt advances in runs whose additions each add the same whole
   // number of ulps of T, and every tick of a run integrates the same wall,
   // the first tick's (DESIGN.md §12.6). The horizon keeps step()'s clamp to
-  // the remaining work from binding, so each job's step() is taken once per
-  // run, and each accumulator takes the run's equal additions in closed
-  // form. A tick that starts no run (a binade edge, a tie onto an odd last
-  // unit) is a run of one.
+  // the remaining work from binding, so each running job's step() is taken
+  // once per run, and each accumulator takes the run's equal additions in
+  // closed form. A tick that starts no run (a binade edge, a tie onto an
+  // odd last unit) is a run of one. Per phase, as tick(): a suspended job
+  // queues for the whole wall, and a migrating or resizing job is left
+  // alone until its transfer completes.
   SimTime t = last_tick;
   for (std::uint64_t left = ticks; left > 0;) {
     const util::AddRun run = util::uniform_add_run(t, dt, left);
     const std::uint64_t n = std::max<std::uint64_t>(run.steps, 1);
     const SimTime next = t + dt;  // as sim::PeriodicTask::arm
     const SimTime wall = next - std::max(t, next - dt);
-    for (const auto& job : jobs_) accumulate(*job, step(*job, wall, share), n);
+    for (const auto& job : jobs_) {
+      if (job->phase == JobPhase::kRunning) {
+        accumulate(*job, step(*job, wall, share), n);
+      } else if (job->phase == JobPhase::kSuspended) {
+        job->t_queue = util::add_repeated(job->t_queue, wall, n);
+      }
+    }
     t = run.steps > 0 ? util::advance(t, run) : next;
     left -= n;
   }
   // Demand is a function of progress alone, and with exposure 0 no step()
-  // above read it, so each job's demand and the resident sum can be set
-  // from the final progress at once, as the last tick would leave them.
+  // above read it, so each running job's demand and the resident sum can be
+  // set from the final progress at once, as the last tick would leave them.
   const Bytes resident_before = resident_bytes_;
   Bytes resident = 0;
   for (const auto& job : jobs_) {
+    if (job->phase == JobPhase::kMigrating || job->phase == JobPhase::kResizing) {
+      resident += job->demand;
+      continue;
+    }
     job->accounted_until = t;
+    if (job->phase == JobPhase::kSuspended) continue;
     if (!job->spec.memory.is_constant()) job->demand = job->demand_now();
     resident += job->demand;
   }
@@ -489,8 +507,19 @@ void Workstation::audit_replay(const std::vector<RunningJob>& before, double fau
     Bytes resident_delta = 0;
     Bytes resident = 0;
     for (RunningJob& job : shadow) {
+      // tick()'s per-phase rules: a migrating or resizing job stays resident
+      // and untouched, a suspended one queues and is not resident.
+      if (job.phase == JobPhase::kMigrating || job.phase == JobPhase::kResizing) {
+        resident += job.demand;
+        continue;
+      }
       const SimTime wall = t - std::max(job.accounted_until, t - dt);
       if (wall <= 0.0) fail("a tick with no wall time to integrate", job.id());
+      if (job.phase == JobPhase::kSuspended) {
+        job.t_queue += wall;
+        job.accounted_until = t;
+        continue;
+      }
       accumulate(job, step(job, wall, share));
       job.accounted_until = t;
       if (job.finished()) fail("a job finished inside the stretch", job.id());
@@ -513,13 +542,14 @@ void Workstation::audit_replay(const std::vector<RunningJob>& before, double fau
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const RunningJob& got = *jobs_[j];
     const RunningJob& want = shadow[j];
-    if (!same(got.cpu_done, want.cpu_done) || !same(got.t_cpu, want.t_cpu) ||
-        !same(got.t_page, want.t_page) || !same(got.t_queue, want.t_queue) ||
+    if (got.phase != want.phase || !same(got.cpu_done, want.cpu_done) ||
+        !same(got.t_cpu, want.t_cpu) || !same(got.t_page, want.t_page) ||
+        !same(got.t_queue, want.t_queue) || !same(got.t_mig, want.t_mig) ||
         !same(got.faults, want.faults) || !same(got.width_seconds, want.width_seconds) ||
         !same(got.accounted_until, want.accounted_until) || got.demand != want.demand) {
       fail("the replay diverged from tick-by-tick integration", got.id());
     }
-    resident += want.demand;
+    if (want.phase != JobPhase::kSuspended) resident += want.demand;
   }
   if (resident != resident_bytes_ || !same(shadow_rate, fault_rate_)) {
     fail("the resident demand or the fault EMA diverged from tick-by-tick integration", 0);

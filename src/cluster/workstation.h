@@ -157,18 +157,22 @@ class Workstation {
   TickOutcome tick(SimTime now, SimTime dt, sim::Rng& rng);
 
   /// How many of the ticks after the one at `now` replay() may stand in for
-  /// (DESIGN.md §12.6). 0 unless the node is steady: up, not pressured and
-  /// every resident job running, with every job's memory profile
-  /// non-decreasing from its progress on, so a tick draws no random number
-  /// and counts no fault. Otherwise a bound, with margin for rounding, under
-  /// which no job can finish or leave its non-decreasing stretch and the
-  /// resident demand stays within user memory. `flat`, when given, is set
-  /// to whether the stretch is flat (TickOutcome::flat).
+  /// (DESIGN.md §12.6). 0 unless the node is steady: up with jobs, not
+  /// pressured, and every running job's memory profile non-decreasing from
+  /// its progress on, so a tick draws no random number and counts no fault.
+  /// Jobs that are suspended, migrating or resizing only wait, whatever
+  /// their number. Otherwise a bound, with margin for rounding, under which
+  /// no running job can finish or leave its non-decreasing stretch and the
+  /// resident demand (waiting jobs at their held demand) stays within user
+  /// memory. `flat`, when given, is set to whether the stretch is flat
+  /// (TickOutcome::flat).
   std::uint64_t steady_ticks(SimTime now, SimTime dt, bool* flat = nullptr) const;
 
   /// Re-integrates the `ticks` ticks that follow the one at `last_tick`, at
   /// T <- T + dt as sim::PeriodicTask arms them, in closed form: O(jobs ×
   /// binades crossed), plus the fault EMA's decay while it still moves.
+  /// Applies tick()'s rule per phase: a running job progresses, a suspended
+  /// one queues, and a migrating or resizing one is left untouched.
   /// Leaves every job and node accumulator, every demand, the resident sum
   /// and the fault EMA bit-identical to that many tick() calls. Where one of
   /// those ticks would have republished, marks the node dirty without

@@ -21,12 +21,11 @@ std::uint32_t Simulator::alloc_slot_slow() {
   return num_slots_++;
 }
 
-EventId Simulator::commit_event(SimTime when, std::uint32_t index, Slot& slot) {
+EventId Simulator::commit_event(SimTime when, std::uint64_t seq, std::uint32_t index,
+                                Slot& slot) {
   // `<=` (not `<`) so a -0.0 timestamp normalizes to now_: the key compare
   // treats time as raw IEEE bits, and -0.0 must not sort before 0.0.
   if (when <= now_) when = now_;
-  const std::uint64_t seq = next_seq_++;
-  assert(seq <= kSeqMask && "event sequence space exhausted");
   slot.state = kLiveBit | seq;
   heap_push(make_key(when, seq, index));
   ++live_events_;

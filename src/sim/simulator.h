@@ -9,6 +9,7 @@
 // See DESIGN.md "Engine internals & performance envelope" for the layout.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -55,10 +56,31 @@ class Simulator {
   template <typename F, typename = std::enable_if_t<
                             std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventId schedule_at(SimTime when, F&& callback) {
+    return schedule_reserved(when, reserve_sequence(1), std::forward<F>(callback));
+  }
+
+  /// Reserves `n` consecutive sequence numbers and returns the first. An
+  /// event later scheduled under one of them through schedule_reserved()
+  /// takes the place among equal-time events that it would have taken had
+  /// it been scheduled now, so a component can keep a long schedule out of
+  /// the heap and insert each event lazily in the same order.
+  std::uint64_t reserve_sequence(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    assert(next_seq_ - 1 <= kSeqMask && "event sequence space exhausted");
+    return first;
+  }
+
+  /// schedule_at() under a number from reserve_sequence(), each number used
+  /// at most once.
+  template <typename F, typename = std::enable_if_t<
+                            std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  EventId schedule_reserved(SimTime when, std::uint64_t seq, F&& callback) {
+    assert(seq != 0 && seq < next_seq_ && "schedule_reserved needs a reserved number");
     const std::uint32_t index = alloc_slot();
     Slot& slot = slot_ref(index);
     slot.callback.emplace(std::forward<F>(callback));
-    return commit_event(when, index, slot);
+    return commit_event(when, seq, index, slot);
   }
 
   /// Schedules `callback` after a relative delay (>= 0).
@@ -190,9 +212,9 @@ class Simulator {
   /// Cold path of alloc_slot: appends a chunk if needed.
   std::uint32_t alloc_slot_slow();
 
-  /// Clamps `when`, stamps the slot live, pushes the heap entry, and returns
-  /// the event id. The slot must already hold the callback.
-  EventId commit_event(SimTime when, std::uint32_t index, Slot& slot);
+  /// Clamps `when`, stamps the slot live under `seq`, pushes the heap entry,
+  /// and returns the event id. The slot must already hold the callback.
+  EventId commit_event(SimTime when, std::uint64_t seq, std::uint32_t index, Slot& slot);
 
   void heap_push(HeapKey entry);
   void heap_pop_min();

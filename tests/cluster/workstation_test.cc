@@ -605,10 +605,21 @@ SimTime charge_fault_ema(Workstation& node, const workload::JobSpec& pager, SimT
   return now;
 }
 
+// Which jobs of a seated node only wait through a parked stretch.
+enum class Waiting {
+  kNone,  // every job runs
+  kOne,   // one more job waits beside the running ones
+  kAll,   // every job waits: no runnable slot is left
+};
+
 // Ramps and phased profiles park too (DESIGN.md §12.6): the replay sets each
-// demand from its final progress and the resident sum from the demands, and
-// decays a non-zero fault EMA as tick() does. On random draws of 1-5 jobs,
-// with the EMA at 0 or decaying, the replay must match tick-by-tick
+// running job's demand from its final progress and the resident sum from the
+// demands, and decays a non-zero fault EMA as tick() does. Jobs that are
+// suspended, migrating or resizing park with them: a suspended job queues
+// for every replayed tick, and a migrating or resizing one keeps its
+// accumulators, its demand and its accounted_until at the transfer start.
+// On random draws of 1-5 jobs, with the EMA at 0 or decaying, and with no
+// job, one more job or every job waiting, the replay must match tick-by-tick
 // integration bit for bit, no horizon may finish a job or push the resident
 // demand past user memory, and a park reported flat moves no demand.
 TEST(SteadyReplayTest, RampReplayMatchesTicksBitForBit) {
@@ -617,11 +628,14 @@ TEST(SteadyReplayTest, RampReplayMatchesTicksBitForBit) {
   const SimTime dt = config.tick;
   const Bytes user = config.nodes[0].memory - config.nodes[0].kernel_reserved;
   workload::JobSpec pager = make_spec(99, 1e6, user, 400.0);
+  const JobPhase waits[] = {JobPhase::kSuspended, JobPhase::kMigrating, JobPhase::kResizing};
   sim::Rng draw(20261019);
   int parked = 0;
   int moving = 0;
   int decaying = 0;
   int memory_bound = 0;
+  int parked_beside[3] = {0, 0, 0};  // Waiting::kOne parks, by the waiting phase
+  int parked_idle = 0;               // Waiting::kAll parks
   for (int trial = 0; trial < 400; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     const std::size_t jobs = 1 + draw.uniform_index(5);
@@ -658,47 +672,102 @@ TEST(SteadyReplayTest, RampReplayMatchesTicksBitForBit) {
     }
     const bool wide = specs[0].malleability.max_width == 2;
     const bool charge = draw.uniform_index(2) == 0;
-    Workstation ticked(0, config.nodes[0], config);
-    Workstation replayed(0, config.nodes[0], config);
-    sim::Rng rng_a(1);
-    sim::Rng rng_b(1);
     const SimTime start = 100.0 * draw.uniform();
-    SimTime now = seat_jobs(ticked, specs, done, wide, start, dt, rng_a);
-    SimTime parked_at = seat_jobs(replayed, specs, done, wide, start, dt, rng_b);
-    if (charge) {
-      now = charge_fault_ema(ticked, pager, now, dt, 3, rng_a);
-      parked_at = charge_fault_ema(replayed, pager, parked_at, dt, 3, rng_b);
-      ASSERT_GT(replayed.fault_rate(), 0.0);
-    }
-    bool flat = false;
-    const std::uint64_t horizon = replayed.steady_ticks(parked_at, dt, &flat);
-    if (horizon == 0) continue;
-    ++parked;
-    moving += flat ? 0 : 1;
-    decaying += replayed.fault_rate() != 0.0 ? 1 : 0;
-    EXPECT_TRUE(!flat || replayed.fault_rate() == 0.0);
-    std::vector<Bytes> demand;
-    for (const auto& job : ticked.jobs()) demand.push_back(job->demand);
-    for (std::uint64_t i = 0; i < horizon; ++i) {
-      now += dt;
-      ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty()) << "tick " << i;
-      ASSERT_LE(ticked.resident_demand(), ticked.user_memory()) << "tick " << i;
-      for (std::size_t j = 0; flat && j < demand.size(); ++j) {
-        ASSERT_EQ(ticked.jobs()[j]->demand, demand[j]) << "tick " << i << ", job " << j;
+    for (const Waiting waiting : {Waiting::kNone, Waiting::kOne, Waiting::kAll}) {
+      SCOPED_TRACE(testing::Message() << "waiting " << static_cast<int>(waiting));
+      std::deque<workload::JobSpec> seated = specs;
+      std::vector<double> seated_done = done;
+      if (waiting == Waiting::kOne) {
+        // A copy of the first job, on the same ramp: ticked as a running
+        // job, its demand would move.
+        seated.push_back(specs[0]);
+        seated.back().id = 7;
+        seated_done.push_back(done[0]);
+      }
+      Workstation ticked(0, config.nodes[0], config);
+      Workstation replayed(0, config.nodes[0], config);
+      sim::Rng rng_a(1);
+      sim::Rng rng_b(1);
+      SimTime now = seat_jobs(ticked, seated, seated_done, wide, start, dt, rng_a);
+      SimTime parked_at = seat_jobs(replayed, seated, seated_done, wide, start, dt, rng_b);
+      if (charge) {
+        now = charge_fault_ema(ticked, pager, now, dt, 3, rng_a);
+        parked_at = charge_fault_ema(replayed, pager, parked_at, dt, 3, rng_b);
+        ASSERT_GT(replayed.fault_rate(), 0.0);
+      }
+      // The waiting jobs enter their phases here, and one normal tick
+      // follows, as after any phase change.
+      const SimTime transfer_start = parked_at;
+      const std::size_t first_waiting = waiting == Waiting::kAll ? 0 : seated.size() - 1;
+      if (waiting != Waiting::kNone) {
+        for (std::size_t j = first_waiting; j < seated.size(); ++j) {
+          const JobPhase phase = waits[(static_cast<std::size_t>(trial) + j) % 3];
+          ticked.set_job_phase(*ticked.jobs()[j], phase);
+          replayed.set_job_phase(*replayed.jobs()[j], phase);
+        }
+        now += dt;
+        parked_at += dt;
+        const bool finished = !ticked.tick(now, dt, rng_a).completed.empty();
+        if (!replayed.tick(parked_at, dt, rng_b).completed.empty() || finished) continue;
+      }
+      bool flat = false;
+      const std::uint64_t horizon = replayed.steady_ticks(parked_at, dt, &flat);
+      if (horizon == 0) continue;
+      std::uint64_t ticks = horizon;
+      switch (waiting) {
+        case Waiting::kNone:
+          ++parked;
+          moving += flat ? 0 : 1;
+          decaying += replayed.fault_rate() != 0.0 ? 1 : 0;
+          break;
+        case Waiting::kOne:
+          ++parked_beside[(static_cast<std::size_t>(trial) + seated.size() - 1) % 3];
+          break;
+        case Waiting::kAll:
+          // Nothing runs, so only the cap on a park's length ends it.
+          ++parked_idle;
+          EXPECT_EQ(horizon, std::uint64_t{1} << 31);
+          EXPECT_EQ(flat, replayed.fault_rate() == 0.0);
+          ticks = 3000;
+          break;
+      }
+      EXPECT_TRUE(!flat || replayed.fault_rate() == 0.0);
+      std::vector<Bytes> demand;
+      for (const auto& job : ticked.jobs()) demand.push_back(job->demand);
+      for (std::uint64_t i = 0; i < ticks; ++i) {
+        now += dt;
+        ASSERT_TRUE(ticked.tick(now, dt, rng_a).completed.empty()) << "tick " << i;
+        ASSERT_LE(ticked.resident_demand(), ticked.user_memory()) << "tick " << i;
+        for (std::size_t j = 0; flat && j < demand.size(); ++j) {
+          ASSERT_EQ(ticked.jobs()[j]->demand, demand[j]) << "tick " << i << ", job " << j;
+        }
+      }
+      EXPECT_TRUE(same_bits(replayed.replay(parked_at, dt, ticks), now));
+      expect_same_state(ticked, replayed);
+      for (std::size_t j = first_waiting; waiting != Waiting::kNone && j < seated.size(); ++j) {
+        const RunningJob& job = *replayed.jobs()[j];
+        const bool in_transfer = job.phase != JobPhase::kSuspended;
+        EXPECT_TRUE(same_bits(job.accounted_until, in_transfer ? transfer_start : now))
+            << "job " << j;
+      }
+      if (waiting != Waiting::kNone) continue;
+      // The horizon stopped short of user memory, not of a finish.
+      Workstation::TickOutcome next = ticked.tick(now + dt, dt, rng_a);
+      if (next.completed.empty() && ticked.resident_demand() > ticked.user_memory()) {
+        ++memory_bound;
       }
     }
-    EXPECT_TRUE(same_bits(replayed.replay(parked_at, dt, horizon), now));
-    expect_same_state(ticked, replayed);
-    // The horizon stopped short of user memory, not of a finish.
-    Workstation::TickOutcome next = ticked.tick(now + dt, dt, rng_a);
-    if (next.completed.empty() && ticked.resident_demand() > ticked.user_memory()) ++memory_bound;
   }
-  // At this seed: 233 parks, 216 moving, 116 with a decaying EMA, 15 ended
-  // by user memory.
+  // At this seed, with every job running: 233 parks, 216 moving, 116 with a
+  // decaying EMA, 12 ended by user memory. With one job waiting beside them:
+  // 73 parks with it suspended, 57 migrating and 87 resizing. With every job
+  // waiting: 399.
   EXPECT_GT(parked, 150);
   EXPECT_GT(moving, 150);
   EXPECT_GT(decaying, 75);
   EXPECT_GT(memory_bound, 5);
+  for (const int parks : parked_beside) EXPECT_GT(parks, 30);
+  EXPECT_GT(parked_idle, 300);
 }
 
 // A node that paged keeps a fault EMA that decays toward 0 but stalls short
@@ -791,15 +860,21 @@ TEST(SteadyReplayTest, SteadyCheckRejectsUnsteadyNodes) {
   const auto seated = [&](Workstation& node) {
     return seat_jobs(node, specs, {0.0, 0.0}, false, 0.0, dt, rng);
   };
+  std::uint64_t baseline = 0;
   {
     Workstation node(0, config.nodes[0], config);
-    EXPECT_GT(node.steady_ticks(seated(node), dt), 0u);  // the baseline parks
+    baseline = node.steady_ticks(seated(node), dt);
+    EXPECT_GT(baseline, 0u);  // the baseline parks
   }
+  // A job that only waits does not keep the node ticking, and with one
+  // job fewer sharing the CPU the other runs to its finish sooner.
   for (const JobPhase phase : {JobPhase::kSuspended, JobPhase::kMigrating, JobPhase::kResizing}) {
     Workstation node(0, config.nodes[0], config);
     const SimTime now = seated(node);
     node.set_job_phase(*node.jobs()[1], phase);
-    EXPECT_EQ(node.steady_ticks(now, dt), 0u) << static_cast<int>(phase);
+    const std::uint64_t horizon = node.steady_ticks(now, dt);
+    EXPECT_GT(horizon, 0u) << static_cast<int>(phase);
+    EXPECT_LT(horizon, baseline) << static_cast<int>(phase);
   }
   {
     Workstation node(0, config.nodes[0], config);

@@ -4,17 +4,21 @@
 // to a dead destination, migration source and destination dying mid-flight),
 // the incarnation guard on in-flight completions, reservation abandonment in
 // V-Reconfiguration, and the determinism contracts (same-seed identity with
-// faults; empty plan bit-identical to the fingerprint goldens).
+// faults; empty plan bit-identical to the fingerprint goldens; the lazy
+// injector firing in the order of one that schedules every event up front).
 #include "faults/injector.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "../common/fingerprint_goldens.h"
 #include "cluster/cluster.h"
 #include "core/experiment.h"
 #include "core/v_reconfiguration.h"
+#include "metrics/collector.h"
 #include "metrics/fingerprint.h"
 #include "workload/arrival_source.h"
 
@@ -350,6 +354,167 @@ TEST(FaultInjectionTest, EmptyPlanKeepsFingerprintGoldens) {
   EXPECT_DOUBLE_EQ(report.availability, 1.0);
   EXPECT_EQ(fingerprint(report), kGLoadSharingGolden)
       << "actual fingerprint: 0x" << std::hex << fingerprint(report);
+}
+
+/// The reference for FaultInjector's order: every fail and recover event
+/// scheduled at construction, in plan order, each fail before its recover.
+class EagerFaultInjector {
+ public:
+  EagerFaultInjector(sim::Simulator& sim, Cluster& cluster, const FaultPlan& plan) : sim_(sim) {
+    for (const FaultEntry& window : plan.windows()) {
+      events_.push_back(sim_.schedule_at(
+          window.at, [&cluster, node = window.node] { cluster.fail_node(node); }));
+      events_.push_back(sim_.schedule_at(window.at + window.duration,
+                                         [&cluster, node = window.node] {
+                                           cluster.recover_node(node);
+                                         }));
+    }
+  }
+  ~EagerFaultInjector() {
+    for (const sim::EventId id : events_) sim_.cancel(id);
+  }
+  EagerFaultInjector(const EagerFaultInjector&) = delete;
+  EagerFaultInjector& operator=(const EagerFaultInjector&) = delete;
+
+  std::size_t windows_scheduled() const { return events_.size() / 2; }
+
+ private:
+  sim::Simulator& sim_;
+  std::vector<sim::EventId> events_;
+};
+
+/// One fault transition as the policy saw it, with its place in the run's
+/// event order.
+struct FaultFiring {
+  SimTime at = 0.0;
+  NodeId node = 0;
+  bool fail = false;
+  std::uint64_t executed = 0;  // events fired so far, this one included
+
+  bool operator==(const FaultFiring&) const = default;
+};
+
+void PrintTo(const FaultFiring& firing, std::ostream* os) {
+  *os << (firing.fail ? "fail" : "recover") << " node " << firing.node << " at t=" << firing.at
+      << " as event " << firing.executed;
+}
+
+/// V-Reconf recording each fault transition and the simulator's pending
+/// event count at it.
+class RecordingVReconf : public core::VReconfiguration {
+ public:
+  explicit RecordingVReconf(const sim::Simulator& sim) : sim_(sim) {}
+
+  void on_node_failed(Cluster& cluster, NodeId node) override {
+    record(node, true);
+    core::VReconfiguration::on_node_failed(cluster, node);
+  }
+  void on_node_recovered(Cluster& cluster, NodeId node) override {
+    record(node, false);
+    core::VReconfiguration::on_node_recovered(cluster, node);
+  }
+
+  std::vector<FaultFiring> firings;
+  std::vector<std::uint64_t> pending;
+
+ private:
+  void record(NodeId node, bool fail) {
+    firings.push_back({sim_.now(), node, fail, sim_.executed_events()});
+    pending.push_back(sim_.pending_events());
+  }
+
+  const sim::Simulator& sim_;
+};
+
+struct InjectedRun {
+  std::uint64_t fingerprint = 0;
+  std::size_t windows = 0;
+  std::uint64_t pending_added = 0;  // events the injector's construction queued
+  std::vector<FaultFiring> firings;
+  std::vector<std::uint64_t> pending;
+};
+
+/// run_experiment's steps, with the injector type as the one difference.
+template <typename Injector>
+InjectedRun run_injected(const workload::TraceParams& params, const ClusterConfig& config,
+                         const core::ExperimentOptions& options) {
+  sim::Simulator sim;
+  RecordingVReconf policy(sim);
+  Cluster cluster(sim, config, policy);
+  metrics::Collector collector(cluster, options.collector);
+  const FaultPlan plan =
+      FaultPlan::materialize(options.fault_entries, config, options.max_sim_time);
+  const std::uint64_t before = sim.pending_events();
+  Injector injector(sim, cluster, plan);
+  InjectedRun run;
+  run.windows = injector.windows_scheduled();
+  run.pending_added = sim.pending_events() - before;
+  workload::GeneratedStreamSource source(params);
+  cluster.submit_source(source);
+  sim.run_until(options.max_sim_time);
+  collector.stop();
+  metrics::RunReport report = collector.report(source.name(), policy.name());
+  run.fingerprint = metrics::full_fingerprint(report);
+  run.firings = std::move(policy.firings);
+  run.pending = std::move(policy.pending);
+  return run;
+}
+
+// The injector keeps one fault event queued, yet fires every event at the
+// (time, sequence number) key that scheduling all of them at construction
+// gives: the same transitions at the same places in the event order, and
+// the same report. The explicit windows of fault_matrix.scn start and end
+// on whole seconds, where the 1 s exchange and the 0.25 s policy pulse fire
+// too. The window on node 6 ends 0.1 s before the crash at t = 400, after
+// that pulse and exchange were queued, so the crash is queued after them
+// and must still fire first.
+TEST(FaultInjectionTest, LazyEventsFireInTheOrderOfEagerScheduling) {
+  workload::TraceParams params;
+  params.name = "faulty-c1";
+  params.group = workload::WorkloadGroup::kSpec;
+  params.num_jobs = 120;
+  params.duration = 900.0;
+  params.num_nodes = 8;
+  params.seed = 7;
+  ClusterConfig config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
+  config.fault_mtbf = 1500.0;
+  config.fault_mttr = 120.0;
+  config.fault_seed = 11;
+  config.fault_restart = cluster::RestartPolicy::kResubmit;
+  core::ExperimentOptions options;
+  options.fault_entries = {{2, 200.0, 120.0}, {5, 400.0, 90.0}, {6, 300.0, 99.9}};
+  options.max_sim_time = 6000.0;
+
+  const InjectedRun lazy = run_injected<FaultInjector>(params, config, options);
+  const InjectedRun eager = run_injected<EagerFaultInjector>(params, config, options);
+  const std::size_t events = 2 * lazy.windows;
+  ASSERT_EQ(lazy.windows, eager.windows);
+  ASSERT_GT(lazy.windows, 3u);  // the MTBF generator added windows
+  EXPECT_EQ(lazy.pending_added, 1u);
+  EXPECT_EQ(eager.pending_added, events);
+  EXPECT_EQ(lazy.fingerprint, eager.fingerprint);
+  ASSERT_EQ(lazy.firings, eager.firings);
+  ASSERT_GT(lazy.firings.size(), 6u);
+  bool queued_late = false;
+  for (std::size_t m = 0; m < lazy.firings.size(); ++m) {
+    // Beyond the rest of the run's events, the reference holds every fault
+    // event still to fire and the injector at most the next one.
+    const std::size_t ahead = events - m - 1;
+    EXPECT_EQ(lazy.pending[m] + ahead, eager.pending[m] + std::min<std::size_t>(ahead, 1))
+        << "firing " << m;
+    // The crash at t = 400 was queued by the firing before it, after the
+    // 0.25 s pulse at t = 400 was queued at t = 399.75.
+    const FaultFiring& firing = lazy.firings[m];
+    if (m > 0 && firing.at == 400.0 && firing.node == 5 && firing.fail) {
+      queued_late = lazy.firings[m - 1].at > 399.75;
+    }
+  }
+  EXPECT_TRUE(queued_late);
+  // The production path runs this injector too.
+  core::VReconfiguration policy;
+  workload::GeneratedStreamSource source(params);
+  EXPECT_EQ(metrics::full_fingerprint(core::run_experiment(source, config, policy, options)),
+            lazy.fingerprint);
 }
 
 }  // namespace

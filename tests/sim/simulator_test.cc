@@ -267,15 +267,22 @@ TEST(SimulatorTest, StaleIdNeverCancelsALaterEvent) {
 
 TEST(SimulatorTest, StressMatchesReferenceModel) {
   // Deterministic schedule/cancel/run storm checked against a naive model:
-  // a sorted-by-(time, insertion) list with eager deletion.
+  // a sorted-by-(time, insertion) list with eager deletion. Some events are
+  // reserved now and scheduled later, before the next run call, under
+  // their reserved numbers; the model inserts them at the reservation.
   struct ModelEvent {
     SimTime when;
     std::uint64_t seq;
     int tag;
   };
+  struct Deferred {
+    std::uint64_t reserved;  // the simulator's number
+    int tag;
+  };
   Simulator sim;
   std::vector<ModelEvent> model;
-  std::vector<std::pair<EventId, ModelEvent>> live;
+  std::vector<std::pair<EventId, ModelEvent>> live;  // kInvalidEventId while deferred
+  std::vector<Deferred> deferred;
   std::vector<int> fired;
   std::uint64_t rng = 0x9e3779b97f4a7c15ull, seq = 0;
   auto next = [&rng] {
@@ -284,18 +291,47 @@ TEST(SimulatorTest, StressMatchesReferenceModel) {
     rng ^= rng << 17;
     return rng;
   };
+  // Schedules the deferred events, latest reservation first.
+  auto schedule_deferred = [&] {
+    for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
+      for (auto& [id, event] : live) {
+        if (event.tag != it->tag) continue;
+        id = sim.schedule_reserved(event.when, it->reserved,
+                                   [&fired, tag = it->tag] { fired.push_back(tag); });
+      }
+    }
+    deferred.clear();
+  };
+  int reserved_ties = 0;  // deferred events reserved at a live event's time
   for (int op = 0; op < 4000; ++op) {
     const std::uint64_t roll = next() % 100;
-    if (roll < 55 || live.empty()) {
+    if (roll < 45 || live.empty()) {
       const SimTime when = sim.now() + static_cast<double>(next() % 1000) / 10.0;
       const int tag = op;
       EventId id = sim.schedule_at(when, [&fired, tag] { fired.push_back(tag); });
       live.push_back({id, ModelEvent{when, seq++, tag}});
+    } else if (roll < 55) {
+      // A block of one to three numbers, half of them at the time of a live
+      // event, so the events scheduled before they are tie with them.
+      const std::uint64_t count = 1 + next() % 3;
+      const std::uint64_t first = sim.reserve_sequence(count);
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const bool tie = next() % 2 == 0;
+        const SimTime when = tie ? live[next() % live.size()].second.when
+                                 : sim.now() + static_cast<double>(next() % 1000) / 10.0;
+        reserved_ties += tie ? 1 : 0;
+        const int tag = 100000 + op * 4 + static_cast<int>(k);
+        deferred.push_back({first + k, tag});
+        live.push_back({kInvalidEventId, ModelEvent{when, seq++, tag}});
+      }
     } else if (roll < 75) {
       const std::size_t victim = next() % live.size();
-      EXPECT_TRUE(sim.cancel(live[victim].first));
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      if (live[victim].first != kInvalidEventId) {
+        EXPECT_TRUE(sim.cancel(live[victim].first));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
     } else if (roll < 90) {
+      schedule_deferred();
       for (int i = 0; i < 3 && !live.empty(); ++i) {
         // Fire the earliest (time, insertion) live event in the model.
         std::size_t best = 0;
@@ -309,6 +345,7 @@ TEST(SimulatorTest, StressMatchesReferenceModel) {
         EXPECT_TRUE(sim.step());
       }
     } else {
+      schedule_deferred();
       const SimTime deadline = sim.now() + static_cast<double>(next() % 200) / 10.0;
       auto due = [&](const ModelEvent& e) { return e.when <= deadline; };
       while (true) {
@@ -329,8 +366,10 @@ TEST(SimulatorTest, StressMatchesReferenceModel) {
       }
       sim.run_until(deadline);
     }
-    ASSERT_EQ(sim.pending_events(), live.size());
+    ASSERT_EQ(sim.pending_events() + deferred.size(), live.size());
   }
+  EXPECT_GT(reserved_ties, 200);
+  schedule_deferred();
   sim.run();
   // Drain the model in order.
   std::sort(model.begin(), model.end(), [](const ModelEvent& a, const ModelEvent& b) {
